@@ -116,11 +116,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_KEYS = ("caps", "width", "xs", "workers")
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; known keys are {list(_CONFIG_KEYS)}")
+    return config
 
 
 def _emit_json(obj) -> None:
@@ -196,14 +205,19 @@ def _cmd_bijection(args, config: dict) -> int:
     return 0 if expected_verdict(report) else 1
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, config: dict) -> int:
+    xs = args.xs
+    if xs is None and "xs" in config:
+        if not isinstance(config["xs"], list):
+            raise ValueError("config key xs must be a list of rationals")
+        xs = tuple(Fraction(str(x)) for x in config["xs"])
     report = run_claim(
         args.claim,
         n_max=args.nmax,
         a_max=args.amax,
         a_lo=args.alo,
         a_hi=args.ahi,
-        xs=args.xs,
+        xs=xs,
         k_set=args.kset,
         ns=args.ns,
     )
@@ -295,7 +309,7 @@ def main(argv=None) -> int:
         if args.command == "bijection":
             return _cmd_bijection(args, config)
         if args.command == "verify":
-            return _cmd_verify(args)
+            return _cmd_verify(args, config)
         if args.command == "roots":
             return _cmd_roots(args, config)
         if args.command == "bounds":

@@ -1,4 +1,4 @@
-"""Certified isolation of the largest non-negative real root, in exact rationals.
+"""Certified isolation of the largest non-negative real root.
 
 The certificate language is Descartes' rule of signs on transformed
 polynomials:
@@ -10,16 +10,30 @@ polynomials:
                            exactly one root inside.
 
 isolate_max_root() deflates the root at 0, reduces to the squarefree part,
-starts from the Cauchy bound (where the shifted polynomial provably has no
+starts from the Cauchy bound B (where the shifted polynomial provably has no
 sign variations, all derivatives being positive beyond every root), and scans
-intervals right to left, bisecting until the rightmost root is pinned in a
-bracket no wider than the requested width.  Everything is Fraction
-arithmetic; no floating point enters any decision.
+the dyadic subintervals of (0, B) right to left, bisecting until the rightmost
+root is pinned in a bracket no wider than the requested width.
+
+The search is the integer Vincent-Collins-Akritas method in the form of
+Rouillier & Zimmermann, "Efficient isolation of polynomial's real roots"
+(J. Comput. Appl. Math. 162, 2004).  Denominators are cleared and x = B*t maps
+(0, B) onto (0, 1); every node of the bisection tree carries a positive
+integer multiple of p restricted to its interval and rescaled to (0, 1), and
+derives its children from it with one halving and one Taylor shift by 1.  The
+squarefree reduction is skipped when gcd(p, p') = 1 modulo a large prime.
+No floating point enters any decision.
+
+The Fraction routines (taylor_shift, variations_in_interval, no_roots_above,
+squarefree_part) are an independent route to the same certificates: the
+exact squarefree fallback, and the re-check of every emitted bracket.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple
 
 from .polynomials import Poly
@@ -33,6 +47,7 @@ __all__ = [
     "no_roots_above",
     "RootBracket",
     "isolate_max_root",
+    "round_half_away",
 ]
 
 
@@ -167,14 +182,153 @@ class RootBracket(NamedTuple):
     has_root: bool
 
 
-def isolate_max_root(p: Poly, width) -> RootBracket:
+def round_half_away(q: Fraction, places: int = 2) -> str:
+    """Decimal string with `places` digits, ties away from zero."""
+    sign = -1 if q < 0 else 1
+    scaled = abs(q) * 10**places
+    units = scaled.numerator // scaled.denominator
+    if scaled - units >= Fraction(1, 2):
+        units += 1
+    units *= sign
+    head, tail = divmod(abs(units), 10**places)
+    prefix = "-" if units < 0 else ""
+    return f"{prefix}{head}.{tail:0{places}d}"
+
+
+# Mersenne primes for the modular squarefree certificate, tried in order until
+# one does not divide the leading coefficient.
+_SQUAREFREE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def _integer_coeffs(coeffs) -> list[int]:
+    """The rational coefficients times the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
+    """Whether gcd(a, b) is a nonzero constant over the integers mod prime."""
+    a = _trim([c % prime for c in a])
+    b = _trim([c % prime for c in b])
+    while b:
+        inverse = pow(b[-1], -1, prime)
+        while len(a) >= len(b):
+            f = a[-1] * inverse % prime
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - f * c) % prime
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
+def _certainly_squarefree(ints: list[int]) -> bool:
+    """True only if gcd(p, p') = 1 over Q; False means undecided.
+
+    A gcd g of positive degree over Q has a primitive integer multiple that
+    divides p in Z[x], so its leading coefficient divides lead(p).  Modulo a
+    prime not dividing lead(p), g keeps its degree and divides both p and p',
+    so the gcd there has positive degree too.
+    """
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    for prime in _SQUAREFREE_PRIMES:
+        if ints[-1] % prime:
+            return _coprime_mod(ints, deriv, prime)
+    return False
+
+
+def _shift1(coeffs: list[int]) -> list[int]:
+    """Coefficients of q(t + 1), ascending like the input.
+
+    Each synthetic-division pass is a running sum from the top coefficient
+    down, so the passes run as itertools.accumulate over the descending list.
+    """
+    desc = coeffs[::-1]
+    for end in range(len(desc), 1, -1):
+        desc[:end] = accumulate(desc[:end])
+    return desc[::-1]
+
+
+def _descartes01(q: list[int]) -> int:
+    """Sign variations of (1+t)^deg q(1/(1+t)), q reversed and shifted by 1:
+    the Descartes bound on the roots of q in (0, 1)."""
+    return sign_variations(_shift1(q[::-1]))
+
+
+def _rightmost_cell(unit: list[int], narrow_depth: int):
+    """Right-first dyadic Descartes search for the largest root of q on (0, 1).
+
+    `unit` is a squarefree integer polynomial with no roots in [1, oo).  A node
+    (k, c) stands for the interval (c/2^k, (c+1)/2^k) and carries a positive
+    multiple of q(c/2^k + t/2^k), so its Descartes bound on (0, 1) is the one
+    of q on the node's interval.  The left child is 2^d q(t/2) and the right
+    child is the left one shifted by 1; the right child's constant term is
+    zero exactly when the midpoint is a root.
+
+    Returns (k, c, False) for the rightmost one-variation interval with
+    k >= narrow_depth, (k, c, True) when the point c/2^k is the largest root,
+    and None when q has no root in (0, 1).
+    """
+    d = len(unit) - 1
+    stack = [(0, 0, unit)]
+    while stack:
+        k, c, q = stack.pop()
+        if q is None:
+            return k, c, True
+        v = _descartes01(q)
+        if v == 0:
+            continue
+        if v == 1 and k >= narrow_depth:
+            return k, c, False
+        left = [a << (d - i) for i, a in enumerate(q)]
+        right = _shift1(left)
+        # Popped after the right child's whole subtree: the left half, or the
+        # midpoint itself when it is an exact root.
+        stack.append((k + 1, 2 * c + 1, None) if right[0] == 0 else (k + 1, 2 * c, left))
+        stack.append((k + 1, 2 * c + 1, right))
+    return None
+
+
+def _settle_rounding(p: Poly, lo: Fraction, hi: Fraction, places: int):
+    """Shrink a bracket until both ends round to the same `places` digits.
+
+    (lo, hi) holds exactly one root of the squarefree p and hi is not a root,
+    so p changes sign only there.  Each step cuts at the rounding boundary
+    just above lo, or at the midpoint when that boundary is hi itself, and
+    keeps the side where the sign changes; a root on the cut ends it.
+    """
+    scale = 10**places
+    half = Fraction(1, 2)
+    hi_positive = p(hi) > 0
+    while round_half_away(lo, places) != round_half_away(hi, places):
+        cut = (math.floor(lo * scale + half) + half) / scale
+        if cut >= hi:
+            cut = (lo + hi) / 2
+        value = p(cut)
+        if value == 0:
+            return cut, cut
+        if (value > 0) == hi_positive:
+            hi = cut
+        else:
+            lo = cut
+    return lo, hi
+
+
+def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     """Bracket the largest non-negative real root of p within the given width.
 
     Certificates: the returned hi has no roots of p above it (Descartes, via
     the scan invariant), and either lo == hi is an exact root or the open
     interval (lo, hi) carries Moebius variation count 1 (exactly one root).
-    Requires a nonconstant p; the sign of the leading coefficient is
-    normalized away.
+    With `places`, the bracket is refined further until lo and hi round
+    half away from zero to the same `places`-digit decimal.  Requires a
+    nonconstant p; the sign of the leading coefficient is normalized away.
     """
     width = Fraction(width)
     if width <= 0:
@@ -191,29 +345,31 @@ def isolate_max_root(p: Poly, width) -> RootBracket:
     if len(coeffs) == 1:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
 
-    reduced = squarefree_part(Poly(coeffs))
+    reduced = Poly(coeffs)
+    ints = _integer_coeffs(reduced.coeffs)
+    if not _certainly_squarefree(ints):
+        reduced = squarefree_part(reduced)
+        ints = _integer_coeffs(reduced.coeffs)
     bound = cauchy_root_bound(reduced)
-    if sign_variations(_shift(list(reduced.coeffs), bound)) != 0:
+    # A positive integer multiple of reduced(bound * t), content removed.
+    num, den, d = bound.numerator, bound.denominator, len(ints) - 1
+    unit = [c * num**i * den ** (d - i) for i, c in enumerate(ints)]
+    content = math.gcd(*unit)
+    unit = [c // content for c in unit]
+    if sign_variations(_shift1(unit)) != 0:
         raise AssertionError("Cauchy bound failed its variation certificate")
 
-    def scan(lo: Fraction, hi: Fraction):
-        # Largest root of `reduced` in the open interval (lo, hi); the caller
-        # guarantees there are no roots in [hi, oo).
-        v = variations_in_interval(reduced, lo, hi)
-        if v == 0:
-            return None
-        if v == 1 and hi - lo <= width:
-            return (lo, hi)
-        mid = (lo + hi) / 2
-        if reduced(mid) == 0:
-            found = scan(mid, hi)
-            return found if found is not None else (mid, mid)
-        found = scan(mid, hi)
-        if found is not None:
-            return found
-        return scan(lo, mid)
-
-    bracket = scan(Fraction(0), bound)
-    if bracket is None:
+    narrow_depth = 0
+    while bound / 2**narrow_depth > width:
+        narrow_depth += 1
+    cell = _rightmost_cell(unit, narrow_depth)
+    if cell is None:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
-    return RootBracket(bracket[0], bracket[1], True)
+    k, c, exact = cell
+    lo = bound * Fraction(c, 2**k)
+    if exact:
+        return RootBracket(lo, lo, True)
+    hi = bound * Fraction(c + 1, 2**k)
+    if places is not None:
+        lo, hi = _settle_rounding(reduced, lo, hi, places)
+    return RootBracket(lo, hi, True)

@@ -26,14 +26,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import mpmath as mp
 
 from .divisors import pbar_exact, pbar_prefix
 from .polynomials import pbar_poly, product_gap_poly
-from .rootisolation import isolate_max_root, no_roots_above
+from .rootisolation import isolate_max_root, no_roots_above, round_half_away
 from .serial import decode, encode
 
 __all__ = [
@@ -348,6 +346,8 @@ def sandwich(n: int) -> BoundTriple:
     bound 2^{5/2} sinh(mu/2) / (n mu); remainder_ok is their comparison,
     computed at 50 significant digits (see the module note on precision).
     """
+    import mpmath as mp  # imported here: no other command needs it
+
     if n < 1:
         raise ValueError(f"sandwich needs n >= 1, got {n}")
     exact = pbar_exact(n)
@@ -510,24 +510,10 @@ class RootRecord:
         )
 
 
-def round_half_away(q: Fraction, places: int = 2) -> str:
-    """Decimal string with `places` digits, ties away from zero."""
-    sign = -1 if q < 0 else 1
-    scaled = abs(q) * 10**places
-    units = scaled.numerator // scaled.denominator
-    if scaled - units >= Fraction(1, 2):
-        units += 1
-    units *= sign
-    head, tail = divmod(abs(units), 10**places)
-    prefix = "-" if units < 0 else ""
-    return f"{prefix}{head}.{tail:0{places}d}"
-
-
 def _roots_cell(args) -> RootRecord:
     a, b, width = args
-    bracket = isolate_max_root(product_gap_poly(a, b), width)
-    mid = (bracket.lo + bracket.hi) / 2
-    return RootRecord(a, b, bracket.lo, bracket.hi, round_half_away(mid))
+    lo, hi, _ = isolate_max_root(product_gap_poly(a, b), width, places=2)
+    return RootRecord(a, b, lo, hi, round_half_away(lo))
 
 
 def roots_table(
@@ -538,19 +524,32 @@ def roots_table(
 ) -> list[RootRecord]:
     """Certified max-root brackets for every gap polynomial cell, row-major.
 
-    Cells are independent; with workers > 1 they are computed in a process
-    pool after the polynomial memo is warmed sequentially in the parent.
+    The gap polynomial is symmetric in (a, b), so only cells with a <= b are
+    isolated and each result is copied to (b, a).  Cells are independent;
+    with workers > 1 they are computed in a process pool after the polynomial
+    memo is warmed sequentially in the parent.  Every emitted record is
+    re-checked by certify_root_record, which raises ArithmeticError on a
+    failure.
     """
     width = Fraction(width)
     if workers is None:
         workers = int(os.environ.get("OVERPOLY_WORKERS", "1"))
     pbar_poly(a_max + b_max)  # warm the shared memo before any fork
-    cells = [(a, b, width) for a in range(1, a_max + 1) for b in range(1, b_max + 1)]
+    cells = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)]
+    unique = sorted({(min(a, b), max(a, b)) for a, b in cells})
+    jobs = [(a, b, width) for a, b in unique]
     if workers > 1:
-        chunk = max(1, len(cells) // (4 * workers))
+        chunk = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_roots_cell, cells, chunksize=chunk))
-    return [_roots_cell(cell) for cell in cells]
+            computed = list(pool.map(_roots_cell, jobs, chunksize=chunk))
+    else:
+        computed = [_roots_cell(job) for job in jobs]
+    by_pair = dict(zip(unique, computed))
+    records = [replace(by_pair[min(a, b), max(a, b)], a=a, b=b) for a, b in cells]
+    for record in records:
+        if not certify_root_record(record, width):
+            raise ArithmeticError(f"root record for cell ({record.a}, {record.b}) failed its re-check")
+    return records
 
 
 def roots_csv(records) -> str:
@@ -563,13 +562,15 @@ def roots_csv(records) -> str:
 def certify_root_record(record: RootRecord, width=Fraction(1, 10**4)) -> bool:
     """Re-verify a RootRecord against its polynomial with exact arithmetic.
 
-    Checks the bracket width, the endpoint signs (value <= 0 at lo or an exact
-    root inside, > 0 at hi unless hi is itself the root), and that no root
-    lies above bracket_hi.
+    Checks the bracket width, that both ends round to the printed two-decimal
+    value, the endpoint signs (value <= 0 at lo or an exact root inside, > 0 at
+    hi unless hi is itself the root), and that no root lies above bracket_hi.
     """
     poly = product_gap_poly(record.a, record.b)
     lo, hi = record.bracket_lo, record.bracket_hi
     if not (0 <= lo <= hi and hi - lo <= Fraction(width)):
+        return False
+    if not round_half_away(lo) == round_half_away(hi) == record.rounded:
         return False
     at_lo, at_hi = poly(lo), poly(hi)
     if not (at_lo <= 0 or lo == 0):

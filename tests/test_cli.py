@@ -1,6 +1,10 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,43 @@ def test_config_width(tmp_path, capsys):
 def test_missing_config_exits_2(capsys):
     code, _, err = run(capsys, "--config", "/nonexistent.json", "poly", "3")
     assert code == 2 and "error" in err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_roots_json_matches_golden(capsys):
+    # Recorded from the exact-rational bisection that the integer search replaced.
+    code, out, _ = run(capsys, "roots", "--amax", "8", "--bmax", "8", "--format", "json")
+    assert code == 0
+    assert out.encode() == (DATA / "roots_8x8.json").read_bytes()
+
+
+@pytest.mark.parametrize("claim", ["th3", "th4"])
+def test_config_xs_grid(tmp_path, capsys, claim):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"xs": ["2", "5/2"]}))
+    code, out, _ = run(capsys, "--config", str(config), "verify", claim, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["range_checked"].endswith("x in {2, 5/2}")
+    code, out, _ = run(capsys, "--config", str(config), "verify", claim, "--xs", "3")
+    assert code == 0 and "x in {3}" in out  # the flag wins over the config
+
+
+@pytest.mark.parametrize("payload", [{"xz": ["2"]}, {"width": "1/100", "speed": 1}, ["xs"], {"xs": "2"}])
+def test_bad_config_exits_2(tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "--config", str(config), "verify", "th4", "--amax", "4")
+    assert code == 2 and out == "" and "error" in err
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, overpoly.cli; print('mpmath' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -3,13 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from overpoly.polynomials import Poly, product_gap_poly
 from overpoly.rootisolation import (
+    _certainly_squarefree,
+    _integer_coeffs,
+    _shift1,
     cauchy_root_bound,
     isolate_max_root,
     no_roots_above,
+    round_half_away,
     sign_variations,
     squarefree_part,
     taylor_shift,
@@ -131,3 +135,90 @@ def test_bracket_contains_known_max_root(roots):
     assert bracket.has_root
     assert bracket.lo <= top <= bracket.hi
     assert bracket.hi - bracket.lo <= WIDTH
+
+
+def test_integer_shift_matches_fraction_shift():
+    q = [3, -2, 5, 1, 0, -7]
+    assert Poly(_shift1(q)) == taylor_shift(Poly(q), 1)
+    assert _shift1([-1, 0, 1]) == [0, 2, 1]
+
+
+def test_modular_squarefree_certificate():
+    p = Poly([-1, 1]) * Poly([2, 1]) * Poly([-2, 0, 1])  # (x-1)(x+2)(x^2-2)
+    assert _certainly_squarefree(_integer_coeffs(p.coeffs))
+    assert not _certainly_squarefree(_integer_coeffs((p * Poly([-1, 1])).coeffs))
+    assert _certainly_squarefree(_integer_coeffs(product_gap_poly(5, 7).coeffs[1:]))
+
+
+@pytest.mark.parametrize("square, rounded", [(1125000001**2 + 1, "1.13"), (1124999999**2 + 1, "1.12")])
+def test_rounding_settled_near_a_tie(square, rounded):
+    # 10^18 x^2 - square: an irrational root within 1e-8 of the tie 1.125.
+    p = Poly([-square, 0, 10**18])
+    raw = isolate_max_root(p, WIDTH)
+    assert round_half_away(raw.lo) != round_half_away(raw.hi)  # the search alone straddles
+    lo, hi, has_root = isolate_max_root(p, WIDTH, places=2)
+    assert has_root and 0 < hi - lo <= WIDTH
+    assert round_half_away(lo) == round_half_away(hi) == rounded
+    assert p(lo) < 0 < p(hi)
+    assert variations_in_interval(p, lo, hi) == 1
+    assert no_roots_above(p, hi)
+
+
+def test_rounding_settled_on_an_exact_tie():
+    p = Poly([-9, -1, 8])  # (8x - 9)(x + 1): the root 9/8 is the tie 1.125
+    raw = isolate_max_root(p, WIDTH)
+    assert raw.lo < F(9, 8) < raw.hi
+    assert isolate_max_root(p, WIDTH, places=2) == (F(9, 8), F(9, 8), True)
+
+
+def _linear(r):
+    return Poly([-r, 1])
+
+
+factors = st.one_of(
+    st.fractions(max_denominator=4, min_value=F(-3), max_value=F(3)).map(_linear),
+    # x^2 - m: irrational real roots when m is not a square
+    st.sampled_from([2, 3, 5, 7]).map(lambda m: Poly([-m, 0, 1])),
+    # x^2 + b x + c with b^2 < 4c: no real roots
+    st.tuples(st.integers(-3, 3), st.integers(3, 6)).map(lambda bc: Poly([bc[1], bc[0], 1])),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=4))
+def test_bracket_certified_with_repeated_factors(factored):
+    poly, distinct = Poly([1]), Poly([1])
+    for factor, multiplicity in factored:
+        for _ in range(multiplicity):
+            poly = poly * factor
+    for factor in {f for f, _ in factored}:
+        distinct = distinct * factor
+    lo, hi, has_root = isolate_max_root(poly, WIDTH, places=2)
+    assert no_roots_above(poly, hi)
+    if not has_root:
+        assert lo == hi == 0
+        return
+    assert round_half_away(lo) == round_half_away(hi)
+    if lo == hi:
+        assert poly(lo) == 0
+    else:
+        assert 0 <= lo < hi and hi - lo <= WIDTH
+        assert variations_in_interval(squarefree_part(distinct), lo, hi) == 1
+
+
+def _sympy_max_root_interval(poly):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    rationals = [sympy.Rational(c.numerator, c.denominator) for c in reversed(poly.coeffs)]
+    intervals = sympy.Poly(rationals, x).intervals(eps=sympy.Rational(1, 10**6))
+    (lo, hi), _ = max(intervals, key=lambda item: item[0][1])
+    return F(int(lo.p), int(lo.q)), F(int(hi.p), int(hi.q))
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (2, 5), (3, 4), (4, 9), (6, 6), (7, 2), (8, 8)])
+def test_max_root_agrees_with_sympy(a, b):
+    poly = product_gap_poly(a, b)
+    s_lo, s_hi = _sympy_max_root_interval(poly)
+    lo, hi, has_root = isolate_max_root(poly, WIDTH)
+    assert has_root
+    assert s_lo <= hi and lo <= s_hi  # the two isolating intervals overlap

@@ -257,3 +257,50 @@ def test_run_claim_dispatch():
 
 def test_default_grid():
     assert DEFAULT_GRID_XS == (F(1), F(3, 2), F(2), F(5, 2), F(3))
+
+
+def test_gap_polynomial_symmetric():
+    from overpoly.polynomials import product_gap_poly
+
+    for a in range(1, 7):
+        for b in range(1, 7):
+            assert product_gap_poly(a, b) == product_gap_poly(b, a)
+
+
+def test_roots_table_isolates_each_symmetric_pair_once(monkeypatch):
+    from overpoly import verification
+
+    seen = []
+    isolate = verification.isolate_max_root
+
+    def counting(poly, width, places=None):
+        seen.append(poly)
+        return isolate(poly, width, places)
+
+    monkeypatch.setattr(verification, "isolate_max_root", counting)
+    records = roots_table(3, 5)
+    assert [(r.a, r.b) for r in records] == [(a, b) for a in range(1, 4) for b in range(1, 6)]
+    assert len(seen) == len(set(seen)) == 12  # pairs a <= b with a <= 3, b <= 5
+    for record in records:
+        assert certify_root_record(record)
+
+
+def test_roots_table_rejects_a_bad_bracket(monkeypatch):
+    from overpoly import verification
+
+    isolate = verification.isolate_max_root
+
+    def shifted(poly, width, places=None):
+        lo, hi, has_root = isolate(poly, width, places)
+        return lo + F(1, 10), hi + F(1, 10), has_root
+
+    monkeypatch.setattr(verification, "isolate_max_root", shifted)
+    with pytest.raises(ArithmeticError):
+        roots_table(2, 2)
+
+
+def test_certify_checks_the_rounding():
+    record = roots_table(2, 2)[3]
+    assert record.rounded == "0.84" and certify_root_record(record)
+    wrong = RootRecord(record.a, record.b, record.bracket_lo, record.bracket_hi, "0.85")
+    assert not certify_root_record(wrong)
