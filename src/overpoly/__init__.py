@@ -24,8 +24,6 @@ from .polynomials import (
     Poly,
     SeriesTable,
     colored_count_via_product,
-    eval_rat,
-    formal_derivative,
     pbar_derivative,
     pbar_poly,
     product_gap_poly,

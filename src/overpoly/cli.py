@@ -226,9 +226,9 @@ def _cmd_verify(args, config: dict) -> int:
     else:
         print(f"claim={report.claim} range='{report.range_checked}' holds={report.holds}")
         if report.exceptions:
-            print(f"exceptions={sorted(report.exceptions)}")
+            print(f"exceptions={json.dumps(encode(sorted(report.exceptions)))}")
         if report.counterexample is not None:
-            print(f"counterexample={report.counterexample}")
+            print(f"counterexample={json.dumps(encode(report.counterexample))}")
         if report.inconclusive:
             print(f"inconclusive={list(report.inconclusive)}")
         if report.stats:

@@ -10,14 +10,23 @@ They are linked by the identity sigma - tau_alt = sigma_bar.  sigma_bar is
 computed from the 2-adic valuation directly and the difference sigma - tau_alt
 only serves as a cross-check, so a bug in one path cannot mask the other.
 
-pbar(n), the number of overpartitions of n, satisfies the exact integer
-recursion
+pbar(n), the number of overpartitions of n, has the generating function
+prod_{m>=1} (1+q^m)/(1-q^m), the reciprocal of Gauss's theta product
 
-    n * pbar(n) = sum_{k=1..n} sigma_bar(k) * pbar(n - k),      pbar(0) = 1,
+    prod_{m>=1} (1-q^m)/(1+q^m) = 1 + 2 sum_{k>=1} (-1)^k q^(k^2).
 
-where the division by n is always exact.  The full prefix pbar(0..n) is
-memoized because every verification pass consumes contiguous ranges; the memo
-grows under a lock, and concurrent reads after a sequential warm-up are safe.
+Multiplying the two gives the integer recursion (Corteel & Lovejoy,
+"Overpartitions", Trans. AMS 356, 2004)
+
+    pbar(n) = 2 sum_{k>=1, k^2<=n} (-1)^(k+1) pbar(n - k^2),      pbar(0) = 1,
+
+about sqrt(n) additions per entry and no products or divisions.  The
+sigma_bar recursion n pbar(n) = sum_k sigma_bar(k) pbar(n-k) is an independent
+route to the same numbers; the polynomial memo in `polynomials` checks every
+entry against it through P_n(1) = pbar(n), and the tests keep it as an oracle.
+The full prefix pbar(0..n) is memoized because every verification pass
+consumes contiguous ranges; the memo grows under a lock, and concurrent reads
+after a sequential warm-up are safe.
 """
 
 from __future__ import annotations
@@ -70,20 +79,17 @@ _pbar_lock = threading.Lock()
 
 
 def pbar_prefix(n: int) -> list[int]:
-    """The list [pbar(0), ..., pbar(n)] from the integer recursion."""
+    """The list [pbar(0), ..., pbar(n)] from Gauss's theta recursion."""
     if n < 0:
         raise ValueError(f"pbar undefined for n={n}; need n >= 0")
     if len(_pbar_memo) <= n:
         with _pbar_lock:
             while len(_pbar_memo) <= n:
                 m = len(_pbar_memo)
-                total = sum(sigma_bar(k) * _pbar_memo[m - k] for k in range(1, m + 1))
-                q, r = divmod(total, m)
-                if r:
-                    raise ArithmeticError(
-                        f"pbar recursion divided inexactly at n={m}: {total} % {m} = {r}"
-                    )
-                _pbar_memo.append(q)
+                r = isqrt(m)
+                odd = sum(_pbar_memo[m - k * k] for k in range(1, r + 1, 2))
+                even = sum(_pbar_memo[m - k * k] for k in range(2, r + 1, 2))
+                _pbar_memo.append(2 * (odd - even))
     return _pbar_memo[: n + 1]
 
 

@@ -9,13 +9,25 @@ so that P_n(k) counts k-colored overpartitions of n and P_n(1) = pbar(n).
 All coefficients of P_n are strictly positive for n >= 1 and the leading
 coefficient is 2^n / n!.
 
-The module also provides:
+The family is stored as integer coefficient vectors Q_m = m! * P_m.  In that
+scaling the recursion reads
+
+    Q_m = x * sum_{k=1..m} sigma_bar(k) * (m-1)!/(m-k)! * Q_{m-k},
+
+with the falling factorial (m-1)!/(m-k)! updated as k grows, so building the
+memo takes integer products and sums only and never divides.  Each new entry
+is checked against the Gauss-identity route for pbar: sum(Q_m) = m! pbar(m),
+or ArithmeticError.  The memo grows sequentially under a lock and is safe to
+read concurrently once warm; Poly values are built from it on request.
+
+The module also provides, from the same integer vectors:
 
   * pbar_derivative(n) = sum_{k=1..n} sigma_bar(k)/k * P_{n-k}, which must
-    equal the formal coefficient-wise derivative of pbar_poly(n);
+    equal the formal coefficient-wise derivative of pbar_poly(n); scaled by
+    n! it is sum_k sigma_bar(k) * C(n,k) * (k-1)! * Q_{n-k};
   * product_gap_poly(a, b) = P_a * P_b - P_{a+b}, whose largest non-negative
     real root marks where the product inequality P_a(x) P_b(x) > P_{a+b}(x)
-    starts to hold;
+    starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b};
   * series_expand(N): the truncated formal exponential of
     x * sum_{n<=N} sigma_bar(n) q^n / n, whose q^n coefficient must reproduce
     pbar_poly(n) exactly;
@@ -23,9 +35,8 @@ The module also provides:
     q-series prod_m ((1+q^m)/(1-q^m))^k, an expansion route independent of
     the recursion.
 
-Coefficients are fractions.Fraction, normalized by construction; polynomial
-equality is structural.  Poly values are immutable; the pbar_poly memo grows
-sequentially under a lock and is safe to read concurrently once warm.
+Poly coefficients are fractions.Fraction, normalized by construction;
+polynomial equality is structural and Poly values are immutable.
 """
 
 from __future__ import annotations
@@ -33,14 +44,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from .divisors import sigma_bar
+from .divisors import pbar_prefix, sigma_bar
 
 __all__ = [
     "Poly",
-    "formal_derivative",
-    "eval_rat",
     "pbar_poly",
     "pbar_derivative",
     "product_gap_poly",
@@ -153,39 +162,41 @@ class Poly:
         return text
 
 
-def formal_derivative(p: Poly) -> Poly:
-    """Coefficient-wise derivative."""
-    return p.derivative()
+_q_memo: list[tuple[int, ...]] = [(1,)]
+_q_lock = threading.Lock()
 
 
-def eval_rat(p: Poly, x) -> Fraction:
-    """Exact value p(x) at a rational point."""
-    return p(x)
-
-
-_X = Poly([0, 1])
-
-_poly_memo: list[Poly] = [Poly([1])]
-_poly_lock = threading.Lock()
-
-
-def _pbar_poly_prefix(n: int) -> list[Poly]:
-    if len(_poly_memo) <= n:
-        with _poly_lock:
-            while len(_poly_memo) <= n:
-                m = len(_poly_memo)
-                acc = Poly()
+def _q_prefix(n: int) -> list[tuple[int, ...]]:
+    """[Q_0, ..., Q_n] with Q_m = m! * P_m as ascending integer coefficients."""
+    if len(_q_memo) <= n:
+        with _q_lock:
+            pb = pbar_prefix(n)
+            while len(_q_memo) <= n:
+                m = len(_q_memo)
+                acc = [0] * m
+                falling = 1  # (m-1)! / (m-k)!
                 for k in range(1, m + 1):
-                    acc = acc + sigma_bar(k) * _poly_memo[m - k]
-                _poly_memo.append(_X * acc * Fraction(1, m))
-    return _poly_memo[: n + 1]
+                    c = sigma_bar(k) * falling
+                    acc[: m - k + 1] = [u + c * v for u, v in zip(acc, _q_memo[m - k])]
+                    falling *= m - k
+                entry = (0, *acc)
+                if sum(entry) != factorial(m) * pb[m]:
+                    raise ArithmeticError(
+                        f"P_{m}(1) disagrees with pbar({m}) from the theta recursion"
+                    )
+                _q_memo.append(entry)
+    return _q_memo[: n + 1]
+
+
+def _scaled_poly(numerators, denominator: int) -> Poly:
+    return Poly([Fraction(c, denominator) for c in numerators])
 
 
 def pbar_poly(n: int) -> Poly:
     """The overpartition polynomial P_n as an exact rational polynomial."""
     if n < 0:
         raise ValueError(f"pbar_poly undefined for n={n}; need n >= 0")
-    return _pbar_poly_prefix(n)[n]
+    return _scaled_poly(_q_prefix(n)[n], factorial(n))
 
 
 def pbar_derivative(n: int) -> Poly:
@@ -197,11 +208,12 @@ def pbar_derivative(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError(f"pbar_derivative undefined for n={n}; need n >= 1")
-    prefix = _pbar_poly_prefix(n - 1)
-    acc = Poly()
+    qs = _q_prefix(n - 1)
+    acc = [0] * n
     for k in range(1, n + 1):
-        acc = acc + Fraction(sigma_bar(k), k) * prefix[n - k]
-    return acc
+        c = sigma_bar(k) * comb(n, k) * factorial(k - 1)
+        acc[: n - k + 1] = [u + c * v for u, v in zip(acc, qs[n - k])]
+    return _scaled_poly(acc, factorial(n))
 
 
 def product_gap_poly(a: int, b: int) -> Poly:
@@ -211,8 +223,14 @@ def product_gap_poly(a: int, b: int) -> Poly:
     """
     if a < 1 or b < 1:
         raise ValueError(f"product_gap_poly needs a, b >= 1; got a={a}, b={b}")
-    prefix = _pbar_poly_prefix(a + b)
-    return prefix[a] * prefix[b] - prefix[a + b]
+    qs = _q_prefix(a + b)
+    scaled = [-c for c in qs[a + b]]
+    binom = comb(a + b, a)
+    for i, u in enumerate(qs[a]):
+        c = binom * u
+        for j, v in enumerate(qs[b]):
+            scaled[i + j] += c * v
+    return _scaled_poly(scaled, factorial(a + b))
 
 
 @dataclass(frozen=True)
@@ -267,7 +285,7 @@ def colored_count_via_product(n: int, k: int) -> int:
 
     (1+q^m)^k expands by binomial coefficients and 1/(1-q^m)^k by
     stars-and-bars coefficients; every factor is truncated at q^n.  Must equal
-    eval_rat(pbar_poly(n), k).
+    pbar_poly(n)(k).
     """
     if n < 0:
         raise ValueError(f"colored_count_via_product needs n >= 0; got {n}")

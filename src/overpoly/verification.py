@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -130,7 +129,7 @@ def check_th1(n_max: int) -> VerifyReport:
             lhs, rhs = pb[a] * pb[b], pb[total]
             if lhs == rhs:
                 found.append((a, b))
-            elif lhs < rhs:
+            elif lhs < rhs and counterexample is None:
                 counterexample = (a, b)
     expected = {e for e in TH1_EXCEPTIONS if e[0] + e[1] <= n_max}
     holds = counterexample is None and set(found) == expected
@@ -154,10 +153,11 @@ def check_th3_grid(n_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
     counterexample = None
     for n in range(1, n_max):
         for x in xs:
+            if counterexample is not None:
+                continue
             if not polys[n](x) < polys[n + 1](x):
                 counterexample = ("value", n, x)
-            dn, dn1 = derivs[n](x), derivs[n + 1](x)
-            if not (2 <= dn < dn1):
+            elif not (2 <= derivs[n](x) < derivs[n + 1](x)):
                 counterexample = ("derivative", n, x)
     return VerifyReport(
         claim="th3",
@@ -188,7 +188,7 @@ def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
                 rhs = values[x][total]
                 if lhs == rhs:
                     found.append((a, b, x))
-                elif lhs < rhs:
+                elif lhs < rhs and counterexample is None:
                     counterexample = (a, b, x)
     expected = {e for e in TH4_EXCEPTIONS if e[0] + e[1] <= a_max and e[2] in xs}
     holds = counterexample is None and set(found) == expected
@@ -213,7 +213,7 @@ def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
         for total in range(2, a_max + 1):
             for b in range(1, total // 2 + 1):
                 a = total - b
-                if not vals[a] * vals[b] > vals[total]:
+                if not vals[a] * vals[b] > vals[total] and counterexample is None:
                     counterexample = (a, b, k)
     return VerifyReport(
         claim="th5",
@@ -235,7 +235,7 @@ def check_le3(n_max: int) -> VerifyReport:
         slack = _rel_slack(float(pb[n]), 1 + math.log(2 * n))
         if abs(slack) < INCONCLUSIVE_BAND:
             inconclusive.append(n)
-        elif slack < 0:
+        elif slack < 0 and counterexample is None:
             counterexample = n
         if slack < min_slack:
             min_slack, argmin = slack, n
@@ -260,7 +260,7 @@ def check_logconcave(n_max: int) -> VerifyReport:
         lhs, rhs = pb[n] ** 2, pb[n - 1] * pb[n + 1]
         if lhs == rhs:
             equalities.append(n)
-        elif lhs < rhs:
+        elif lhs < rhs and counterexample is None:
             counterexample = n
     return VerifyReport(
         claim="logconcave",
@@ -296,7 +296,7 @@ def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
     for n in ns:
         x = find_descent_x(n)
         certified = 0 < x < 1 and pbar_poly(n + 1)(x) < pbar_poly(n)(x)
-        if not certified:
+        if not certified and counterexample is None:
             counterexample = n
         points[str(n)] = x
     return VerifyReport(
@@ -388,9 +388,9 @@ def check_ie7(n_max: int, n_min: int = 1) -> VerifyReport:
         for label, slack in (("lower", lo_slack), ("upper", up_slack)):
             if abs(slack) < INCONCLUSIVE_BAND:
                 inconclusive.append((label, n))
-            elif slack < 0:
+            elif slack < 0 and counterexample is None:
                 counterexample = (label, n)
-        if n >= 2 and not t.remainder_ok:
+        if n >= 2 and not t.remainder_ok and counterexample is None:
             counterexample = ("remainder", n)
         min_lower_slack = min(min_lower_slack, lo_slack)
         min_upper_slack = min(min_upper_slack, up_slack)
@@ -428,7 +428,7 @@ def check_ie8(a_max: int) -> VerifyReport:
                 slack = _rel_slack(float(pb[a + b - k]), factor * float(pb[b - k]))
                 if abs(slack) < INCONCLUSIVE_BAND:
                     inconclusive.append((a, b, k))
-                elif slack < 0:
+                elif slack < 0 and counterexample is None:
                     counterexample = (a, b, k)
                 if slack < min_slack:
                     min_slack, argmin = slack, (a, b, k)
@@ -468,7 +468,7 @@ def check_ie11(a_lo: int, a_hi: int, threshold: int = 94) -> VerifyReport:
         if slack > 0:
             if first_passing is None:
                 first_passing = a
-        elif a >= threshold:
+        elif a >= threshold and counterexample is None:
             counterexample = a
     return VerifyReport(
         claim="ie11",
@@ -539,6 +539,8 @@ def roots_table(
     unique = sorted({(min(a, b), max(a, b)) for a, b in cells})
     jobs = [(a, b, width) for a, b in unique]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only the pool needs multiprocessing
+
         chunk = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             computed = list(pool.map(_roots_cell, jobs, chunksize=chunk))

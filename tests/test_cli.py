@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -216,12 +217,46 @@ def test_bad_config_exits_2(tmp_path, capsys, payload):
     assert code == 2 and out == "" and "error" in err
 
 
-def test_cli_import_leaves_mpmath_unloaded():
+def _modules_loaded_by_cli_import(*modules):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, overpoly.cli; print('mpmath' in sys.modules)"
+    code = f"import sys, overpoly.cli; print([m for m in {modules!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    assert _modules_loaded_by_cli_import("mpmath") == "[]"
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    assert _modules_loaded_by_cli_import("multiprocessing", "concurrent.futures.process") == "[]"
+
+
+GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_cli_json_matches_golden(capsys, entry):
+    # Recorded from the Fraction memo and sigma_bar recursion before the integer core.
+    code, out, _ = run(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert out == entry["stdout"]
+
+
+def test_verify_text_prints_rationals_as_p_over_q(capsys):
+    code, out, _ = run(capsys, "verify", "th4", "--amax", "6")
+    assert code == 0
+    assert out.splitlines()[1] == 'exceptions=[[1, 1, "1/1"], [1, 2, "1/1"], [2, 1, "1/1"]]'
+    assert "Fraction" not in out
+
+
+def test_verify_text_counterexample_is_p_over_q(capsys, monkeypatch):
+    report = VerifyReport("th4", "r", False, counterexample=(1, 9, Fraction(3, 2)))
+    monkeypatch.setattr("overpoly.cli.run_claim", lambda *args, **kwargs: report)
+    code, out, _ = run(capsys, "verify", "th4")
+    assert code == 1
+    assert out.splitlines()[1] == 'counterexample=[1, 9, "3/2"]'

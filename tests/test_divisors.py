@@ -1,6 +1,7 @@
 """Divisor sums and the exact overpartition-count recursion."""
 
 import math
+from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,6 +28,20 @@ def _pbar_series_oracle(n_max):
         for i in range(m, n_max + 1):
             series[i] += series[i - m]
     return series
+
+
+@cache
+def _pbar_sigma_bar_oracle(n_max):
+    """pbar(0..n_max) from n pbar(n) = sum_k sigma_bar(k) pbar(n-k), exact division.
+
+    An O(n^2) route independent of the theta recursion in pbar_prefix.
+    """
+    values = [1]
+    for n in range(1, n_max + 1):
+        q, r = divmod(sum(sigma_bar(k) * values[n - k] for k in range(1, n + 1)), n)
+        assert r == 0
+        values.append(q)
+    return tuple(values)
 
 
 # Frozen from the series oracle; re-derived below.
@@ -102,6 +117,11 @@ def test_pbar_matches_series_oracle():
     oracle = _pbar_series_oracle(40)
     assert pbar_prefix(40) == oracle
     assert oracle[: len(PBAR_FIRST)] == PBAR_FIRST
+
+
+@given(st.integers(min_value=0, max_value=600))
+def test_theta_recursion_matches_sigma_bar_recursion(n):
+    assert pbar_prefix(n) == list(_pbar_sigma_bar_oracle(600)[: n + 1])
 
 
 def test_pbar_strictly_increasing():

@@ -18,7 +18,7 @@ from overpoly.enumeration import (
     is_canonical,
     weight,
 )
-from overpoly.polynomials import eval_rat, pbar_poly
+from overpoly.polynomials import pbar_poly
 
 NO_ONES = forbid((1, 1))
 
@@ -69,9 +69,9 @@ def test_oracle_equivalence_small():
     for n in range(0, 13):
         assert count_ops(n, 1) == pbar_exact(n)
     for n in range(0, 9):
-        assert count_ops(n, 2) == eval_rat(pbar_poly(n), 2)
+        assert count_ops(n, 2) == pbar_poly(n)(2)
     for n in range(0, 7):
-        assert count_ops(n, 3) == eval_rat(pbar_poly(n), 3)
+        assert count_ops(n, 3) == pbar_poly(n)(3)
 
 
 def test_removal_identity():

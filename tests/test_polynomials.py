@@ -1,23 +1,28 @@
 """Polynomial arithmetic and the overpartition polynomial family."""
 
+import importlib
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from overpoly import polynomials
 from overpoly.divisors import pbar_exact, sigma_bar
 from overpoly.polynomials import (
     Poly,
     colored_count_via_product,
-    eval_rat,
-    formal_derivative,
     pbar_derivative,
     pbar_poly,
     product_gap_poly,
     series_exp,
     series_expand,
 )
+
+# The package re-exports the function `divisors`, which shadows the submodule.
+divisors_module = importlib.import_module("overpoly.divisors")
 
 F = Fraction
 
@@ -66,14 +71,14 @@ def test_pbar_derivative_examples(n, expected):
 
 
 def test_formal_derivative_examples():
-    assert formal_derivative(Poly([1])) == Poly()
-    assert formal_derivative(Poly([0, 2, 2])) == Poly([2, 4])
-    assert formal_derivative(Poly([0, 0, 0, 0, 0, 1])) == Poly([0, 0, 0, 0, 5])
+    assert Poly([1]).derivative() == Poly()
+    assert Poly([0, 2, 2]).derivative() == Poly([2, 4])
+    assert Poly([0, 0, 0, 0, 0, 1]).derivative() == Poly([0, 0, 0, 0, 5])
 
 
 def test_derivative_identity():
     for n in range(1, 51):
-        assert pbar_derivative(n) == formal_derivative(pbar_poly(n))
+        assert pbar_derivative(n) == pbar_poly(n).derivative()
 
 
 def test_shape_invariants():
@@ -86,14 +91,14 @@ def test_shape_invariants():
 
 
 def test_eval_examples():
-    assert eval_rat(pbar_poly(2), 1) == 4
-    assert eval_rat(Poly([7, 1, 5]), 0) == 7
-    assert eval_rat(pbar_poly(3), 2) == 32
+    assert pbar_poly(2)(1) == 4
+    assert Poly([7, 1, 5])(0) == 7
+    assert pbar_poly(3)(2) == 32
 
 
 def test_evaluation_identity_at_one():
     for n in range(0, 61):
-        assert eval_rat(pbar_poly(n), 1) == pbar_exact(n)
+        assert pbar_poly(n)(1) == pbar_exact(n)
 
 
 def test_product_gap_examples():
@@ -137,7 +142,7 @@ def test_colored_count_examples(n, k, expected):
 def test_colored_count_matches_polynomial():
     for n in range(0, 13):
         for k in range(1, 5):
-            assert colored_count_via_product(n, k) == eval_rat(pbar_poly(n), k)
+            assert colored_count_via_product(n, k) == pbar_poly(n)(k)
 
 
 def test_monotonicity_on_grid():
@@ -148,3 +153,74 @@ def test_monotonicity_on_grid():
         for x in xs:
             assert polys[n](x) < polys[n + 1](x)
             assert 2 <= derivs[n](x) < derivs[n + 1](x)
+
+
+def _q(n):
+    """The integer memo entry Q_n = n! * P_n."""
+    return polynomials._q_prefix(n)[n]
+
+
+def test_integer_memo_matches_series_expand():
+    table = series_expand(16)
+    for n, coeff in enumerate(table.coeff_polys):
+        assert list(_q(n)) == [c * factorial(n) for c in coeff.coeffs]
+
+
+def test_integer_memo_matches_colored_product():
+    for n in range(0, 21):
+        for k in range(1, 4):
+            value = sum(c * k**j for j, c in enumerate(_q(n)))
+            assert value == factorial(n) * colored_count_via_product(n, k)
+
+
+def test_product_gap_matches_poly_arithmetic():
+    for a in range(1, 9):
+        for b in range(1, 9):
+            expected = pbar_poly(a) * pbar_poly(b) - pbar_poly(a + b)
+            assert product_gap_poly(a, b) == expected
+
+
+@contextmanager
+def _memos_restored():
+    """Yield both memos and put their saved contents back afterwards."""
+    q_memo, pbar_memo = polynomials._q_memo, divisors_module._pbar_memo
+    saved_q, saved_pbar = q_memo[:], pbar_memo[:]
+    try:
+        yield q_memo, pbar_memo
+    finally:
+        q_memo[:] = saved_q
+        pbar_memo[:] = saved_pbar
+
+
+@pytest.mark.parametrize("corrupted", ["pbar", "memo"])
+def test_memo_cross_check_catches_a_corrupted_route(corrupted):
+    n = 30
+    pbar_poly(n)
+    with _memos_restored() as (q_memo, pbar_memo):
+        del q_memo[n:]
+        if corrupted == "pbar":
+            pbar_memo[n] += 1  # a wrong value from the theta recursion
+        else:
+            q_memo[n - 1] = (*q_memo[n - 1][:-1], q_memo[n - 1][-1] + 1)
+        with pytest.raises(ArithmeticError):
+            pbar_poly(n)
+    assert pbar_poly(n)(1) == pbar_exact(n)
+
+
+def test_integer_memo_safe_under_concurrent_growth():
+    results = []
+
+    def worker():
+        results.append(pbar_poly(70))
+
+    with _memos_restored() as (q_memo, _):
+        del q_memo[5:]
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert [len(q) for q in q_memo] == list(range(1, 72))
+    assert len(results) == 6 and all(r == results[0] for r in results)
+    assert results[0](1) == pbar_exact(70)

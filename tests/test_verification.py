@@ -6,12 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from overpoly.divisors import pbar_exact
+from overpoly import verification
+from overpoly.divisors import pbar_exact, pbar_prefix
+from overpoly.polynomials import pbar_poly
 from overpoly.verification import (
     BoundTriple,
     DEFAULT_GRID_XS,
     RootRecord,
     TH1_EXCEPTIONS,
+    TH4_EXCEPTIONS,
     VerifyReport,
     certify_root_record,
     check_colored,
@@ -304,3 +307,46 @@ def test_certify_checks_the_rounding():
     assert record.rounded == "0.84" and certify_root_record(record)
     wrong = RootRecord(record.a, record.b, record.bracket_lo, record.bracket_hi, "0.85")
     assert not certify_root_record(wrong)
+
+
+def _inflated_prefix(at):
+    """pbar_prefix with pbar(m) multiplied by 100 for every m in `at`."""
+    return lambda n: [v * 100 if m in at else v for m, v in enumerate(pbar_prefix(n))]
+
+
+def _inflated_poly(at):
+    """pbar_poly with P_m multiplied by 100 for every m in `at`."""
+    return lambda n: pbar_poly(n) * 100 if n in at else pbar_poly(n)
+
+
+def test_th1_reports_the_first_counterexample(monkeypatch):
+    # pbar(10) and pbar(20) inflated: every split of 10 and of 20 fails.
+    monkeypatch.setattr(verification, "pbar_prefix", _inflated_prefix({10, 20}))
+    report = check_th1(24)
+    assert not report.holds and report.counterexample == (9, 1)
+
+
+def test_th3_reports_the_first_counterexample(monkeypatch):
+    monkeypatch.setattr(verification, "pbar_poly", _inflated_poly({5, 9}))
+    report = check_th3_grid(12)
+    assert not report.holds and report.counterexample == ("value", 5, F(1))
+
+
+def test_th4_reports_the_first_counterexample(monkeypatch):
+    monkeypatch.setattr(verification, "pbar_poly", _inflated_poly({10, 14}))
+    report = check_th4_grid(16)
+    assert not report.holds and report.counterexample == (1, 9, F(1))
+    assert set(report.exceptions) == TH4_EXCEPTIONS
+
+
+def test_colored_reports_the_first_counterexample(monkeypatch):
+    monkeypatch.setattr(verification, "pbar_poly", _inflated_poly({10, 14}))
+    report = check_colored(16)
+    assert not report.holds and report.counterexample == (9, 1, 2)
+
+
+def test_logconcave_reports_the_first_counterexample(monkeypatch):
+    # pbar(11) inflated breaks log-concavity at n = 10 and at n = 12.
+    monkeypatch.setattr(verification, "pbar_prefix", _inflated_prefix({11}))
+    report = check_logconcave(20)
+    assert not report.holds and report.counterexample == 10
