@@ -27,6 +27,7 @@ from .polynomials import (
     pbar_derivative,
     pbar_poly,
     product_gap_poly,
+    scaled_values,
     series_expand,
 )
 from .bijections import (

@@ -54,10 +54,9 @@ __all__ = [
     "expected_verdict",
 ]
 
-NO_ONES = forbid((1, 1))
+NO_ONES = forbid((1, 1))  # plain 1_1; the colored maps ban it too
 NO_TWOS = forbid((2, 1))
 NO_ONES_NO_TWOS = forbid((1, 1), (2, 1))
-NO_ONES_C1 = forbid((1, 1))
 NO_ONES_C2 = forbid((1, 2))
 NO_ONES_C1_C2 = forbid((1, 1), (1, 2))
 
@@ -313,7 +312,7 @@ def peel_one_colored(parts, a: int, k: int) -> ImagePair:
         raise ValueError(f"colored peel needs k >= 2; got k={k}")
     if a < 2:
         raise ValueError(f"colored peel needs a >= 2; got a={a}")
-    _require_domain(parts, a + 1, k, NO_ONES_C1, "colored peel")
+    _require_domain(parts, a + 1, k, NO_ONES, "colored peel")
     case = _peel_one_colored_case(parts)
     last = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
@@ -430,14 +429,14 @@ def _audit_setup(map_name: str, a: int, b: int | None, k: int):
             raise ValueError(f"map fk needs k >= 2 and a >= max(b, 2), b >= 1; got a={a}, b={b}, k={k}")
         return (
             (a + b, k, NO_ONES_C1_C2),
-            (a, k, NO_ONES_C1),
+            (a, k, NO_ONES),
             (b, k, NO_ONES_C2),
             lambda lam: split_pair_colored(lam, a, b, k),
         )
     if map_name == "gk":
         if k < 2 or a < 2:
             raise ValueError(f"map gk needs k >= 2 and a >= 2; got a={a}, k={k}")
-        return ((a + 1, k, NO_ONES_C1), (a, k, NO_ONES_C1), (1, k, NO_CONSTRAINT), lambda lam: peel_one_colored(lam, a, k))
+        return ((a + 1, k, NO_ONES), (a, k, NO_ONES), (1, k, NO_CONSTRAINT), lambda lam: peel_one_colored(lam, a, k))
     raise ValueError(f"unknown map {map_name!r}")
 
 

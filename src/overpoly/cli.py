@@ -258,7 +258,9 @@ def _cmd_bounds(args) -> int:
     if args.n is None and args.nmax is None:
         print("bounds: give n or --nmax", file=sys.stderr)
         return 2
-    ns = range(1, args.nmax + 1) if args.nmax else [args.n]
+    if args.nmax is not None and args.nmax < 1:
+        raise ValueError(f"need nmax >= 1, got {args.nmax}")
+    ns = [args.n] if args.nmax is None else range(1, args.nmax + 1)
     all_ok = True
     for n in ns:
         triple = sandwich(n)

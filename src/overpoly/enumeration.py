@@ -122,7 +122,7 @@ def canonicalize(parts, k: int | None = None) -> tuple[Part, ...]:
             if (size, color) in seen_overlines:
                 raise ValueError(f"duplicate overline for (size={size}, color={color})")
             seen_overlines.add((size, color))
-    return tuple(Part(*p) for p in sorted(parts, key=_canonical_key))
+    return tuple(p if type(p) is Part else Part(*p) for p in sorted(parts, key=_canonical_key))
 
 
 def is_canonical(parts) -> bool:
@@ -137,9 +137,13 @@ def iter_ops(
 ) -> Iterator[tuple[Part, ...]]:
     """Every k-colored overpartition of weight n satisfying the constraint.
 
-    Canonical form, no duplicates, deterministic order.  Recursive descent over
-    (size, color) pairs in canonical order: multiplicity of non-overlined
-    copies first, then the optional overline.  Caps and domain are validated
+    Canonical form, no duplicates, deterministic order.  The order is that of
+    a descent over all (size, color) pairs in canonical order, choosing for
+    each the multiplicity of non-overlined copies first and then the optional
+    overline.  Only pairs that receive at least one copy are recursed into,
+    and the next used pair is tried last to first: a later one leaves more
+    leading pairs empty, so that descent lists it sooner.  Pairs larger than
+    the remaining weight are never tried.  Caps and domain are validated
     eagerly; the returned iterator is lazy.
     """
     if n < 0:
@@ -152,29 +156,33 @@ def iter_ops(
             f"enumeration of weight {n} with {k} colors exceeds the cap {cap}"
         )
     pairs = [(s, c) for s in range(n, 0, -1) for c in range(k, 0, -1)]
-    forbidden = constraint.forbidden
+    plain_parts = [Part(s, c, False) for s, c in pairs]
+    bar_parts = [Part(s, c, True) for s, c in pairs]
+    plain_allowed = [pair not in constraint.forbidden for pair in pairs]
 
-    def descend(idx: int, remaining: int, acc: list[Part]):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        if idx == len(pairs):
-            return
-        size, color = pairs[idx]
-        if size > remaining:
-            yield from descend(idx + 1, remaining, acc)
-            return
-        max_plain = 0 if (size, color) in forbidden else remaining // size
-        for plain in range(max_plain + 1):
-            base = plain * size
-            acc.extend([Part(size, color, False)] * plain)
-            yield from descend(idx + 1, remaining - base, acc)
-            if base + size <= remaining:
-                acc.append(Part(size, color, True))
-                yield from descend(idx + 1, remaining - base - size, acc)
-                acc.pop()
-            del acc[len(acc) - plain :]
+    def descend(first: int, remaining: int, acc: list[Part]):
+        # (n - remaining) * k is the first pair whose size fits the remaining weight.
+        for j in range(len(pairs) - 1, max(first, (n - remaining) * k) - 1, -1):
+            size = pairs[j][0]
+            most = remaining // size if plain_allowed[j] else 0
+            for plain in range(most + 1):
+                left = remaining - plain * size
+                if plain:
+                    acc.append(plain_parts[j])
+                    if left:
+                        yield from descend(j + 1, left, acc)
+                    else:
+                        yield tuple(acc)
+                if left > size:
+                    acc.append(bar_parts[j])
+                    yield from descend(j + 1, left - size, acc)
+                    acc.pop()
+                elif left == size:
+                    yield (*acc, bar_parts[j])
+            del acc[len(acc) - most :]
 
+    if n == 0:
+        return iter([()])
     return descend(0, n, [])
 
 

@@ -28,6 +28,9 @@ The module also provides, from the same integer vectors:
   * product_gap_poly(a, b) = P_a * P_b - P_{a+b}, whose largest non-negative
     real root marks where the product inequality P_a(x) P_b(x) > P_{a+b}(x)
     starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b};
+  * scaled_values(n, p/q): the integers q^m * Q_m(p/q) for m <= n (and
+    q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner,
+    so that comparisons of P_m values at a rational point need no Fraction;
   * series_expand(N): the truncated formal exponential of
     x * sum_{n<=N} sigma_bar(n) q^n / n, whose q^n coefficient must reproduce
     pbar_poly(n) exactly;
@@ -53,6 +56,7 @@ __all__ = [
     "pbar_poly",
     "pbar_derivative",
     "product_gap_poly",
+    "scaled_values",
     "SeriesTable",
     "series_exp",
     "series_expand",
@@ -231,6 +235,30 @@ def product_gap_poly(a: int, b: int) -> Poly:
         for j, v in enumerate(qs[b]):
             scaled[i + j] += c * v
     return _scaled_poly(scaled, factorial(a + b))
+
+
+def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
+    """[N_0, ..., N_{n_max}] with N_m = q^m * Q_m(p/q) for x = p/q in lowest terms.
+
+    Q_m = m! * P_m, so P_m(x) = N_m / (q^m * m!).  With derivative set, N_m is
+    q^(m-1) * Q_m'(p/q) instead (N_0 = 0), so P_m'(x) = N_m / (q^(m-1) * m!).
+    Homogeneous Horner, acc -> acc * p + c * q^j at the j-th step down from
+    the leading coefficient: integer products and sums only.
+    """
+    if n_max < 0:
+        raise ValueError(f"scaled_values needs n_max >= 0; got {n_max}")
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    q_pows = [q**j for j in range(n_max + 1)]
+    out = []
+    for coeffs in _q_prefix(n_max):
+        if derivative:
+            coeffs = [i * c for i, c in enumerate(coeffs)][1:]
+        acc = 0
+        for c, q_pow in zip(reversed(coeffs), q_pows):
+            acc = acc * p + c * q_pow
+        out.append(acc)
+    return out
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,12 @@ analytic sandwich with the truncated-series main term, the machine check over
 the full triple range, log-concavity, and the certified table of largest
 non-negative real roots of the gap polynomials.
 
+The grid checks (th3, th4, th5 and the descent search) compare integers
+only: with x = p/q and N_m = q^m * m! * P_m(x) from scaled_values, every
+inequality between P_m values at x is multiplied through by its positive
+common denominator.  The descent certificates are re-checked by Fraction
+evaluation of the same polynomials, a separate code path.
+
 Exception sets are data, not code: each claim's declared exceptions live in a
 constant next to its checker, and a run only "holds" when the exceptions it
 finds are exactly the declared ones, so a regression that accidentally
@@ -29,7 +35,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .divisors import pbar_exact, pbar_prefix
-from .polynomials import pbar_poly, product_gap_poly
+from .polynomials import pbar_poly, product_gap_poly, scaled_values
 from .rootisolation import isolate_max_root, no_roots_above, round_half_away
 from .serial import decode, encode
 
@@ -113,13 +119,24 @@ def _rel_slack(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
+def _grid(xs) -> tuple[Fraction, ...]:
+    xs = tuple(Fraction(x) for x in xs)
+    if not xs or any(x < 1 for x in xs):
+        raise ValueError("grid points must be rationals >= 1")
+    return xs
+
+
+def _need_range(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+
+
 def check_th1(n_max: int) -> VerifyReport:
     """pbar(a) pbar(b) > pbar(a+b) for a >= b >= 1, a+b <= n_max, exact integers.
 
     Equality is declared at (1,1) and (2,1) and nowhere else.
     """
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+    _need_range("n_max", n_max, 2)
     pb = pbar_prefix(n_max)
     found = []
     counterexample = None
@@ -144,20 +161,29 @@ def check_th1(n_max: int) -> VerifyReport:
 
 
 def check_th3_grid(n_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
-    """P_n(x) < P_{n+1}(x) and 2 <= P_n'(x) < P_{n+1}'(x), exact, on a grid of x >= 1."""
-    xs = tuple(Fraction(x) for x in xs)
-    if not xs or any(x < 1 for x in xs):
-        raise ValueError("grid points must be rationals >= 1")
-    polys = [pbar_poly(n) for n in range(n_max + 1)]
-    derivs = [p.derivative() for p in polys]
+    """P_n(x) < P_{n+1}(x) and 2 <= P_n'(x) < P_{n+1}'(x), exact, on a grid of x >= 1.
+
+    With x = p/q, N_m = q^m m! P_m(x) and D_m = q^(m-1) m! P_m'(x), the
+    checks read (n+1) q N_n < N_{n+1}, 2 n! q^(n-1) <= D_n and
+    (n+1) q D_n < D_{n+1}.
+    """
+    xs = _grid(xs)
+    _need_range("n_max", n_max, 2)
+    grid = [
+        (x, x.denominator, scaled_values(n_max, x), scaled_values(n_max, x, derivative=True))
+        for x in xs
+    ]
     counterexample = None
     for n in range(1, n_max):
-        for x in xs:
+        for x, q, values, derivs in grid:
             if counterexample is not None:
                 continue
-            if not polys[n](x) < polys[n + 1](x):
+            if not (n + 1) * q * values[n] < values[n + 1]:
                 counterexample = ("value", n, x)
-            elif not (2 <= derivs[n](x) < derivs[n + 1](x)):
+            elif not (
+                2 * math.factorial(n) * q ** (n - 1) <= derivs[n]
+                and (n + 1) * q * derivs[n] < derivs[n + 1]
+            ):
                 counterexample = ("derivative", n, x)
     return VerifyReport(
         claim="th3",
@@ -171,21 +197,21 @@ def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
     """P_a(x) P_b(x) > P_{a+b}(x), exact, over all ordered pairs with a+b <= a_max.
 
     Equality is declared at (a, b, x) in {(1,1,1), (2,1,1), (1,2,1)} and
-    nowhere else; any reversed inequality is a counterexample.
+    nowhere else; any reversed inequality is a counterexample.  Scaled by
+    q^(a+b) (a+b)! at x = p/q, the comparison is C(a+b, a) N_a N_b vs N_{a+b}.
     """
-    xs = tuple(Fraction(x) for x in xs)
-    if not xs or any(x < 1 for x in xs):
-        raise ValueError("grid points must be rationals >= 1")
-    polys = [pbar_poly(n) for n in range(a_max + 1)]
-    values = {x: [p(x) for p in polys] for x in xs}
+    xs = _grid(xs)
+    _need_range("a_max", a_max, 2)
+    grid = [(x, scaled_values(a_max, x)) for x in xs]
     found = []
     counterexample = None
     for total in range(2, a_max + 1):
         for a in range(1, total):
             b = total - a
-            for x in xs:
-                lhs = values[x][a] * values[x][b]
-                rhs = values[x][total]
+            binom = math.comb(total, a)
+            for x, values in grid:
+                lhs = binom * values[a] * values[b]
+                rhs = values[total]
                 if lhs == rhs:
                     found.append((a, b, x))
                 elif lhs < rhs and counterexample is None:
@@ -202,18 +228,21 @@ def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
 
 
 def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
-    """P_a(k) P_b(k) > P_{a+b}(k) strictly, exact, for every k >= 2 in k_set."""
+    """P_a(k) P_b(k) > P_{a+b}(k) strictly, exact, for every k >= 2 in k_set.
+
+    Scaled by (a+b)!, the comparison is C(a+b, a) N_a N_b > N_{a+b}.
+    """
     k_set = tuple(k_set)
-    if any(k < 2 for k in k_set):
-        raise ValueError("colored check needs k >= 2")
-    polys = [pbar_poly(n) for n in range(a_max + 1)]
+    if not k_set or any(k < 2 for k in k_set):
+        raise ValueError("colored check needs a non-empty set of k >= 2")
+    _need_range("a_max", a_max, 2)
     counterexample = None
     for k in k_set:
-        vals = [p(Fraction(k)) for p in polys]
+        vals = scaled_values(a_max, k)
         for total in range(2, a_max + 1):
             for b in range(1, total // 2 + 1):
                 a = total - b
-                if not vals[a] * vals[b] > vals[total] and counterexample is None:
+                if not math.comb(total, a) * vals[a] * vals[b] > vals[total] and counterexample is None:
                     counterexample = (a, b, k)
     return VerifyReport(
         claim="th5",
@@ -225,8 +254,7 @@ def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
 
 def check_le3(n_max: int) -> VerifyReport:
     """pbar(n) > 1 + ln(2n), double precision, with minimum-slack reporting."""
-    if n_max < 1:
-        raise ValueError(f"need n_max >= 1, got {n_max}")
+    _need_range("n_max", n_max, 1)
     pb = pbar_prefix(n_max)
     counterexample = None
     inconclusive = []
@@ -251,8 +279,7 @@ def check_le3(n_max: int) -> VerifyReport:
 
 def check_logconcave(n_max: int) -> VerifyReport:
     """pbar(n)^2 >= pbar(n-1) pbar(n+1) for 2 <= n <= n_max, exact integers."""
-    if n_max < 2:
-        raise ValueError(f"need n_max >= 2, got {n_max}")
+    _need_range("n_max", n_max, 2)
     pb = pbar_prefix(n_max + 1)
     counterexample = None
     equalities = []
@@ -275,22 +302,24 @@ def find_descent_x(n: int) -> Fraction:
     """A rational x in (0, 1) with the exact certificate P_{n+1}(x) < P_n(x).
 
     Defined for n+1 = 2^s with s > 1, where the difference polynomial has
-    negative derivative at 0; searches x = 1/2, 1/4, ... down to 2^-40.
+    negative derivative at 0; searches x = 1/2, 1/4, ... down to 2^-40.  At
+    x = 1/q the test is N_{n+1} < (n+1) q N_n in scaled_values terms.
     """
     m = n + 1
     if n < 3 or m & (m - 1) != 0:
         raise ValueError(f"descent point needs n+1 = 2^s with s > 1; got n={n}")
-    delta = pbar_poly(n + 1) - pbar_poly(n)
-    x = Fraction(1, 2)
-    while x >= Fraction(1, 2**40):
-        if delta(x) < 0:
-            return x
-        x /= 2
+    for s in range(1, 41):
+        q = 2**s
+        values = scaled_values(m, Fraction(1, q))
+        if values[m] < m * q * values[n]:
+            return Fraction(1, q)
     raise RuntimeError(f"descent search exhausted below 2**-40 for n={n}")
 
 
 def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
-    """Descent certificates for each n in ns, re-verified exactly."""
+    """Descent certificates for each n in ns, re-verified by Fraction evaluation."""
+    if not ns:
+        raise ValueError("descent check needs at least one n")
     points = {}
     counterexample = None
     for n in ns:
@@ -377,6 +406,8 @@ def sandwich(n: int) -> BoundTriple:
 
 def check_ie7(n_max: int, n_min: int = 1) -> VerifyReport:
     """Sandwich strict for n_min..n_max; remainder bound holds for n >= 2."""
+    _need_range("n_min", n_min, 1)
+    _need_range("n_max", n_max, n_min)
     pbar_prefix(n_max)
     counterexample = None
     inconclusive = []
@@ -413,9 +444,8 @@ def check_ie8(a_max: int) -> VerifyReport:
     Exact pbar values, double-precision logarithm, minimum slack reported.
     The full machine-check range is a_max = 93.
     """
-    if a_max < 2:
-        raise ValueError(f"need a_max >= 2, got {a_max}")
-    pb = pbar_prefix(2 * a_max - 1)
+    _need_range("a_max", a_max, 2)
+    pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
     counterexample = None
     inconclusive = []
     min_slack, argmin = math.inf, None
@@ -425,7 +455,8 @@ def check_ie8(a_max: int) -> VerifyReport:
         for b in range(2, a + 1):
             for k in range(1, b):
                 triples += 1
-                slack = _rel_slack(float(pb[a + b - k]), factor * float(pb[b - k]))
+                lhs, rhs = pb[a + b - k], factor * pb[b - k]
+                slack = (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)  # _rel_slack, inlined
                 if abs(slack) < INCONCLUSIVE_BAND:
                     inconclusive.append((a, b, k))
                 elif slack < 0 and counterexample is None:
@@ -454,8 +485,8 @@ def check_ie11(a_lo: int, a_hi: int, threshold: int = 94) -> VerifyReport:
     Reports the smallest a in [a_lo, a_hi] where the inequality holds and
     confirms it holds for every a >= threshold in range.
     """
-    if a_lo < 2:
-        raise ValueError(f"need a_lo >= 2, got {a_lo}")
+    _need_range("a_lo", a_lo, 2)
+    _need_range("a_hi", a_hi, a_lo)
     first_passing = None
     counterexample = None
     inconclusive = []
@@ -531,6 +562,8 @@ def roots_table(
     re-checked by certify_root_record, which raises ArithmeticError on a
     failure.
     """
+    _need_range("a_max", a_max, 1)
+    _need_range("b_max", b_max, 1)
     width = Fraction(width)
     if workers is None:
         workers = int(os.environ.get("OVERPOLY_WORKERS", "1"))
@@ -596,26 +629,30 @@ def run_claim(
     ns=None,
 ) -> VerifyReport:
     """Dispatch a named claim with its default desk-scale range."""
-    xs = DEFAULT_GRID_XS if xs is None else xs
-    k_set = (2, 3) if k_set is None else k_set
+
+    def given(value, default):
+        return default if value is None else value
+
+    xs = given(xs, DEFAULT_GRID_XS)
+    k_set = given(k_set, (2, 3))
     if claim == "th1":
-        return check_th1(n_max or 120)
+        return check_th1(given(n_max, 120))
     if claim == "th3":
-        return check_th3_grid(n_max or 40, xs)
+        return check_th3_grid(given(n_max, 40), xs)
     if claim == "th4":
-        return check_th4_grid(a_max or 40, xs)
+        return check_th4_grid(given(a_max, 40), xs)
     if claim == "th5":
-        return check_colored(a_max or 40, k_set)
+        return check_colored(given(a_max, 40), k_set)
     if claim == "le3":
-        return check_le3(n_max or 500)
+        return check_le3(given(n_max, 500))
     if claim == "ie7":
-        return check_ie7(n_max or 500)
+        return check_ie7(given(n_max, 500))
     if claim == "ie8":
-        return check_ie8(a_max or 93)
+        return check_ie8(given(a_max, 93))
     if claim == "ie11":
-        return check_ie11(a_lo or 2, a_hi or 500)
+        return check_ie11(given(a_lo, 2), given(a_hi, 500))
     if claim == "logconcave":
-        return check_logconcave(n_max or 500)
+        return check_logconcave(given(n_max, 500))
     if claim == "descent":
-        return check_descent(ns or (3, 7, 15, 31))
+        return check_descent(given(ns, (3, 7, 15, 31)))
     raise ValueError(f"unknown claim {claim!r}")

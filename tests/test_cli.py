@@ -260,3 +260,26 @@ def test_verify_text_counterexample_is_p_over_q(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "th4")
     assert code == 1
     assert out.splitlines()[1] == 'counterexample=[1, 9, "3/2"]'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "th3", "--nmax", "0"),
+        ("verify", "th5", "--amax", "0"),
+        ("verify", "le3", "--nmax", "0"),
+        ("verify", "ie7", "--nmax", "0"),
+        ("verify", "th3", "--nmax", "-2"),
+        ("verify", "th4", "--amax", "-3"),
+        ("verify", "ie11", "--alo", "9", "--ahi", "3"),
+        ("roots", "--amax", "0"),
+        ("bounds", "--nmax", "0"),
+        ("bounds", "--nmax", "-3"),
+    ],
+    ids=" ".join,
+)
+def test_empty_or_negative_range_exits_2(capsys, argv):
+    # A zero range is not the default range, and an empty range does not hold.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

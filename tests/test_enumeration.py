@@ -1,10 +1,12 @@
 """The brute-force overpartition oracle."""
 
 from fractions import Fraction
+from itertools import chain, zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
 
+from overpoly import bijections
 from overpoly.divisors import pbar_exact
 from overpoly.enumeration import (
     CapExceededError,
@@ -16,6 +18,7 @@ from overpoly.enumeration import (
     enumerate_ops,
     forbid,
     is_canonical,
+    iter_ops,
     weight,
 )
 from overpoly.polynomials import pbar_poly
@@ -105,6 +108,15 @@ def test_canonicalize_examples():
     )
 
 
+def test_canonicalize_returns_parts_and_keeps_given_ones():
+    given = Part(3, 1, True)
+    canon = canonicalize([(2, 1, False), given])
+    assert canon == (given, Part(2, 1, False))
+    assert canon[0] is given and all(type(part) is Part for part in canon)
+    with pytest.raises(ValueError):
+        canonicalize([(2, 1, True), Part(2, 1, True)])  # validation sees plain tuples too
+
+
 def test_canonicalize_rejects_duplicate_overline():
     with pytest.raises(ValueError):
         canonicalize([Part(2, 1, True), Part(2, 1, True)])
@@ -164,3 +176,58 @@ def test_constraint_parsing():
 
 def test_deterministic_order():
     assert enumerate_ops(4, 2) == enumerate_ops(4, 2)
+
+
+def _reference_iter_ops(n, k, constraint):
+    """The descent that visits every (size, color) pair, used ones or not: the order oracle."""
+    pairs = [(s, c) for s in range(n, 0, -1) for c in range(k, 0, -1)]
+
+    def descend(idx, remaining, acc):
+        if remaining == 0:
+            yield tuple(acc)
+            return
+        if idx == len(pairs):
+            return
+        size, color = pairs[idx]
+        if size > remaining:
+            yield from descend(idx + 1, remaining, acc)
+            return
+        max_plain = 0 if (size, color) in constraint.forbidden else remaining // size
+        for plain in range(max_plain + 1):
+            base = plain * size
+            acc.extend([Part(size, color, False)] * plain)
+            yield from descend(idx + 1, remaining - base, acc)
+            if base + size <= remaining:
+                acc.append(Part(size, color, True))
+                yield from descend(idx + 1, remaining - base - size, acc)
+                acc.pop()
+            del acc[len(acc) - plain :]
+
+    return descend(0, n, [])
+
+
+# The ban sets of the five maps' domains and codomains, with the color counts they run at.
+UNCOLORED_BANS = {
+    "none": NO_CONSTRAINT,
+    "1_1": bijections.NO_ONES,
+    "2_1": bijections.NO_TWOS,
+    "1_1,2_1": bijections.NO_ONES_NO_TWOS,
+}
+COLORED_BANS = {
+    "none": NO_CONSTRAINT,
+    "1_1": bijections.NO_ONES,
+    "1_2": bijections.NO_ONES_C2,
+    "1_1,1_2": bijections.NO_ONES_C1_C2,
+}
+MAP_CASES = [(1, ban) for ban in UNCOLORED_BANS] + [(k, ban) for k in (2, 3) for ban in COLORED_BANS]
+
+
+@pytest.mark.parametrize("k, ban", MAP_CASES)
+def test_iter_ops_keeps_the_full_descent_order(k, ban):
+    constraint = (UNCOLORED_BANS if k == 1 else COLORED_BANS)[ban]
+    for n in range(13):
+        fast = iter_ops(n, k, constraint, caps={k: 12})
+        first = next(fast)
+        assert all(type(part) is Part for part in first)
+        pairs = zip_longest(chain([first], fast), _reference_iter_ops(n, k, constraint))
+        assert all(got == want for got, want in pairs)

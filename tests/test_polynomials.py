@@ -17,6 +17,7 @@ from overpoly.polynomials import (
     pbar_derivative,
     pbar_poly,
     product_gap_poly,
+    scaled_values,
     series_exp,
     series_expand,
 )
@@ -153,6 +154,29 @@ def test_monotonicity_on_grid():
         for x in xs:
             assert polys[n](x) < polys[n + 1](x)
             assert 2 <= derivs[n](x) < derivs[n + 1](x)
+
+
+grid_points = st.integers(min_value=1, max_value=6).flatmap(
+    lambda q: st.integers(min_value=q, max_value=6 * q).map(lambda p: F(p, q))
+)
+
+
+@given(st.integers(min_value=0, max_value=40), grid_points)
+def test_scaled_values_match_fraction_evaluation(n, x):
+    # The Fraction Poly route is the oracle for the integer Horner route.
+    p, q = x.numerator, x.denominator
+    values = scaled_values(n, x)
+    derivs = scaled_values(n, x, derivative=True)
+    assert len(values) == len(derivs) == n + 1
+    for m in range(n + 1):
+        poly = pbar_poly(m)
+        assert values[m] == q**m * factorial(m) * poly(x)
+        assert derivs[m] == (q ** (m - 1) * factorial(m) * poly.derivative()(x) if m else 0)
+
+
+def test_scaled_values_rejects_negative_n():
+    with pytest.raises(ValueError):
+        scaled_values(-1, 2)
 
 
 def _q(n):

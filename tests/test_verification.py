@@ -3,12 +3,14 @@
 import json
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from overpoly import verification
 from overpoly.divisors import pbar_exact, pbar_prefix
-from overpoly.polynomials import pbar_poly
+from overpoly.polynomials import pbar_poly, scaled_values
 from overpoly.verification import (
     BoundTriple,
     DEFAULT_GRID_XS,
@@ -314,9 +316,19 @@ def _inflated_prefix(at):
     return lambda n: [v * 100 if m in at else v for m, v in enumerate(pbar_prefix(n))]
 
 
-def _inflated_poly(at):
-    """pbar_poly with P_m multiplied by 100 for every m in `at`."""
-    return lambda n: pbar_poly(n) * 100 if n in at else pbar_poly(n)
+def _inflated_values(at, factor=100, derivative_only=False):
+    """scaled_values with P_m (so N_m and its derivative) multiplied by factor for every m in `at`.
+
+    With derivative_only, only P_m' is multiplied.
+    """
+
+    def inflated(n_max, x, derivative=False):
+        values = scaled_values(n_max, x, derivative)
+        if derivative_only and not derivative:
+            return values
+        return [v * factor if m in at else v for m, v in enumerate(values)]
+
+    return inflated
 
 
 def test_th1_reports_the_first_counterexample(monkeypatch):
@@ -326,21 +338,28 @@ def test_th1_reports_the_first_counterexample(monkeypatch):
     assert not report.holds and report.counterexample == (9, 1)
 
 
+def test_th3_reports_a_derivative_counterexample(monkeypatch):
+    # Only P_6' doubled: the values still rise, but the derivative step 6 -> 7 at x = 3/2 fails.
+    monkeypatch.setattr(verification, "scaled_values", _inflated_values({6}, 2, derivative_only=True))
+    report = check_th3_grid(12, xs=[F(3, 2)])
+    assert not report.holds and report.counterexample == ("derivative", 6, F(3, 2))
+
+
 def test_th3_reports_the_first_counterexample(monkeypatch):
-    monkeypatch.setattr(verification, "pbar_poly", _inflated_poly({5, 9}))
+    monkeypatch.setattr(verification, "scaled_values", _inflated_values({5, 9}))
     report = check_th3_grid(12)
     assert not report.holds and report.counterexample == ("value", 5, F(1))
 
 
 def test_th4_reports_the_first_counterexample(monkeypatch):
-    monkeypatch.setattr(verification, "pbar_poly", _inflated_poly({10, 14}))
+    monkeypatch.setattr(verification, "scaled_values", _inflated_values({10, 14}))
     report = check_th4_grid(16)
     assert not report.holds and report.counterexample == (1, 9, F(1))
     assert set(report.exceptions) == TH4_EXCEPTIONS
 
 
 def test_colored_reports_the_first_counterexample(monkeypatch):
-    monkeypatch.setattr(verification, "pbar_poly", _inflated_poly({10, 14}))
+    monkeypatch.setattr(verification, "scaled_values", _inflated_values({10, 14}))
     report = check_colored(16)
     assert not report.holds and report.counterexample == (9, 1, 2)
 
@@ -350,3 +369,75 @@ def test_logconcave_reports_the_first_counterexample(monkeypatch):
     monkeypatch.setattr(verification, "pbar_prefix", _inflated_prefix({11}))
     report = check_logconcave(20)
     assert not report.holds and report.counterexample == 10
+
+
+# The Fraction Horner routes that the integer grid checks replaced, kept as oracles.
+
+
+def _fraction_polys(n_max, at, factor):
+    return [pbar_poly(n) * factor if n in at else pbar_poly(n) for n in range(n_max + 1)]
+
+
+def _fraction_th3(n_max, xs, at, factor, derivative_only):
+    polys = _fraction_polys(n_max, () if derivative_only else at, factor)
+    derivs = [p.derivative() for p in _fraction_polys(n_max, at, factor)]
+    for n in range(1, n_max):
+        for x in xs:
+            if not polys[n](x) < polys[n + 1](x):
+                return ("value", n, x)
+            if not 2 <= derivs[n](x) < derivs[n + 1](x):
+                return ("derivative", n, x)
+    return None
+
+
+def _fraction_th4(n_max, xs, at, factor):
+    polys = _fraction_polys(n_max, at, factor)
+    values = {x: [p(x) for p in polys] for x in xs}
+    found, counterexample = [], None
+    for total in range(2, n_max + 1):
+        for a in range(1, total):
+            for x in xs:
+                lhs, rhs = values[x][a] * values[x][total - a], values[x][total]
+                if lhs == rhs:
+                    found.append((a, total - a, x))
+                elif lhs < rhs and counterexample is None:
+                    counterexample = (a, total - a, x)
+    return tuple(sorted(found)), counterexample
+
+
+def _fraction_th5(n_max, ks, at, factor):
+    polys = _fraction_polys(n_max, at, factor)
+    for k in ks:
+        vals = [p(k) for p in polys]
+        for total in range(2, n_max + 1):
+            for b in range(1, total // 2 + 1):
+                if not vals[total - b] * vals[b] > vals[total]:
+                    return (total - b, b, k)
+    return None
+
+
+grid_points = st.integers(min_value=1, max_value=6).flatmap(
+    lambda q: st.integers(min_value=q, max_value=6 * q).map(lambda p: F(p, q))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=24),
+    st.lists(grid_points, min_size=1, max_size=4, unique=True),
+    st.lists(st.integers(min_value=2, max_value=5), min_size=1, max_size=3, unique=True),
+    st.sets(st.integers(min_value=0, max_value=24), max_size=2),
+    st.sampled_from([2, 100]),
+    st.booleans(),
+)
+def test_integer_grid_verdicts_match_fraction_route(n_max, xs, ks, at, factor, derivative_only):
+    with patch.object(verification, "scaled_values", _inflated_values(at, factor, derivative_only)):
+        th3 = check_th3_grid(n_max, xs)
+        th4 = check_th4_grid(n_max, xs)
+        th5 = check_colored(n_max, ks)
+    assert th3.counterexample == _fraction_th3(n_max, xs, at, factor, derivative_only)
+    assert th3.holds == (th3.counterexample is None)
+    value_at = () if derivative_only else at
+    assert (th4.exceptions, th4.counterexample) == _fraction_th4(n_max, xs, value_at, factor)
+    assert th5.counterexample == _fraction_th5(n_max, ks, value_at, factor)
+    assert th5.holds == (th5.counterexample is None)
