@@ -362,43 +362,6 @@ class AuditReport:
     collision_witness: tuple | None
     unhit_witness: tuple | None
 
-    def to_dict(self) -> dict:
-        from .serial import encode
-
-        return {
-            "map_name": self.map_name,
-            "a": self.a,
-            "b": self.b,
-            "k": self.k,
-            "domain_size": self.domain_size,
-            "image_size": self.image_size,
-            "codomain_size": self.codomain_size,
-            "well_defined": self.well_defined,
-            "injective": self.injective,
-            "surjective": self.surjective,
-            "collision_witness": encode(self.collision_witness),
-            "unhit_witness": encode(self.unhit_witness),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditReport":
-        from .serial import decode
-
-        return cls(
-            map_name=data["map_name"],
-            a=data["a"],
-            b=data["b"],
-            k=data["k"],
-            domain_size=data["domain_size"],
-            image_size=data["image_size"],
-            codomain_size=data["codomain_size"],
-            well_defined=data["well_defined"],
-            injective=data["injective"],
-            surjective=data["surjective"],
-            collision_witness=decode(data["collision_witness"]),
-            unhit_witness=decode(data["unhit_witness"]),
-        )
-
 
 MAP_NAMES = ("f", "g1", "g2", "fk", "gk")
 

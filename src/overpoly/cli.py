@@ -33,10 +33,12 @@ from .polynomials import pbar_derivative, pbar_poly, series_expand
 from .serial import encode
 from .verification import (
     CLAIMS,
+    DEFAULT_WIDTH,
     roots_csv,
     roots_table,
     run_claim,
     sandwich,
+    sandwich_verdict,
 )
 
 __all__ = ["main", "build_parser"]
@@ -57,6 +59,18 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
 
 
+# verify flag -> (checker range parameter, type, help); CLAIMS says which claim takes which.
+_RANGE_FLAGS = {
+    "--nmax": ("n_max", int, None),
+    "--amax": ("a_max", int, None),
+    "--alo": ("a_lo", int, None),
+    "--ahi": ("a_hi", int, None),
+    "--xs": ("xs", _rational_list, 'grid, e.g. "1,3/2,2,5/2,3"'),
+    "--kset": ("k_set", _int_list, 'color counts, e.g. "2,3"'),
+    "--ns": ("ns", _int_list, 'descent inputs, e.g. "3,7,15,31"'),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overpoly",
@@ -66,16 +80,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="overpartition polynomial for one n")
+    p.set_defaults(handler=_cmd_poly)
     p.add_argument("n", type=int)
     p.add_argument("--eval", dest="point", type=_rational, help="evaluate at a rational point")
     p.add_argument("--derivative", action="store_true", help="use the derivative-identity polynomial")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("series", help="truncated exponential generating series")
+    p.set_defaults(handler=_cmd_series)
     p.add_argument("order", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("enumerate", help="list k-colored overpartitions of n")
+    p.set_defaults(handler=_cmd_enumerate)
     p.add_argument("n", type=int)
     p.add_argument("--colors", type=int, default=1)
     p.add_argument("--forbid", default="", help='non-overlined bans, e.g. "1_1,2_1"')
@@ -84,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bijection", help="exhaustively audit one of the injections")
+    p.set_defaults(handler=_cmd_bijection)
     p.add_argument("map", choices=MAP_NAMES)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int)
@@ -92,23 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="check one claim over its range")
-    p.add_argument("claim", choices=CLAIMS)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--amax", type=int)
-    p.add_argument("--alo", type=int)
-    p.add_argument("--ahi", type=int)
-    p.add_argument("--xs", type=_rational_list, help='grid, e.g. "1,3/2,2,5/2,3"')
-    p.add_argument("--kset", type=_int_list, help='color counts, e.g. "2,3"')
-    p.add_argument("--ns", type=_int_list, help='descent inputs, e.g. "3,7,15,31"')
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("claim", choices=tuple(CLAIMS))
+    for flag, (param, kind, text) in _RANGE_FLAGS.items():
+        p.add_argument(flag, dest=param, metavar=flag[2:].upper(), type=kind, help=text)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("roots", help="certified max-root table for the gap polynomials")
+    p.set_defaults(handler=_cmd_roots)
     p.add_argument("--amax", type=int, default=10)
     p.add_argument("--bmax", type=int, default=10)
-    p.add_argument("--width", type=_rational, help="bracket width (default 1/10000)")
+    p.add_argument("--width", type=_rational, help=f"bracket width (default {DEFAULT_WIDTH})")
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
     p = sub.add_parser("bounds", help="analytic sandwich and truncated-series data")
+    p.set_defaults(handler=_cmd_bounds)
     p.add_argument("n", type=int, nargs="?")
     p.add_argument("--nmax", type=int, help="scan 1..nmax instead of a single n")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -136,7 +152,7 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _cmd_poly(args) -> int:
+def _cmd_poly(args, config: dict) -> int:
     poly = pbar_derivative(args.n) if args.derivative else pbar_poly(args.n)
     if args.point is not None:
         value = poly(args.point)
@@ -153,7 +169,7 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args, config: dict) -> int:
     table = series_expand(args.order)
     if args.format == "json":
         _emit_json(
@@ -186,7 +202,7 @@ def _cmd_bijection(args, config: dict) -> int:
     caps = _caps_from(config, args.colors, args.cap)
     report = audit(args.map, args.a, args.b, args.colors, caps=caps)
     if args.format == "json":
-        _emit_json(report.to_dict())
+        _emit_json(encode(report))
     else:
         print(
             f"map={report.map_name} a={report.a} b={report.b} k={report.k} "
@@ -206,23 +222,23 @@ def _cmd_bijection(args, config: dict) -> int:
 
 
 def _cmd_verify(args, config: dict) -> int:
-    xs = args.xs
-    if xs is None and "xs" in config:
+    takes = CLAIMS[args.claim][1]
+    ranges = {}
+    for flag, (param, _, _) in _RANGE_FLAGS.items():
+        value = getattr(args, param)
+        if value is None:
+            continue
+        if param not in takes:
+            known = [f for f, (name, _, _) in _RANGE_FLAGS.items() if name in takes]
+            raise ValueError(f"verify {args.claim} does not take {flag}; it takes {', '.join(known)}")
+        ranges[param] = value
+    if "xs" in takes and "xs" not in ranges and "xs" in config:
         if not isinstance(config["xs"], list):
             raise ValueError("config key xs must be a list of rationals")
-        xs = tuple(Fraction(str(x)) for x in config["xs"])
-    report = run_claim(
-        args.claim,
-        n_max=args.nmax,
-        a_max=args.amax,
-        a_lo=args.alo,
-        a_hi=args.ahi,
-        xs=xs,
-        k_set=args.kset,
-        ns=args.ns,
-    )
+        ranges["xs"] = tuple(Fraction(str(x)) for x in config["xs"])
+    report = run_claim(args.claim, **ranges)
     if args.format == "json":
-        _emit_json(report.to_dict())
+        _emit_json(encode(report))
     else:
         print(f"claim={report.claim} range='{report.range_checked}' holds={report.holds}")
         if report.exceptions:
@@ -232,42 +248,40 @@ def _cmd_verify(args, config: dict) -> int:
         if report.inconclusive:
             print(f"inconclusive={list(report.inconclusive)}")
         if report.stats:
-            rendered = json.dumps(encode(report.stats), sort_keys=True)
-            print(f"stats={rendered}")
+            print(f"stats={json.dumps(encode(report.stats), sort_keys=True)}")
     return 0 if report.holds else 1
 
 
 def _cmd_roots(args, config: dict) -> int:
     width = args.width
     if width is None:
-        width = Fraction(config["width"]) if "width" in config else Fraction(1, 10**4)
-    workers = _workers_from(config)
+        width = Fraction(config["width"]) if "width" in config else DEFAULT_WIDTH
+    workers = int(os.environ.get("OVERPOLY_WORKERS", config.get("workers", 1)))  # env > config > 1
     records = roots_table(args.amax, args.bmax, width, workers=workers)
     if args.format == "csv":
         sys.stdout.write(roots_csv(records))
     elif args.format == "json":
         for record in records:
-            _emit_json(record.to_dict())
+            _emit_json(encode(record))
     else:
         for record in records:
             print(f"x({record.a},{record.b}) = {record.rounded}  bracket=[{record.bracket_lo}, {record.bracket_hi}]")
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    if args.n is None and args.nmax is None:
-        print("bounds: give n or --nmax", file=sys.stderr)
-        return 2
+def _cmd_bounds(args, config: dict) -> int:
+    if (args.n is None) == (args.nmax is None):
+        raise ValueError("bounds takes exactly one of n and --nmax")
     if args.nmax is not None and args.nmax < 1:
         raise ValueError(f"need nmax >= 1, got {args.nmax}")
     ns = [args.n] if args.nmax is None else range(1, args.nmax + 1)
     all_ok = True
     for n in ns:
         triple = sandwich(n)
-        ok = triple.lower < triple.exact < triple.upper and (n < 2 or triple.remainder_ok)
-        all_ok = all_ok and ok
+        _, inconclusive, failed = sandwich_verdict(triple)
+        all_ok = all_ok and not inconclusive and not failed
         if args.format == "json":
-            _emit_json(triple.to_dict())
+            _emit_json(encode(triple))
         else:
             print(
                 f"n={triple.n} lower={triple.lower!r} exact={triple.exact} upper={triple.upper!r} "
@@ -287,13 +301,6 @@ def _caps_from(config: dict, colors: int | None = None, cap: int | None = None):
     return caps
 
 
-def _workers_from(config: dict) -> int:
-    env = os.environ.get("OVERPOLY_WORKERS")
-    if env is not None:
-        return int(env)
-    return int(config.get("workers", 1))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -302,21 +309,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config = _load_config(args.config)
-        if args.command == "poly":
-            return _cmd_poly(args)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args, config)
-        if args.command == "bijection":
-            return _cmd_bijection(args, config)
-        if args.command == "verify":
-            return _cmd_verify(args, config)
-        if args.command == "roots":
-            return _cmd_roots(args, config)
-        if args.command == "bounds":
-            return _cmd_bounds(args)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args, config)
     except CapExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2

@@ -30,18 +30,17 @@ and reported alongside double-precision display values.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .divisors import pbar_exact, pbar_prefix
 from .polynomials import pbar_poly, product_gap_poly, scaled_values
 from .rootisolation import isolate_max_root, no_roots_above, round_half_away
-from .serial import decode, encode
 
 __all__ = [
     "INCONCLUSIVE_BAND",
     "DEFAULT_GRID_XS",
+    "DEFAULT_WIDTH",
     "TH1_EXCEPTIONS",
     "TH4_EXCEPTIONS",
     "VerifyReport",
@@ -56,6 +55,7 @@ __all__ = [
     "find_descent_x",
     "check_descent",
     "sandwich",
+    "sandwich_verdict",
     "check_ie7",
     "check_ie8",
     "check_ie11",
@@ -70,6 +70,8 @@ __all__ = [
 INCONCLUSIVE_BAND = 1e-9
 
 DEFAULT_GRID_XS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
+
+DEFAULT_WIDTH = Fraction(1, 10**4)  # root-bracket width
 
 TH1_EXCEPTIONS = frozenset({(1, 1), (2, 1)})
 # Ordered pairs; the symmetric (1, 2, 1) mirrors (2, 1, 1).
@@ -89,29 +91,6 @@ class VerifyReport:
     counterexample: object = None
     inconclusive: tuple = ()
     stats: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "range_checked": self.range_checked,
-            "holds": self.holds,
-            "exceptions": encode(self.exceptions),
-            "counterexample": encode(self.counterexample),
-            "inconclusive": encode(self.inconclusive),
-            "stats": encode(self.stats),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerifyReport":
-        return cls(
-            claim=data["claim"],
-            range_checked=data["range_checked"],
-            holds=data["holds"],
-            exceptions=decode(data["exceptions"]),
-            counterexample=decode(data["counterexample"]),
-            inconclusive=decode(data["inconclusive"]),
-            stats=decode(data["stats"]),
-        )
 
 
 def _rel_slack(lhs: float, rhs: float) -> float:
@@ -350,22 +329,6 @@ class BoundTriple:
     remainder_bound: float
     remainder_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lower": self.lower,
-            "upper": self.upper,
-            "exact": self.exact,
-            "mu": self.mu,
-            "main_term": self.main_term,
-            "remainder_bound": self.remainder_bound,
-            "remainder_ok": self.remainder_ok,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundTriple":
-        return cls(**data)
-
 
 def sandwich(n: int) -> BoundTriple:
     """e^mu (1 - 1/sqrt(n)) / 8n  <  pbar(n)  <  e^mu (1 + 1/n) / 8n, mu = pi sqrt(n).
@@ -404,6 +367,21 @@ def sandwich(n: int) -> BoundTriple:
     )
 
 
+def sandwich_verdict(t: BoundTriple) -> tuple[dict, list, list]:
+    """Classify one sandwich row: (slacks, inconclusive labels, failed labels).
+
+    The "lower" and "upper" relative slacks are inconclusive inside
+    INCONCLUSIVE_BAND and failed below it; "remainder" fails when the
+    truncation bound does not hold, which is claimed from n = 2 on.
+    """
+    slacks = {"lower": _rel_slack(float(t.exact), t.lower), "upper": _rel_slack(t.upper, float(t.exact))}
+    inconclusive = [label for label, slack in slacks.items() if abs(slack) < INCONCLUSIVE_BAND]
+    failed = [label for label, slack in slacks.items() if slack <= -INCONCLUSIVE_BAND]
+    if t.n >= 2 and not t.remainder_ok:
+        failed.append("remainder")
+    return slacks, inconclusive, failed
+
+
 def check_ie7(n_max: int, n_min: int = 1) -> VerifyReport:
     """Sandwich strict for n_min..n_max; remainder bound holds for n >= 2."""
     _need_range("n_min", n_min, 1)
@@ -413,18 +391,12 @@ def check_ie7(n_max: int, n_min: int = 1) -> VerifyReport:
     inconclusive = []
     min_lower_slack = min_upper_slack = math.inf
     for n in range(n_min, n_max + 1):
-        t = sandwich(n)
-        lo_slack = _rel_slack(float(t.exact), t.lower)
-        up_slack = _rel_slack(t.upper, float(t.exact))
-        for label, slack in (("lower", lo_slack), ("upper", up_slack)):
-            if abs(slack) < INCONCLUSIVE_BAND:
-                inconclusive.append((label, n))
-            elif slack < 0 and counterexample is None:
-                counterexample = (label, n)
-        if n >= 2 and not t.remainder_ok and counterexample is None:
-            counterexample = ("remainder", n)
-        min_lower_slack = min(min_lower_slack, lo_slack)
-        min_upper_slack = min(min_upper_slack, up_slack)
+        slacks, unsure, failed = sandwich_verdict(sandwich(n))
+        inconclusive.extend((label, n) for label in unsure)
+        if failed and counterexample is None:
+            counterexample = (failed[0], n)
+        min_lower_slack = min(min_lower_slack, slacks["lower"])
+        min_upper_slack = min(min_upper_slack, slacks["upper"])
     return VerifyReport(
         claim="ie7",
         range_checked=f"{n_min} <= n <= {n_max} (remainder from n=2)",
@@ -521,25 +493,6 @@ class RootRecord:
     bracket_hi: Fraction
     rounded: str
 
-    def to_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "bracket_lo": encode(self.bracket_lo),
-            "bracket_hi": encode(self.bracket_hi),
-            "rounded": self.rounded,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RootRecord":
-        return cls(
-            a=data["a"],
-            b=data["b"],
-            bracket_lo=decode(data["bracket_lo"]),
-            bracket_hi=decode(data["bracket_hi"]),
-            rounded=data["rounded"],
-        )
-
 
 def _roots_cell(args) -> RootRecord:
     a, b, width = args
@@ -547,12 +500,7 @@ def _roots_cell(args) -> RootRecord:
     return RootRecord(a, b, lo, hi, round_half_away(lo))
 
 
-def roots_table(
-    a_max: int,
-    b_max: int,
-    width=Fraction(1, 10**4),
-    workers: int | None = None,
-) -> list[RootRecord]:
+def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH, workers: int = 1) -> list[RootRecord]:
     """Certified max-root brackets for every gap polynomial cell, row-major.
 
     The gap polynomial is symmetric in (a, b), so only cells with a <= b are
@@ -565,8 +513,6 @@ def roots_table(
     _need_range("a_max", a_max, 1)
     _need_range("b_max", b_max, 1)
     width = Fraction(width)
-    if workers is None:
-        workers = int(os.environ.get("OVERPOLY_WORKERS", "1"))
     pbar_poly(a_max + b_max)  # warm the shared memo before any fork
     cells = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)]
     unique = sorted({(min(a, b), max(a, b)) for a, b in cells})
@@ -594,7 +540,7 @@ def roots_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def certify_root_record(record: RootRecord, width=Fraction(1, 10**4)) -> bool:
+def certify_root_record(record: RootRecord, width=DEFAULT_WIDTH) -> bool:
     """Re-verify a RootRecord against its polynomial with exact arithmetic.
 
     Checks the bracket width, that both ends round to the printed two-decimal
@@ -615,44 +561,31 @@ def certify_root_record(record: RootRecord, width=Fraction(1, 10**4)) -> bool:
     return no_roots_above(poly, hi)
 
 
-CLAIMS = ("th1", "th3", "th4", "th5", "le3", "ie7", "ie8", "ie11", "logconcave", "descent")
+# Each claim: (checker name in this module, {range parameter: default}).
+# Names, not functions, are stored so that a checker rebound on the module
+# (by a test or a tracer) is the one that runs.
+CLAIMS = {
+    "th1": ("check_th1", {"n_max": 120}),
+    "th3": ("check_th3_grid", {"n_max": 40, "xs": DEFAULT_GRID_XS}),
+    "th4": ("check_th4_grid", {"a_max": 40, "xs": DEFAULT_GRID_XS}),
+    "th5": ("check_colored", {"a_max": 40, "k_set": (2, 3)}),
+    "le3": ("check_le3", {"n_max": 500}),
+    "ie7": ("check_ie7", {"n_max": 500}),
+    "ie8": ("check_ie8", {"a_max": 93}),
+    "ie11": ("check_ie11", {"a_lo": 2, "a_hi": 500}),
+    "logconcave": ("check_logconcave", {"n_max": 500}),
+    "descent": ("check_descent", {"ns": (3, 7, 15, 31)}),
+}
 
 
-def run_claim(
-    claim: str,
-    n_max: int | None = None,
-    a_max: int | None = None,
-    a_lo: int | None = None,
-    a_hi: int | None = None,
-    xs=None,
-    k_set=None,
-    ns=None,
-) -> VerifyReport:
-    """Dispatch a named claim with its default desk-scale range."""
-
-    def given(value, default):
-        return default if value is None else value
-
-    xs = given(xs, DEFAULT_GRID_XS)
-    k_set = given(k_set, (2, 3))
-    if claim == "th1":
-        return check_th1(given(n_max, 120))
-    if claim == "th3":
-        return check_th3_grid(given(n_max, 40), xs)
-    if claim == "th4":
-        return check_th4_grid(given(a_max, 40), xs)
-    if claim == "th5":
-        return check_colored(given(a_max, 40), k_set)
-    if claim == "le3":
-        return check_le3(given(n_max, 500))
-    if claim == "ie7":
-        return check_ie7(given(n_max, 500))
-    if claim == "ie8":
-        return check_ie8(given(a_max, 93))
-    if claim == "ie11":
-        return check_ie11(given(a_lo, 2), given(a_hi, 500))
-    if claim == "logconcave":
-        return check_logconcave(given(n_max, 500))
-    if claim == "descent":
-        return check_descent(given(ns, (3, 7, 15, 31)))
-    raise ValueError(f"unknown claim {claim!r}")
+def run_claim(claim: str, **ranges) -> VerifyReport:
+    """Run a named claim; a range left out or None takes the claim's default,
+    and a range parameter the claim does not take raises ValueError."""
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}")
+    checker, defaults = CLAIMS[claim]
+    unknown = sorted(set(ranges) - set(defaults))
+    if unknown:
+        raise ValueError(f"claim {claim} does not take {', '.join(unknown)}; it takes {', '.join(defaults)}")
+    params = {name: default if ranges.get(name) is None else ranges[name] for name, default in defaults.items()}
+    return globals()[checker](**params)

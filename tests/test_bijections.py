@@ -19,6 +19,7 @@ from overpoly.bijections import (
     split_point,
 )
 from overpoly.enumeration import Part, count_ops, enumerate_ops, forbid, weight
+from overpoly.serial import encode, load
 
 B = True  # overlined
 
@@ -230,5 +231,5 @@ def test_audit_rejects_bad_parameters():
 
 def test_audit_report_json_round_trip():
     report = audit("f", 3, 2)
-    rebuilt = AuditReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    rebuilt = load(AuditReport, json.loads(json.dumps(encode(report))))
     assert rebuilt == report

@@ -11,7 +11,8 @@ import pytest
 
 from overpoly.bijections import AuditReport
 from overpoly.cli import main
-from overpoly.verification import RootRecord, VerifyReport
+from overpoly.serial import load
+from overpoly.verification import BoundTriple, RootRecord, VerifyReport
 
 
 def run(capsys, *argv):
@@ -84,7 +85,7 @@ def test_bijection_audit(capsys):
 def test_bijection_json_round_trip(capsys):
     code, out, _ = run(capsys, "bijection", "g1", "--a", "3", "--format", "json")
     assert code == 0
-    report = AuditReport.from_dict(json.loads(out))
+    report = load(AuditReport, json.loads(out))
     assert report.map_name == "g1" and report.injective
 
 
@@ -97,7 +98,7 @@ def test_verify_th1(capsys):
 def test_verify_json_round_trip(capsys):
     code, out, _ = run(capsys, "verify", "logconcave", "--nmax", "50", "--format", "json")
     assert code == 0
-    report = VerifyReport.from_dict(json.loads(out))
+    report = load(VerifyReport, json.loads(out))
     assert report.holds and report.claim == "logconcave"
 
 
@@ -117,7 +118,7 @@ def test_roots_csv(capsys):
 def test_roots_json_round_trip(capsys):
     code, out, _ = run(capsys, "roots", "--amax", "1", "--bmax", "2", "--format", "json")
     assert code == 0
-    records = [RootRecord.from_dict(json.loads(line)) for line in out.splitlines()]
+    records = [load(RootRecord, json.loads(line)) for line in out.splitlines()]
     assert [(r.a, r.b) for r in records] == [(1, 1), (1, 2)]
     assert all(r.rounded == "1.00" for r in records)
 
@@ -139,6 +140,20 @@ def test_bounds_scan_json(capsys):
 def test_bounds_requires_target(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2 and "nmax" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bounds_exit_follows_sandwich_verdict(capsys, monkeypatch):
+    def fake(n):
+        upper = 10.0 + (1e-12 if n == 3 else 1.0)  # n = 3: upper slack inside the band
+        return BoundTriple(n, 9.0, upper, 10, 0.0, 0.0, 0.0, n != 2)
+
+    monkeypatch.setattr("overpoly.cli.sandwich", fake)
+    assert run(capsys, "bounds", "1")[0] == 0
+    assert run(capsys, "bounds", "2")[0] == 1  # remainder bound fails from n = 2
+    assert run(capsys, "bounds", "3")[0] == 1  # inconclusive, as in ie7
+    code, out, _ = run(capsys, "bounds", "--nmax", "3")
+    assert code == 1 and len(out.splitlines()) == 3
 
 
 def test_determinism(capsys):
@@ -241,7 +256,7 @@ GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
 def test_cli_json_matches_golden(capsys, entry):
-    # Recorded from the Fraction memo and sigma_bar recursion before the integer core.
+    # Each entry was recorded before a refactor of the code it runs (JSON and text output alike).
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out == entry["stdout"]
@@ -283,3 +298,58 @@ def test_empty_or_negative_range_exits_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "th1", "--amax", "5"), "--amax"),
+        (("verify", "logconcave", "--xs", "2"), "--xs"),
+        (("verify", "descent", "--nmax", "9"), "--nmax"),
+        (("bounds", "5", "--nmax", "2"), "--nmax"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+)
+def test_inapplicable_input_exits_2(capsys, argv, flag):
+    # Each of these used to run the default range and exit 0.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+def test_config_xs_is_ignored_by_claims_without_a_grid(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"xs": ["2", "5/2"]}))
+    code, out, _ = run(capsys, "--config", str(config), "verify", "logconcave", "--nmax", "20")
+    assert code == 0 and "holds=True" in out
+
+
+def test_verify_usage_names_flags(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert "--nmax NMAX" in out and "--kset KSET" in out and "N_MAX" not in out
+    assert "{th1,th3,th4,th5,le3,ie7,ie8,ie11,logconcave,descent}" in out
+
+
+@pytest.mark.parametrize(
+    "env, config, expected",
+    [(None, None, 1), ("3", None, 3), (None, 2, 2), ("3", 2, 3)],
+    ids=["default", "env", "config", "env-over-config"],
+)
+def test_roots_workers_resolution(tmp_path, capsys, monkeypatch, env, config, expected):
+    received = []
+    monkeypatch.setattr(
+        "overpoly.cli.roots_table", lambda *args, workers: received.append(workers) or []
+    )
+    if env is None:
+        monkeypatch.delenv("OVERPOLY_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("OVERPOLY_WORKERS", env)
+    argv = ["roots", "--amax", "2", "--bmax", "2"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workers": config}))
+        argv = ["--config", str(path), *argv]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == "a,b,root\n"
+    assert received == [expected]

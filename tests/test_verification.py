@@ -1,5 +1,6 @@
 """Verification-suite checks at module scale (full desk ranges live in the acceptance suite)."""
 
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -11,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 from overpoly import verification
 from overpoly.divisors import pbar_exact, pbar_prefix
 from overpoly.polynomials import pbar_poly, scaled_values
+from overpoly.serial import encode, load
 from overpoly.verification import (
     BoundTriple,
+    CLAIMS,
     DEFAULT_GRID_XS,
+    DEFAULT_WIDTH,
     RootRecord,
     TH1_EXCEPTIONS,
     TH4_EXCEPTIONS,
@@ -35,6 +39,7 @@ from overpoly.verification import (
     round_half_away,
     run_claim,
     sandwich,
+    sandwich_verdict,
 )
 
 F = Fraction
@@ -223,11 +228,6 @@ def test_roots_table_parallel_matches_sequential():
     assert parallel == sequential
 
 
-def test_workers_env_var(monkeypatch):
-    monkeypatch.setenv("OVERPOLY_WORKERS", "2")
-    assert roots_table(2, 2) == roots_table(2, 2, workers=1)
-
-
 def test_roots_csv_format():
     records = roots_table(2, 2)
     text = roots_csv(records)
@@ -245,19 +245,100 @@ def test_reports_round_trip_json():
         check_descent((3,)),
         check_ie8(6),
     ):
-        rebuilt = VerifyReport.from_dict(json.loads(json.dumps(report.to_dict())))
+        rebuilt = load(VerifyReport, json.loads(json.dumps(encode(report))))
         assert rebuilt == report
     record = roots_table(1, 1)[0]
-    assert RootRecord.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+    assert load(RootRecord, json.loads(json.dumps(encode(record)))) == record
     triple = sandwich(5)
-    assert BoundTriple.from_dict(json.loads(json.dumps(triple.to_dict()))) == triple
+    assert load(BoundTriple, json.loads(json.dumps(encode(triple)))) == triple
 
 
-def test_run_claim_dispatch():
-    assert run_claim("th1", n_max=20).holds
-    assert run_claim("logconcave", n_max=50).holds
-    with pytest.raises(ValueError):
+SMALL_RANGES = {
+    "th1": {"n_max": 20},
+    "th3": {"n_max": 8, "xs": (F(1), F(2))},
+    "th4": {"a_max": 8},
+    "th5": {"a_max": 8, "k_set": (2,)},
+    "le3": {"n_max": 50},
+    "ie7": {"n_max": 30},
+    "ie8": {"a_max": 10},
+    "ie11": {"a_lo": 90, "a_hi": 120},
+    "logconcave": {"n_max": 50},
+    "descent": {"ns": (3, 7)},
+}
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_run_claim_dispatch(claim):
+    report = run_claim(claim, **SMALL_RANGES[claim])
+    assert report.claim == claim and report.holds
+    checker, _ = CLAIMS[claim]
+    assert report == getattr(verification, checker)(**SMALL_RANGES[claim])
+
+
+def test_run_claim_rejects_unknown_claims_and_ranges():
+    with pytest.raises(ValueError, match="unknown claim"):
         run_claim("no-such-claim")
+    with pytest.raises(ValueError, match="does not take a_max"):
+        run_claim("th1", a_max=5)
+    with pytest.raises(ValueError, match="does not take xs"):
+        run_claim("logconcave", xs=(F(2),))
+
+
+def test_run_claim_fills_defaults():
+    assert run_claim("th1", n_max=None) == check_th1(120)
+    assert run_claim("ie11").range_checked == "2 <= a <= 500, claim from a >= 94"
+
+
+@pytest.mark.parametrize("claim", list(CLAIMS))
+def test_claim_registry_matches_checker_signature(claim):
+    checker, defaults = CLAIMS[claim]
+    params = inspect.signature(getattr(verification, checker)).parameters
+    assert set(defaults) <= set(params)
+    required = {name for name, p in params.items() if p.default is inspect.Parameter.empty}
+    assert required <= set(defaults)
+
+
+def test_run_claim_looks_checker_up_by_name(monkeypatch):
+    # A registry holding function objects would miss a checker rebound on the module.
+    sentinel = VerifyReport("th1", "patched", True)
+    calls = []
+    monkeypatch.setattr(verification, "check_th1", lambda **kw: calls.append(kw) or sentinel)
+    assert run_claim("th1") is sentinel
+    assert calls == [{"n_max": 120}]
+
+
+def _triple(n, lower, exact, upper, remainder_ok=True):
+    return BoundTriple(n, lower, upper, exact, 0.0, 0.0, 0.0, remainder_ok)
+
+
+def test_sandwich_verdict_classifies_like_ie7():
+    slacks, unsure, failed = sandwich_verdict(sandwich(5))
+    assert unsure == failed == [] and slacks["lower"] > 0 and slacks["upper"] > 0
+    assert sandwich_verdict(_triple(3, 11.0, 10, 12.0))[2] == ["lower"]
+    assert sandwich_verdict(_triple(3, 9.0, 10, 10.0 + 1e-12))[1:] == (["upper"], [])
+    assert sandwich_verdict(_triple(3, 9.0, 10, 9.5, remainder_ok=False))[2] == ["upper", "remainder"]
+    assert sandwich_verdict(_triple(1, 1.0, 2, 3.0, remainder_ok=False))[2] == []
+
+
+def test_ie7_reports_first_failure_and_every_inconclusive_n(monkeypatch):
+    def fake(n):
+        if n in (3, 5):
+            return _triple(n, 11.0, 10, 12.0)  # lower bound above the count
+        if n == 4:
+            return _triple(n, 9.0, 10, 10.0 + 1e-12)  # upper slack inside the band
+        return _triple(n, 9.0, 10, 11.0)
+
+    monkeypatch.setattr(verification, "sandwich", fake)
+    report = check_ie7(6)
+    assert not report.holds
+    assert report.counterexample == ("lower", 3)
+    assert report.inconclusive == (("upper", 4),)
+
+
+def test_default_width_is_shared():
+    assert DEFAULT_WIDTH == F(1, 10**4)
+    assert inspect.signature(roots_table).parameters["width"].default is DEFAULT_WIDTH
+    assert inspect.signature(certify_root_record).parameters["width"].default is DEFAULT_WIDTH
 
 
 def test_default_grid():
