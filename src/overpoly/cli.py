@@ -256,8 +256,7 @@ def _cmd_roots(args, config: dict) -> int:
     width = args.width
     if width is None:
         width = Fraction(config["width"]) if "width" in config else DEFAULT_WIDTH
-    workers = int(os.environ.get("OVERPOLY_WORKERS", config.get("workers", 1)))  # env > config > 1
-    records = roots_table(args.amax, args.bmax, width, workers=workers)
+    records = roots_table(args.amax, args.bmax, width, workers=_workers(config))
     if args.format == "csv":
         sys.stdout.write(roots_csv(records))
     elif args.format == "json":
@@ -267,6 +266,23 @@ def _cmd_roots(args, config: dict) -> int:
         for record in records:
             print(f"x({record.a},{record.b}) = {record.rounded}  bracket=[{record.bracket_lo}, {record.bracket_hi}]")
     return 0
+
+
+def _workers(config: dict) -> int:
+    """The pool size: OVERPOLY_WORKERS, else the config key workers, else 1."""
+    if "OVERPOLY_WORKERS" in os.environ:
+        source, raw = "OVERPOLY_WORKERS", os.environ["OVERPOLY_WORKERS"]
+    elif "workers" in config:
+        source, raw = "config key workers", config["workers"]
+    else:
+        return 1
+    try:
+        workers = int(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else 0
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _cmd_bounds(args, config: dict) -> int:

@@ -27,10 +27,12 @@ The module also provides, from the same integer vectors:
     n! it is sum_k sigma_bar(k) * C(n,k) * (k-1)! * Q_{n-k};
   * product_gap_poly(a, b) = P_a * P_b - P_{a+b}, whose largest non-negative
     real root marks where the product inequality P_a(x) P_b(x) > P_{a+b}(x)
-    starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b};
+    starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b}
+    (scaled_gap, the integer vector the root table re-checks);
   * scaled_values(n, p/q): the integers q^m * Q_m(p/q) for m <= n (and
-    q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner,
-    so that comparisons of P_m values at a rational point need no Fraction;
+    q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner
+    (homogeneous_value), so that comparisons of P_m values at a rational
+    point need no Fraction;
   * series_expand(N): the truncated formal exponential of
     x * sum_{n<=N} sigma_bar(n) q^n / n, whose q^n coefficient must reproduce
     pbar_poly(n) exactly;
@@ -56,7 +58,9 @@ __all__ = [
     "pbar_poly",
     "pbar_derivative",
     "product_gap_poly",
+    "scaled_gap",
     "scaled_values",
+    "homogeneous_value",
     "SeriesTable",
     "series_exp",
     "series_expand",
@@ -220,13 +224,11 @@ def pbar_derivative(n: int) -> Poly:
     return _scaled_poly(acc, factorial(n))
 
 
-def product_gap_poly(a: int, b: int) -> Poly:
-    """P_a * P_b - P_{a+b}.
-
-    Constant term is 0 and the derivative at 0 is -sigma_bar(a+b)/(a+b).
-    """
+def scaled_gap(a: int, b: int) -> list[int]:
+    """(a+b)! * (P_a * P_b - P_{a+b}) = C(a+b, a) * Q_a * Q_b - Q_{a+b}, as
+    ascending integer coefficients: a positive multiple of the gap polynomial."""
     if a < 1 or b < 1:
-        raise ValueError(f"product_gap_poly needs a, b >= 1; got a={a}, b={b}")
+        raise ValueError(f"the gap polynomial needs a, b >= 1; got a={a}, b={b}")
     qs = _q_prefix(a + b)
     scaled = [-c for c in qs[a + b]]
     binom = comb(a + b, a)
@@ -234,7 +236,31 @@ def product_gap_poly(a: int, b: int) -> Poly:
         c = binom * u
         for j, v in enumerate(qs[b]):
             scaled[i + j] += c * v
-    return _scaled_poly(scaled, factorial(a + b))
+    return scaled
+
+
+def product_gap_poly(a: int, b: int) -> Poly:
+    """P_a * P_b - P_{a+b}.
+
+    Constant term is 0 and the derivative at 0 is -sigma_bar(a+b)/(a+b).
+    """
+    return _scaled_poly(scaled_gap(a, b), factorial(a + b))
+
+
+def homogeneous_value(coeffs, x) -> int:
+    """q^d * p(u/q) for x = u/q in lowest terms and integer coefficients of
+    degree d: a positive multiple of p(x), so it has the sign of p(x).
+
+    Homogeneous Horner, acc -> acc * u + c * q^j at the j-th step down from
+    the leading coefficient: integer products and sums only.
+    """
+    x = Fraction(x)
+    u, q = x.numerator, x.denominator
+    acc, q_pow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * q_pow
+        q_pow *= q
+    return acc
 
 
 def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
@@ -242,22 +268,16 @@ def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
 
     Q_m = m! * P_m, so P_m(x) = N_m / (q^m * m!).  With derivative set, N_m is
     q^(m-1) * Q_m'(p/q) instead (N_0 = 0), so P_m'(x) = N_m / (q^(m-1) * m!).
-    Homogeneous Horner, acc -> acc * p + c * q^j at the j-th step down from
-    the leading coefficient: integer products and sums only.
+    Each N_m is one homogeneous_value.
     """
     if n_max < 0:
         raise ValueError(f"scaled_values needs n_max >= 0; got {n_max}")
     x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    q_pows = [q**j for j in range(n_max + 1)]
     out = []
     for coeffs in _q_prefix(n_max):
         if derivative:
             coeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        acc = 0
-        for c, q_pow in zip(reversed(coeffs), q_pows):
-            acc = acc * p + c * q_pow
-        out.append(acc)
+        out.append(homogeneous_value(coeffs, x))
     return out
 
 

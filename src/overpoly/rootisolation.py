@@ -10,10 +10,14 @@ polynomials:
                            exactly one root inside.
 
 isolate_max_root() deflates the root at 0, reduces to the squarefree part,
-starts from the Cauchy bound B (where the shifted polynomial provably has no
-sign variations, all derivatives being positive beyond every root), and scans
-the dyadic subintervals of (0, B) right to left, bisecting until the rightmost
-root is pinned in a bracket no wider than the requested width.
+and starts from the smallest power of two B = 2^e whose shifted polynomial
+p(B + t) has no sign variations and a nonzero constant term, so that no root
+lies in [B, oo).  Some e up to ceil(log2) of the Cauchy bound always passes,
+because every coefficient of p(c + t) is positive once c exceeds the real
+part of every root.  It then scans the dyadic subintervals of (0, B) right to
+left, bisecting until the rightmost root is pinned in a bracket no wider than
+the requested width.  Both ends of that bracket are dyadic rationals; the
+optional rounding refinement may move one of them to a decimal boundary.
 
 The search is the integer Vincent-Collins-Akritas method in the form of
 Rouillier & Zimmermann, "Efficient isolation of polynomial's real roots"
@@ -22,11 +26,15 @@ Rouillier & Zimmermann, "Efficient isolation of polynomial's real roots"
 integer multiple of p restricted to its interval and rescaled to (0, 1), and
 derives its children from it with one halving and one Taylor shift by 1.  The
 squarefree reduction is skipped when gcd(p, p') = 1 modulo a large prime.
+The power-of-two start keeps the coefficients small: the gap polynomials of
+the root table have their roots below 1, far under their Cauchy bounds (1e11
+at cell (10, 10)), and B = 2^e adds only e*i bits to the i-th coefficient.
 No floating point enters any decision.
 
 The Fraction routines (taylor_shift, variations_in_interval, no_roots_above,
 squarefree_part) are an independent route to the same certificates: the
-exact squarefree fallback, and the re-check of every emitted bracket.
+exact squarefree fallback, and the fallback of the re-check of every emitted
+bracket.
 """
 
 from __future__ import annotations
@@ -320,15 +328,35 @@ def _settle_rounding(p: Poly, lo: Fraction, hi: Fraction, places: int):
     return lo, hi
 
 
+def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
+    """Smallest e >= 0 such that no root of the integer polynomial lies in [2^e, oo).
+
+    The certificate: p(2^e + t) has no sign variations and a nonzero constant
+    term p(2^e).  It holds at the first e with 2^e >= the Cauchy bound, so a
+    search that gets past that e has a broken certificate.
+    """
+    e = 0
+    while True:
+        shifted = _shift1([c << (e * i) for i, c in enumerate(ints)])
+        if shifted[0] != 0 and sign_variations(shifted) == 0:
+            return e
+        if 2**e >= cauchy:
+            raise AssertionError("power-of-two bound failed past the Cauchy bound")
+        e += 1
+
+
 def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     """Bracket the largest non-negative real root of p within the given width.
 
-    Certificates: the returned hi has no roots of p above it (Descartes, via
-    the scan invariant), and either lo == hi is an exact root or the open
-    interval (lo, hi) carries Moebius variation count 1 (exactly one root).
-    With `places`, the bracket is refined further until lo and hi round
-    half away from zero to the same `places`-digit decimal.  Requires a
-    nonconstant p; the sign of the leading coefficient is normalized away.
+    The search starts from the smallest B = 2^e (e >= 0) for which p(B + t)
+    has no sign variations and p(B) != 0, and bisects (0, B), so both ends of
+    a bracket from the search are dyadic rationals.  Certificates: the
+    returned hi has no roots of p above it (Descartes, via the bound and the
+    scan invariant), and either lo == hi is an exact root or the open interval
+    (lo, hi) carries Moebius variation count 1 (exactly one root).  With
+    `places`, the bracket is refined further until lo and hi round half away
+    from zero to the same `places`-digit decimal.  Requires a nonconstant p;
+    the sign of the leading coefficient is normalized away.
     """
     width = Fraction(width)
     if width <= 0:
@@ -350,26 +378,23 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     if not _certainly_squarefree(ints):
         reduced = squarefree_part(reduced)
         ints = _integer_coeffs(reduced.coeffs)
-    bound = cauchy_root_bound(reduced)
-    # A positive integer multiple of reduced(bound * t), content removed.
-    num, den, d = bound.numerator, bound.denominator, len(ints) - 1
-    unit = [c * num**i * den ** (d - i) for i, c in enumerate(ints)]
+    e = _bound_exponent(ints, cauchy_root_bound(reduced))
+    # A positive integer multiple of reduced(2^e * t), content removed.
+    unit = [c << (e * i) for i, c in enumerate(ints)]
     content = math.gcd(*unit)
     unit = [c // content for c in unit]
-    if sign_variations(_shift1(unit)) != 0:
-        raise AssertionError("Cauchy bound failed its variation certificate")
 
     narrow_depth = 0
-    while bound / 2**narrow_depth > width:
+    while Fraction(2**e, 2**narrow_depth) > width:
         narrow_depth += 1
     cell = _rightmost_cell(unit, narrow_depth)
     if cell is None:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
     k, c, exact = cell
-    lo = bound * Fraction(c, 2**k)
+    lo = Fraction(c << e, 2**k)
     if exact:
         return RootBracket(lo, lo, True)
-    hi = bound * Fraction(c + 1, 2**k)
+    hi = Fraction((c + 1) << e, 2**k)
     if places is not None:
         lo, hi = _settle_rounding(reduced, lo, hi, places)
     return RootBracket(lo, hi, True)

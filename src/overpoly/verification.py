@@ -32,10 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 
 from .divisors import pbar_exact, pbar_prefix
-from .polynomials import pbar_poly, product_gap_poly, scaled_values
-from .rootisolation import isolate_max_root, no_roots_above, round_half_away
+from .polynomials import Poly, homogeneous_value, pbar_poly, product_gap_poly, scaled_gap, scaled_values
+from .rootisolation import isolate_max_root, no_roots_above, round_half_away, sign_variations
 
 __all__ = [
     "INCONCLUSIVE_BAND",
@@ -506,9 +507,9 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH, workers: int = 1) -
     The gap polynomial is symmetric in (a, b), so only cells with a <= b are
     isolated and each result is copied to (b, a).  Cells are independent;
     with workers > 1 they are computed in a process pool after the polynomial
-    memo is warmed sequentially in the parent.  Every emitted record is
-    re-checked by certify_root_record, which raises ArithmeticError on a
-    failure.
+    memo is warmed sequentially in the parent.  Every distinct record is
+    re-checked by certify_root_record before it is mirrored, and a failure
+    raises ArithmeticError.
     """
     _need_range("a_max", a_max, 1)
     _need_range("b_max", b_max, 1)
@@ -525,12 +526,11 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH, workers: int = 1) -
             computed = list(pool.map(_roots_cell, jobs, chunksize=chunk))
     else:
         computed = [_roots_cell(job) for job in jobs]
-    by_pair = dict(zip(unique, computed))
-    records = [replace(by_pair[min(a, b), max(a, b)], a=a, b=b) for a, b in cells]
-    for record in records:
+    for record in computed:
         if not certify_root_record(record, width):
             raise ArithmeticError(f"root record for cell ({record.a}, {record.b}) failed its re-check")
-    return records
+    by_pair = dict(zip(unique, computed))
+    return [replace(by_pair[min(a, b), max(a, b)], a=a, b=b) for a, b in cells]
 
 
 def roots_csv(records) -> str:
@@ -540,25 +540,46 @@ def roots_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _variations_above(coeffs: list[int], x: Fraction) -> int:
+    """Sign variations of q^d * p((u + t)/q) for x = u/q.
+
+    The coefficients of q^d * p(t/q) are shifted by the integer u; zero
+    variations certify that p has no root in (x, oo).  Each synthetic-division
+    pass, acc -> acc * u + c from the top coefficient down, is one accumulate.
+    """
+    u, q = x.numerator, x.denominator
+    d = len(coeffs) - 1
+    desc = [c * q**i for i, c in enumerate(reversed(coeffs))]
+    if u:
+        for end in range(d + 1, 1, -1):
+            desc[:end] = accumulate(desc[:end], lambda acc, c: acc * u + c)
+    return sign_variations(desc)
+
+
 def certify_root_record(record: RootRecord, width=DEFAULT_WIDTH) -> bool:
     """Re-verify a RootRecord against its polynomial with exact arithmetic.
 
     Checks the bracket width, that both ends round to the printed two-decimal
     value, the endpoint signs (value <= 0 at lo or an exact root inside, > 0 at
     hi unless hi is itself the root), and that no root lies above bracket_hi.
+    The polynomial is the integer vector scaled_gap(a, b); the signs come from
+    homogeneous integer Horner and the last check from the integer shift of
+    _variations_above, falling back to the Fraction subdivision of
+    no_roots_above only when that shift still shows variations.  Neither
+    route uses the root search's power-of-two bound, Taylor shift or
+    bisection tree.
     """
-    poly = product_gap_poly(record.a, record.b)
     lo, hi = record.bracket_lo, record.bracket_hi
     if not (0 <= lo <= hi and hi - lo <= Fraction(width)):
         return False
     if not round_half_away(lo) == round_half_away(hi) == record.rounded:
         return False
-    at_lo, at_hi = poly(lo), poly(hi)
-    if not (at_lo <= 0 or lo == 0):
+    coeffs = scaled_gap(record.a, record.b)
+    if not (homogeneous_value(coeffs, lo) <= 0 or lo == 0):
         return False
-    if not (at_hi > 0 or at_hi == 0):
+    if homogeneous_value(coeffs, hi) < 0:
         return False
-    return no_roots_above(poly, hi)
+    return _variations_above(coeffs, hi) == 0 or no_roots_above(Poly(coeffs), hi)
 
 
 # Each claim: (checker name in this module, {range parameter: default}).

@@ -207,10 +207,33 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_roots_json_matches_golden(capsys):
-    # Recorded from the exact-rational bisection that the integer search replaced.
+    # Recorded from the power-of-two frame: every bracket end is dyadic.
     code, out, _ = run(capsys, "roots", "--amax", "8", "--bmax", "8", "--format", "json")
     assert code == 0
     assert out.encode() == (DATA / "roots_8x8.json").read_bytes()
+
+
+def test_roots_json_agrees_with_the_cauchy_frame():
+    # roots_8x8_cauchy.json was recorded when the search bisected (0, Cauchy bound).
+    new, old = ([json.loads(line) for line in (DATA / name).read_text().splitlines()]
+                for name in ("roots_8x8.json", "roots_8x8_cauchy.json"))
+    assert len(new) == len(old) == 64
+    for record, reference in zip(new, old):
+        assert (record["a"], record["b"], record["rounded"]) == (reference["a"], reference["b"], reference["rounded"])
+        assert Fraction(record["bracket_lo"]) <= Fraction(reference["bracket_hi"])
+        assert Fraction(reference["bracket_lo"]) <= Fraction(record["bracket_hi"])
+        for end in ("bracket_lo", "bracket_hi"):
+            denominator = Fraction(record[end]).denominator
+            # A power of two: no 8x8 bracket needed the rounding refinement to cut
+            # on a decimal boundary such as 57/200 (cell (8, 18) does).
+            assert denominator & (denominator - 1) == 0
+
+
+def test_roots_csv_matches_golden(capsys):
+    # Recorded from the Cauchy-frame search; the rounded values do not depend on the frame.
+    code, out, _ = run(capsys, "roots", "--amax", "20", "--bmax", "20", "--format", "csv")
+    assert code == 0
+    assert out.encode() == (DATA / "roots_20x20.csv").read_bytes()
 
 
 @pytest.mark.parametrize("claim", ["th3", "th4"])
@@ -353,3 +376,23 @@ def test_roots_workers_resolution(tmp_path, capsys, monkeypatch, env, config, ex
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out == "a,b,root\n"
     assert received == [expected]
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+@pytest.mark.parametrize("value", ["-4", "0", "abc"])
+def test_roots_rejects_bad_workers(tmp_path, capsys, monkeypatch, source, value):
+    # -4 and 0 used to run sequentially with exit 0.
+    monkeypatch.setattr("overpoly.cli.roots_table", lambda *args, workers: [])
+    monkeypatch.delenv("OVERPOLY_WORKERS", raising=False)
+    argv = ["roots", "--amax", "2", "--bmax", "2"]
+    if source == "env":
+        monkeypatch.setenv("OVERPOLY_WORKERS", value)
+        name = "OVERPOLY_WORKERS"
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"workers": value if value == "abc" else int(value)}))
+        argv = ["--config", str(path), *argv]
+        name = "config key workers"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and name in err

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from overpoly.polynomials import Poly, product_gap_poly
 from overpoly.rootisolation import (
+    _bound_exponent,
     _certainly_squarefree,
     _integer_coeffs,
     _shift1,
@@ -150,9 +151,18 @@ def test_modular_squarefree_certificate():
     assert _certainly_squarefree(_integer_coeffs(product_gap_poly(5, 7).coeffs[1:]))
 
 
-@pytest.mark.parametrize("square, rounded", [(1125000001**2 + 1, "1.13"), (1124999999**2 + 1, "1.12")])
+@pytest.mark.parametrize(
+    "square, rounded",
+    [
+        (1115000001**2 + 1, "1.12"),
+        (1114999999**2 + 1, "1.11"),
+        (1124999999**2 + 1, "1.12"),
+    ],
+)
 def test_rounding_settled_near_a_tie(square, rounded):
-    # 10^18 x^2 - square: an irrational root within 1e-8 of the tie 1.125.
+    # 10^18 x^2 - square: an irrational root within 1e-8 of the tie 1.115 or
+    # 1.125.  Just above the dyadic 9/8 the search bracket starts at 9/8 and
+    # does not straddle, so that case is left out.
     p = Poly([-square, 0, 10**18])
     raw = isolate_max_root(p, WIDTH)
     assert round_half_away(raw.lo) != round_half_away(raw.hi)  # the search alone straddles
@@ -166,9 +176,13 @@ def test_rounding_settled_near_a_tie(square, rounded):
 
 def test_rounding_settled_on_an_exact_tie():
     p = Poly([-9, -1, 8])  # (8x - 9)(x + 1): the root 9/8 is the tie 1.125
-    raw = isolate_max_root(p, WIDTH)
-    assert raw.lo < F(9, 8) < raw.hi
+    # 9/8 is dyadic, so the search in the frame (0, 2) hits it as an exact midpoint.
+    assert isolate_max_root(p, WIDTH) == (F(9, 8), F(9, 8), True)
     assert isolate_max_root(p, WIDTH, places=2) == (F(9, 8), F(9, 8), True)
+    q = Poly([-223, -23, 200])  # (200x - 223)(x + 1): the tie 1.115 is not dyadic
+    raw = isolate_max_root(q, WIDTH)
+    assert raw.lo < F(223, 200) < raw.hi  # the search alone straddles; the rounding cut finds it
+    assert isolate_max_root(q, WIDTH, places=2) == (F(223, 200), F(223, 200), True)
 
 
 def _linear(r):
@@ -204,6 +218,39 @@ def test_bracket_certified_with_repeated_factors(factored):
     else:
         assert 0 <= lo < hi and hi - lo <= WIDTH
         assert variations_in_interval(squarefree_part(distinct), lo, hi) == 1
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(factors, min_size=1, max_size=4))
+def test_power_of_two_bound_is_the_smallest_certified(factor_list):
+    poly = Poly([1])
+    for factor in factor_list:
+        poly = poly * factor
+    e = _bound_exponent(_integer_coeffs(poly.coeffs), cauchy_root_bound(poly))
+    bound = F(2**e)
+    assert bound <= 2 * cauchy_root_bound(poly)
+    assert poly(bound) != 0 and no_roots_above(poly, bound)
+    if e > 0:
+        half = bound / 2
+        assert poly(half) == 0 or sign_variations(taylor_shift(poly, half).coeffs) > 0
+
+
+def test_power_of_two_bound_checks_its_certificate(monkeypatch):
+    import overpoly.rootisolation as rootisolation
+
+    assert _bound_exponent([-9, -1, 8], F(17, 8)) == 1  # (8x - 9)(x + 1) needs B = 2
+    calls = []
+
+    def always_varies(coeffs):
+        calls.append(coeffs)
+        if len(calls) > 10:
+            raise RuntimeError("the search went far past the Cauchy bound 17/8")
+        return 1
+
+    monkeypatch.setattr(rootisolation, "sign_variations", always_varies)
+    with pytest.raises(AssertionError):
+        _bound_exponent([-9, -1, 8], F(17, 8))
+    assert len(calls) == 3  # e = 0, 1, 2, and 2^2 >= 17/8
 
 
 def _sympy_max_root_interval(poly):

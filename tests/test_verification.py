@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from overpoly import verification
 from overpoly.divisors import pbar_exact, pbar_prefix
-from overpoly.polynomials import pbar_poly, scaled_values
+from overpoly.polynomials import homogeneous_value, pbar_poly, scaled_values
 from overpoly.serial import encode, load
 from overpoly.verification import (
     BoundTriple,
@@ -390,6 +390,41 @@ def test_certify_checks_the_rounding():
     assert record.rounded == "0.84" and certify_root_record(record)
     wrong = RootRecord(record.a, record.b, record.bracket_lo, record.bracket_hi, "0.85")
     assert not certify_root_record(wrong)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(st.integers(-20, 20), min_size=2, max_size=8).filter(lambda c: c[-1] != 0),
+    st.fractions(min_value=0, max_value=4, max_denominator=12),
+)
+def test_integer_recheck_agrees_with_fraction_shift(coeffs, hi):
+    from overpoly.polynomials import Poly
+    from overpoly.rootisolation import no_roots_above, sign_variations, taylor_shift
+
+    poly = Poly(coeffs)
+    value = homogeneous_value(coeffs, hi)
+    assert (value > 0) - (value < 0) == (poly(hi) > 0) - (poly(hi) < 0)
+    variations = verification._variations_above(coeffs, hi)
+    assert variations == sign_variations(taylor_shift(poly, hi).coeffs)
+    if variations == 0:
+        assert no_roots_above(poly, hi)
+
+
+def test_recheck_rejects_a_bracket_below_the_largest_root(monkeypatch):
+    # (2x - 1)(4x - 3)(5x - 4): a sign change up through 1/2 as through 4/5, so
+    # a bracket at 1/2 passes the endpoint signs and only the check above hi
+    # can reject it.
+    monkeypatch.setattr(verification, "scaled_gap", lambda a, b: [-12, 55, -82, 40])
+    below = RootRecord(1, 1, F(49999, 100000), F(50001, 100000), "0.50")
+    assert not certify_root_record(below)
+    top = RootRecord(1, 1, F(79999, 100000), F(80001, 100000), "0.80")
+    assert certify_root_record(top)
+
+
+def test_recheck_rejects_a_real_bracket_moved_down():
+    record = roots_table(2, 2)[3]
+    moved = RootRecord(2, 2, record.bracket_lo - F(1, 1000), record.bracket_hi - F(1, 1000), "0.84")
+    assert certify_root_record(record) and not certify_root_record(moved)
 
 
 def _inflated_prefix(at):
