@@ -247,20 +247,21 @@ def product_gap_poly(a: int, b: int) -> Poly:
     return _scaled_poly(scaled_gap(a, b), factorial(a + b))
 
 
-def homogeneous_value(coeffs, x) -> int:
-    """q^d * p(u/q) for x = u/q in lowest terms and integer coefficients of
-    degree d: a positive multiple of p(x), so it has the sign of p(x).
-
-    Homogeneous Horner, acc -> acc * u + c * q^j at the j-th step down from
-    the leading coefficient: integer products and sums only.
-    """
-    x = Fraction(x)
-    u, q = x.numerator, x.denominator
-    acc, q_pow = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * u + c * q_pow
-        q_pow *= q
+def _homogeneous_horner(coeffs, p: int, q_pows) -> int:
+    """acc -> acc * p + c * q^j at the j-th step down from the leading
+    coefficient: sum_i c_i p^i q^(d-i), integer products and sums only."""
+    acc = 0
+    for c, q_pow in zip(reversed(coeffs), q_pows):
+        acc = acc * p + c * q_pow
     return acc
+
+
+def homogeneous_value(coeffs, x) -> int:
+    """q^d * f(p/q) for x = p/q in lowest terms and the integer coefficients
+    of f, of degree d: a positive multiple of f(x), so it has the sign of f(x)."""
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    return _homogeneous_horner(coeffs, p, [q**j for j in range(len(coeffs))])
 
 
 def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
@@ -268,16 +269,18 @@ def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
 
     Q_m = m! * P_m, so P_m(x) = N_m / (q^m * m!).  With derivative set, N_m is
     q^(m-1) * Q_m'(p/q) instead (N_0 = 0), so P_m'(x) = N_m / (q^(m-1) * m!).
-    Each N_m is one homogeneous_value.
+    Homogeneous Horner, with the powers of q computed once for every m.
     """
     if n_max < 0:
         raise ValueError(f"scaled_values needs n_max >= 0; got {n_max}")
     x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    q_pows = [q**j for j in range(n_max + 1)]
     out = []
     for coeffs in _q_prefix(n_max):
         if derivative:
             coeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        out.append(homogeneous_value(coeffs, x))
+        out.append(_homogeneous_horner(coeffs, p, q_pows))
     return out
 
 
