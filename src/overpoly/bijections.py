@@ -17,6 +17,9 @@ dispatch evaluates all guards and insists exactly one fires.  Outputs are
 rebuilt as part multisets and canonicalized, which absorbs the ad-hoc
 rearrangements the case formulas would otherwise need.
 
+MAPS is the one registry of the five maps; dispatch_case, audit and the
+maps' own parameter checks all read their entry there.
+
 audit() enumerates the exact domain, applies the map everywhere, and reports
 well-definedness (every image lands in the enumerated codomain), injectivity
 (pairwise distinct images), surjectivity (image covers the codomain), and
@@ -49,6 +52,8 @@ __all__ = [
     "split_pair_colored",
     "peel_one_colored",
     "dispatch_case",
+    "MapEntry",
+    "MAPS",
     "MAP_NAMES",
     "audit",
     "expected_verdict",
@@ -59,6 +64,32 @@ NO_TWOS = forbid((2, 1))
 NO_ONES_NO_TWOS = forbid((1, 1), (2, 1))
 NO_ONES_C2 = forbid((1, 2))
 NO_ONES_C1_C2 = forbid((1, 1), (1, 2))
+
+
+class MapEntry(NamedTuple):
+    """One injection: its functions and the cells (a, b, k) it is defined on."""
+
+    apply: str  # the public map in this module
+    case: str  # its case function
+    colored: bool  # k >= 2 when colored, else k = 1
+    fixed_b: int | None  # the b a peel shears off; None for a split, which takes b
+    least_a: int
+    least_b: int
+    domain: Constraint  # on weight a + b
+    left: Constraint  # on weight a
+    right: Constraint  # on weight b
+
+
+# Names, not functions, are stored so that a map rebound on the module (by a
+# test or a tracer) is the one that audit applies.
+MAPS = {
+    "f": MapEntry("split_pair", "_split_case", False, None, 2, 2, NO_ONES_NO_TWOS, NO_ONES, NO_TWOS),
+    "g1": MapEntry("peel_one", "_peel_one_case", False, 1, 1, 1, NO_ONES, NO_ONES, NO_CONSTRAINT),
+    "g2": MapEntry("peel_two", "_peel_two_case", False, 2, 2, 2, NO_ONES, NO_ONES, NO_CONSTRAINT),
+    "fk": MapEntry("split_pair_colored", "_split_colored_case", True, None, 2, 1, NO_ONES_C1_C2, NO_ONES, NO_ONES_C2),
+    "gk": MapEntry("peel_one_colored", "_peel_one_colored_case", True, 1, 2, 1, NO_ONES, NO_ONES, NO_CONSTRAINT),
+}
+MAP_NAMES = tuple(MAPS)
 
 
 class SplitPoint(NamedTuple):
@@ -110,17 +141,33 @@ def _one_case(guards, context) -> int:
 
 def dispatch_case(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> int:
     """0-based index of the unique case a map applies to the given input."""
-    if map_name == "f":
-        return _split_case(parts, b)
-    if map_name == "g1":
-        return _peel_one_case(parts)
-    if map_name == "g2":
-        return _peel_two_case(parts)
-    if map_name == "fk":
-        return _split_colored_case(parts, b)
-    if map_name == "gk":
-        return _peel_one_colored_case(parts)
-    raise ValueError(f"unknown map {map_name!r}")
+    entry = _entry(map_name)
+    return globals()[entry.case](parts, *(() if entry.fixed_b is not None else (b,)))
+
+
+def _entry(map_name: str) -> MapEntry:
+    if map_name not in MAPS:
+        raise ValueError(f"unknown map {map_name!r}")
+    return MAPS[map_name]
+
+
+def _require_cell(map_name: str, a: int, b: int | None, k: int) -> tuple[MapEntry, int]:
+    """The map's entry and the weight b (a peel's own), once the cell is checked against the entry."""
+    entry = _entry(map_name)
+    if (b is None) == (entry.fixed_b is None):
+        takes = "needs b" if b is None else f"peels b = {entry.fixed_b} and takes no b"
+        raise ValueError(f"map {map_name} {takes}; got b={b}")
+    b = entry.fixed_b if b is None else b
+    if (k < 2 if entry.colored else k != 1) or a < entry.least_a or b < entry.least_b:
+        rule = f"{'k >= 2' if entry.colored else 'k = 1'}, a >= {entry.least_a}, b >= {entry.least_b}"
+        raise ValueError(f"map {map_name} needs {rule}; got a={a}, b={b}, k={k}")
+    return entry, b
+
+
+def _require_input(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> None:
+    """Check one application of a map against its entry: the cell, then the domain."""
+    entry, b = _require_cell(map_name, a, b, k)
+    _require_domain(parts, a + b, k, entry.domain, f"map {map_name}")
 
 
 def _split_case(parts, b: int) -> int:
@@ -141,9 +188,9 @@ def _split_case(parts, b: int) -> int:
 
 def split_pair(parts, a: int, b: int) -> ImagePair:
     """The uncolored split map: weight a+b, no plain 1's or 2's, into (a, b)."""
-    if not (a >= b >= 2):
-        raise ValueError(f"split map needs a >= b >= 2; got a={a}, b={b}")
-    _require_domain(parts, a + b, 1, NO_ONES_NO_TWOS, "split map")
+    if a < b:
+        raise ValueError(f"split map needs a >= b; got a={a}, b={b}")
+    _require_input("f", parts, a, b)
     i, take, keep = split_point(parts, b)
     case = _split_case(parts, b)
     ones = (Part(1, 1, False),) * take
@@ -171,9 +218,7 @@ def _peel_one_case(parts) -> int:
 
 def peel_one(parts, a: int) -> ImagePair:
     """The uncolored single-unit peel: weight a+1, no plain 1's, into (a, 1)."""
-    if a < 1:
-        raise ValueError(f"peel needs a >= 1; got a={a}")
-    _require_domain(parts, a + 1, 1, NO_ONES, "single-unit peel")
+    _require_input("g1", parts, a)
     case = _peel_one_case(parts)
     last = parts[-1]
     one, one_bar = Part(1, 1, False), Part(1, 1, True)
@@ -208,9 +253,7 @@ def _peel_two_case(parts) -> int:
 
 def peel_two(parts, a: int) -> ImagePair:
     """The uncolored two-unit peel: weight a+2, no plain 1's, into (a, 2)."""
-    if a < 2:
-        raise ValueError(f"two-unit peel needs a >= 2; got a={a}")
-    _require_domain(parts, a + 2, 1, NO_ONES, "two-unit peel")
+    _require_input("g2", parts, a)
     case = _peel_two_case(parts)
     last = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
@@ -257,11 +300,7 @@ def _split_colored_case(parts, b: int) -> int:
 
 def split_pair_colored(parts, a: int, b: int, k: int) -> ImagePair:
     """The k-colored split map: weight a+b, no plain 1_1's or 1_2's, into (a, b)."""
-    if k < 2:
-        raise ValueError(f"colored split needs k >= 2; got k={k}")
-    if a < 2 or b < 1:
-        raise ValueError(f"colored split needs a >= 2, b >= 1; got a={a}, b={b}")
-    _require_domain(parts, a + b, k, NO_ONES_C1_C2, "colored split")
+    _require_input("fk", parts, a, b, k)
     i, take, keep = split_point(parts, b)
     case = _split_colored_case(parts, b)
     part = parts[i - 1]
@@ -308,11 +347,7 @@ def _peel_one_colored_case(parts) -> int:
 
 def peel_one_colored(parts, a: int, k: int) -> ImagePair:
     """The k-colored single-unit peel: weight a+1, no plain 1_1's, into (a, 1)."""
-    if k < 2:
-        raise ValueError(f"colored peel needs k >= 2; got k={k}")
-    if a < 2:
-        raise ValueError(f"colored peel needs a >= 2; got a={a}")
-    _require_domain(parts, a + 1, k, NO_ONES, "colored peel")
+    _require_input("gk", parts, a, k=k)
     case = _peel_one_colored_case(parts)
     last = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
@@ -363,55 +398,19 @@ class AuditReport:
     unhit_witness: tuple | None
 
 
-MAP_NAMES = ("f", "g1", "g2", "fk", "gk")
-
-
-def _audit_setup(map_name: str, a: int, b: int | None, k: int):
-    """(domain args, left/right codomain args, apply) for one audit cell."""
-    if map_name == "f":
-        if k != 1:
-            raise ValueError("map f is uncolored; k must be 1")
-        if b is None or not (a >= b >= 2):
-            raise ValueError(f"map f needs a >= b >= 2; got a={a}, b={b}")
-        return (
-            (a + b, 1, NO_ONES_NO_TWOS),
-            (a, 1, NO_ONES),
-            (b, 1, NO_TWOS),
-            lambda lam: split_pair(lam, a, b),
-        )
-    if map_name == "g1":
-        if k != 1 or a < 1:
-            raise ValueError(f"map g1 needs k=1 and a >= 1; got a={a}, k={k}")
-        return ((a + 1, 1, NO_ONES), (a, 1, NO_ONES), (1, 1, NO_CONSTRAINT), lambda lam: peel_one(lam, a))
-    if map_name == "g2":
-        if k != 1 or a < 2:
-            raise ValueError(f"map g2 needs k=1 and a >= 2; got a={a}, k={k}")
-        return ((a + 2, 1, NO_ONES), (a, 1, NO_ONES), (2, 1, NO_CONSTRAINT), lambda lam: peel_two(lam, a))
-    if map_name == "fk":
-        if k < 2 or b is None or a < 2 or b < 1 or a < b:
-            raise ValueError(f"map fk needs k >= 2 and a >= max(b, 2), b >= 1; got a={a}, b={b}, k={k}")
-        return (
-            (a + b, k, NO_ONES_C1_C2),
-            (a, k, NO_ONES),
-            (b, k, NO_ONES_C2),
-            lambda lam: split_pair_colored(lam, a, b, k),
-        )
-    if map_name == "gk":
-        if k < 2 or a < 2:
-            raise ValueError(f"map gk needs k >= 2 and a >= 2; got a={a}, k={k}")
-        return ((a + 1, k, NO_ONES), (a, k, NO_ONES), (1, k, NO_CONSTRAINT), lambda lam: peel_one_colored(lam, a, k))
-    raise ValueError(f"unknown map {map_name!r}")
-
-
 def audit(map_name: str, a: int, b: int | None = None, k: int = 1, caps=None) -> AuditReport:
     """Exhaustively test one map: well-definedness, injectivity, surjectivity, witnesses."""
-    domain_args, left_args, right_args, apply_map = _audit_setup(map_name, a, b, k)
-    domain = enumerate_ops(*domain_args, caps=caps)
-    left_cod = enumerate_ops(*left_args, caps=caps)
-    right_cod = enumerate_ops(*right_args, caps=caps)
+    entry, b_weight = _require_cell(map_name, a, b, k)
+    if b is not None and a < b:
+        raise ValueError(f"map {map_name} needs a >= b; got a={a}, b={b}")
+    apply_map = globals()[entry.apply]
+    map_args = (a, *(() if entry.fixed_b is not None else (b,)), *((k,) if entry.colored else ()))
+    domain = enumerate_ops(a + b_weight, k, entry.domain, caps=caps)
+    left_cod = enumerate_ops(a, k, entry.left, caps=caps)
+    right_cod = enumerate_ops(b_weight, k, entry.right, caps=caps)
     codomain_size = len(left_cod) * len(right_cod)
 
-    images: list[tuple] = [apply_map(lam).as_tuple() for lam in domain]
+    images: list[tuple] = [apply_map(lam, *map_args).as_tuple() for lam in domain]
     image_set = set(images)
 
     left_set, right_set = set(left_cod), set(right_cod)

@@ -132,10 +132,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = ("caps", "width", "xs", "workers")
+def _parse_caps(raw) -> dict[int, int]:
+    caps = {int(count): cap for count, cap in raw.items()}
+    if any(count < 1 or not isinstance(cap, int) or isinstance(cap, bool) for count, cap in caps.items()):
+        raise TypeError("not a cap table")
+    return caps
+
+
+def _parse_width(raw) -> Fraction:
+    if isinstance(raw, bool):
+        raise TypeError("not a rational")
+    return Fraction(raw)
+
+
+def _parse_xs(raw) -> tuple[Fraction, ...]:
+    if not isinstance(raw, list):
+        raise TypeError("not a list")
+    return tuple(Fraction(str(x)) for x in raw)
+
+
+# config key -> (parser, what the value must be); workers is checked by _workers.
+_CONFIG_VALUES = {
+    "caps": (_parse_caps, 'an object from color counts to integer caps, such as {"1": 26}'),
+    "width": (_parse_width, 'a rational, such as "1/100"'),
+    "xs": (_parse_xs, 'a list of rationals, such as ["1", "3/2"]'),
+}
+_CONFIG_KEYS = (*_CONFIG_VALUES, "workers")
 
 
 def _load_config(path: str | None) -> dict:
+    """The config file as a dict, with caps, width and xs checked and parsed."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -145,6 +171,12 @@ def _load_config(path: str | None) -> dict:
     unknown = sorted(set(config) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}; known keys are {list(_CONFIG_KEYS)}")
+    for key, (parse, rule) in _CONFIG_VALUES.items():
+        if key in config:
+            try:
+                config[key] = parse(config[key])
+            except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"config key {key} must be {rule}; got {json.dumps(config[key])}") from None
     return config
 
 
@@ -233,9 +265,7 @@ def _cmd_verify(args, config: dict) -> int:
             raise ValueError(f"verify {args.claim} does not take {flag}; it takes {', '.join(known)}")
         ranges[param] = value
     if "xs" in takes and "xs" not in ranges and "xs" in config:
-        if not isinstance(config["xs"], list):
-            raise ValueError("config key xs must be a list of rationals")
-        ranges["xs"] = tuple(Fraction(str(x)) for x in config["xs"])
+        ranges["xs"] = config["xs"]
     report = run_claim(args.claim, **ranges)
     if args.format == "json":
         _emit_json(encode(report))
@@ -255,7 +285,7 @@ def _cmd_verify(args, config: dict) -> int:
 def _cmd_roots(args, config: dict) -> int:
     width = args.width
     if width is None:
-        width = Fraction(config["width"]) if "width" in config else DEFAULT_WIDTH
+        width = config.get("width", DEFAULT_WIDTH)
     records = roots_table(args.amax, args.bmax, width, workers=_workers(config))
     if args.format == "csv":
         sys.stdout.write(roots_csv(records))
@@ -307,12 +337,10 @@ def _cmd_bounds(args, config: dict) -> int:
     return 0 if all_ok else 1
 
 
-def _caps_from(config: dict, colors: int | None = None, cap: int | None = None):
-    caps = None
-    if "caps" in config:
-        caps = {int(k): int(v) for k, v in config["caps"].items()}
+def _caps_from(config: dict, colors: int, cap: int | None) -> dict[int, int]:
+    """DEFAULT_CAPS, overridden by the config's caps and then by --cap for this color count."""
+    caps = {**DEFAULT_CAPS, **config.get("caps", {})}
     if cap is not None:
-        caps = dict(DEFAULT_CAPS) if caps is None else caps
         caps[colors] = cap
     return caps
 

@@ -152,13 +152,16 @@ def variations_in_interval(p: Poly, lo, hi) -> int:
     return sign_variations(moebius)
 
 
-def no_roots_above(p: Poly, c, max_depth: int = 64) -> bool:
+_NO_ROOTS_MAX_DEPTH = 64  # halvings of (c, Cauchy bound) before no_roots_above gives up
+
+
+def no_roots_above(p: Poly, c) -> bool:
     """Certify that p has no real roots in (c, oo).
 
     Tries the direct shift certificate first; if variations remain (complex
     roots can keep them positive), subdivides (c, cauchy bound) until every
     piece certifies empty.  Returns False if a piece cannot be certified
-    within max_depth halvings (in particular when a root really is there).
+    within _NO_ROOTS_MAX_DEPTH halvings (in particular when a root really is there).
     """
     c = Fraction(c)
     if sign_variations(_shift(list(p.coeffs), c)) == 0:
@@ -170,7 +173,7 @@ def no_roots_above(p: Poly, c, max_depth: int = 64) -> bool:
     def empty(lo: Fraction, hi: Fraction, depth: int) -> bool:
         if variations_in_interval(p, lo, hi) == 0:
             return True
-        if depth >= max_depth:
+        if depth >= _NO_ROOTS_MAX_DEPTH:
             return False
         mid = (lo + hi) / 2
         if p(mid) == 0:

@@ -30,6 +30,7 @@ and reported alongside double-precision display values.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import accumulate
@@ -44,6 +45,7 @@ __all__ = [
     "DEFAULT_WIDTH",
     "TH1_EXCEPTIONS",
     "TH4_EXCEPTIONS",
+    "IE11_THRESHOLD",
     "VerifyReport",
     "BoundTriple",
     "RootRecord",
@@ -80,6 +82,8 @@ TH4_EXCEPTIONS = frozenset(
     {(1, 1, Fraction(1)), (2, 1, Fraction(1)), (1, 2, Fraction(1))}
 )
 
+IE11_THRESHOLD = 94  # ie11 is claimed for every a >= 94; below it, only reported
+
 
 @dataclass(frozen=True)
 class VerifyReport:
@@ -103,7 +107,14 @@ def _grid(xs) -> tuple[Fraction, ...]:
     xs = tuple(Fraction(x) for x in xs)
     if not xs or any(x < 1 for x in xs):
         raise ValueError("grid points must be rationals >= 1")
+    _need_distinct("grid points", xs)
     return xs
+
+
+def _need_distinct(name: str, values: tuple) -> None:
+    repeated = sorted(v for v, count in Counter(values).items() if count > 1)
+    if repeated:
+        raise ValueError(f"{name} must be distinct; {', '.join(map(str, repeated))} repeated")
 
 
 def _need_range(name: str, value: int, least: int) -> None:
@@ -215,6 +226,7 @@ def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
     k_set = tuple(k_set)
     if not k_set or any(k < 2 for k in k_set):
         raise ValueError("colored check needs a non-empty set of k >= 2")
+    _need_distinct("color counts", k_set)
     _need_range("a_max", a_max, 2)
     counterexample = None
     for k in k_set:
@@ -298,8 +310,10 @@ def find_descent_x(n: int) -> Fraction:
 
 def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
     """Descent certificates for each n in ns, re-verified by Fraction evaluation."""
+    ns = tuple(ns)
     if not ns:
         raise ValueError("descent check needs at least one n")
+    _need_distinct("descent inputs", ns)
     points = {}
     counterexample = None
     for n in ns:
@@ -310,7 +324,7 @@ def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
         points[str(n)] = x
     return VerifyReport(
         claim="descent",
-        range_checked=f"n in {tuple(ns)}",
+        range_checked=f"n in {ns}",
         holds=counterexample is None,
         counterexample=counterexample,
         stats={"points": points},
@@ -452,11 +466,11 @@ def _ie11_sides(a: int) -> tuple[float, float]:
     return lhs, rhs
 
 
-def check_ie11(a_lo: int, a_hi: int, threshold: int = 94) -> VerifyReport:
+def check_ie11(a_lo: int, a_hi: int) -> VerifyReport:
     """e^(pi sqrt(a)/3) > (1 + ln(2a)) (1+a) * 2 / (1 - 1/sqrt(a)).
 
     Reports the smallest a in [a_lo, a_hi] where the inequality holds and
-    confirms it holds for every a >= threshold in range.
+    confirms it holds for every a >= IE11_THRESHOLD in range.
     """
     _need_range("a_lo", a_lo, 2)
     _need_range("a_hi", a_hi, a_lo)
@@ -472,15 +486,15 @@ def check_ie11(a_lo: int, a_hi: int, threshold: int = 94) -> VerifyReport:
         if slack > 0:
             if first_passing is None:
                 first_passing = a
-        elif a >= threshold and counterexample is None:
+        elif a >= IE11_THRESHOLD and counterexample is None:
             counterexample = a
     return VerifyReport(
         claim="ie11",
-        range_checked=f"{a_lo} <= a <= {a_hi}, claim from a >= {threshold}",
+        range_checked=f"{a_lo} <= a <= {a_hi}, claim from a >= {IE11_THRESHOLD}",
         holds=counterexample is None and not inconclusive,
         counterexample=counterexample,
         inconclusive=tuple(inconclusive),
-        stats={"first_passing": first_passing, "threshold": threshold},
+        stats={"first_passing": first_passing, "threshold": IE11_THRESHOLD},
     )
 
 

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from overpoly import bijections
 from overpoly.bijections import (
+    MAP_NAMES,
+    MAPS,
     AuditReport,
     ImagePair,
     audit,
@@ -127,12 +130,10 @@ def _domain(map_name, a, b, k):
 
 
 CASE_COUNTS = {"f": 5, "g1": 4, "g2": 8, "fk": 7, "gk": 6}
+CELLS = [("f", 5, 4, 1), ("g1", 6, None, 1), ("g2", 6, None, 1), ("fk", 5, 3, 2), ("gk", 5, None, 2)]
 
 
-@pytest.mark.parametrize(
-    "map_name, a, b, k",
-    [("f", 5, 4, 1), ("g1", 6, None, 1), ("g2", 6, None, 1), ("fk", 5, 3, 2), ("gk", 5, None, 2)],
-)
+@pytest.mark.parametrize("map_name, a, b, k", CELLS)
 def test_exactly_one_case_fires_and_all_cases_occur(map_name, a, b, k):
     seen = set()
     for lam in _domain(map_name, a, b, k):
@@ -227,6 +228,58 @@ def test_audit_rejects_bad_parameters():
         audit("gk", 2, k=1)
     with pytest.raises(ValueError):
         audit("nope", 2)
+
+
+@pytest.mark.parametrize("map_name, a, b, k", CELLS)
+def test_maps_entry_agrees_with_the_hand_written_domain(map_name, a, b, k):
+    entry = MAPS[map_name]
+    assert callable(getattr(bijections, entry.apply)) and callable(getattr(bijections, entry.case))
+    assert (b is None) == (entry.fixed_b is not None)
+    weight_b = entry.fixed_b or b
+    assert enumerate_ops(a + weight_b, k, entry.domain) == _domain(map_name, a, b, k)
+    report = audit(map_name, a, b, k)
+    assert report.codomain_size == len(enumerate_ops(a, k, entry.left)) * len(enumerate_ops(weight_b, k, entry.right))
+    assert MAP_NAMES == tuple(MAPS)
+
+
+@pytest.mark.parametrize("map_name, a, b, k", CELLS)
+def test_audit_applies_the_map_bound_on_the_module(monkeypatch, map_name, a, b, k):
+    # A benchmark tracer counts map applications by rebinding the public maps.
+    original, calls = getattr(bijections, MAPS[map_name].apply), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bijections, MAPS[map_name].apply, counted)
+    report = audit(map_name, a, b, k)
+    assert len(calls) == report.domain_size > 0
+
+
+@pytest.mark.parametrize("map_name, k", [("g1", 1), ("g2", 1), ("gk", 2)])
+def test_audit_rejects_a_b_for_a_peel(map_name, k):
+    # Each peel shears off a fixed b; a given b used to be echoed in the report.
+    with pytest.raises(ValueError, match="takes no b; got b=7"):
+        audit(map_name, 3, 7, k)
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [("f", 30, 1), ("f", 2, 3), ("f", 3, None), ("f", 2, 2, 2), ("fk", 2, 3, 2), ("fk", 1, 1, 2),
+     ("fk", 30, 2, 1), ("g1", 0), ("g2", 1), ("gk", 1, None, 2), ("gk", 30, None, 1)],
+)
+def test_audit_rejects_a_bad_cell_before_enumerating(monkeypatch, cell):
+    with pytest.raises(ValueError):  # (f, 30, 1): not the cap error of weight 31
+        audit(*cell)
+    monkeypatch.setattr(bijections, "enumerate_ops", lambda *args, **kwargs: pytest.fail("enumerated"))
+    with pytest.raises(ValueError):
+        audit(*cell)
+
+
+def test_colored_split_map_takes_b_above_a():
+    # Only the audit asks a >= b of a split; the map itself is defined for b > a.
+    pair = split_pair_colored(parts((3, 2, False), (2, 2, False)), 2, 3, 2)
+    assert weight(pair.left) == 2 and weight(pair.right) == 3
 
 
 def test_audit_report_json_round_trip():

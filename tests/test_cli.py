@@ -89,6 +89,20 @@ def test_bijection_json_round_trip(capsys):
     assert report.map_name == "g1" and report.injective
 
 
+@pytest.mark.parametrize("argv", [["g1", "--a", "3"], ["g2", "--a", "3"], ["gk", "--a", "3", "--colors", "2"]])
+def test_bijection_peel_rejects_b(capsys, argv):
+    # The peels never read b; --b 7 used to exit 0 and print "b": 7.
+    code, out, err = run(capsys, "bijection", *argv, "--b", "7", "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "takes no b" in err
+
+
+def test_bijection_bad_cell_is_not_a_cap_error(capsys):
+    # Weight 31 is over the default cap, but b = 1 is what is wrong.
+    code, out, err = run(capsys, "bijection", "f", "--a", "30", "--b", "1")
+    assert code == 2 and out == "" and err.startswith("error: ") and "b >= 2" in err
+
+
 def test_verify_th1(capsys):
     code, out, _ = run(capsys, "verify", "th1", "--nmax", "30")
     assert code == 0
@@ -191,6 +205,19 @@ def test_config_overrides_caps(tmp_path, capsys):
     assert out.startswith("count = ")
 
 
+def test_config_caps_merge_over_the_defaults(tmp_path, capsys):
+    # A cap for one color count used to drop the defaults of all the others.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {"1": 26}}))
+    code, out, _ = run(capsys, "--config", str(config), "enumerate", "5", "--colors", "2", "--count")
+    assert code == 0 and out == "count = 168\n"
+    config.write_text(json.dumps({"caps": {"2": 4}}))
+    code, out, _ = run(capsys, "--config", str(config), "enumerate", "5", "--colors", "2", "--count", "--cap", "5")
+    assert code == 0 and out == "count = 168\n"  # the flag wins over the config
+    code, _, err = run(capsys, "--config", str(config), "enumerate", "5", "--colors", "2", "--count")
+    assert code == 2 and "exceeds the cap 4" in err
+
+
 def test_config_width(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"width": "1/100"}))
@@ -247,12 +274,60 @@ def test_config_xs_grid(tmp_path, capsys, claim):
     assert code == 0 and "x in {3}" in out  # the flag wins over the config
 
 
-@pytest.mark.parametrize("payload", [{"xz": ["2"]}, {"width": "1/100", "speed": 1}, ["xs"], {"xs": "2"}])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"xz": ["2"]},
+        {"width": "1/100", "speed": 1},
+        ["xs"],
+        {"xs": "2"},
+        {"caps": [1]},
+        {"caps": {"1": None}},
+        {"caps": {"1": 2.5}},
+        {"caps": {"x": 3}},
+        {"width": None},
+        {"width": [1]},
+        {"xs": [None]},
+        {"xs": ["1", "1", "2"]},
+    ],
+)
 def test_bad_config_exits_2(tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
     code, out, err = run(capsys, "--config", str(config), "verify", "th4", "--amax", "4")
     assert code == 2 and out == "" and "error" in err
+
+
+@pytest.mark.parametrize(
+    "payload, argv",
+    [
+        ({"caps": [1]}, ["enumerate", "3"]),
+        ({"caps": [1]}, ["bijection", "g1", "--a", "3"]),
+        ({"caps": {"1": None}}, ["enumerate", "3"]),
+        ({"caps": {"1": 2.5}}, ["enumerate", "3"]),
+        ({"width": None}, ["roots", "--amax", "1", "--bmax", "1"]),
+        ({"width": [1]}, ["roots", "--amax", "1", "--bmax", "1"]),
+        ({"width": True}, ["roots", "--amax", "1", "--bmax", "1"]),
+    ],
+)
+def test_config_type_error_names_the_key(tmp_path, capsys, payload, argv):
+    # Each of these used to print a traceback and exit 1, or (2.5) run with cap 2.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "--config", str(config), *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config key {next(iter(payload))} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["th4", "--amax", "4", "--xs", "1,1,2"], ["th3", "--nmax", "4", "--xs", "2,4/2"],
+     ["th5", "--amax", "4", "--kset", "2,3,2"], ["descent", "--ns", "3,3"]],
+)
+def test_verify_rejects_repeated_values(capsys, argv):
+    # th4 --xs 1,1,2 used to list each x = 1 exception twice.
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and "repeated" in err
 
 
 def _modules_loaded_by_cli_import(*modules):

@@ -156,16 +156,19 @@ def test_modular_squarefree_certificate():
     [
         (1115000001**2 + 1, "1.12"),
         (1114999999**2 + 1, "1.11"),
+        (1125000001**2 + 1, "1.13"),
         (1124999999**2 + 1, "1.12"),
     ],
 )
 def test_rounding_settled_near_a_tie(square, rounded):
-    # 10^18 x^2 - square: an irrational root within 1e-8 of the tie 1.115 or
-    # 1.125.  Just above the dyadic 9/8 the search bracket starts at 9/8 and
-    # does not straddle, so that case is left out.
+    # 10^18 x^2 - square: an irrational root within 1e-8 of the tie 1.115 or 1.125.
     p = Poly([-square, 0, 10**18])
     raw = isolate_max_root(p, WIDTH)
-    assert round_half_away(raw.lo) != round_half_away(raw.hi)  # the search alone straddles
+    if F(square, 10**18) > F(9, 8) ** 2:
+        # Just above the dyadic 9/8, the search bracket starts exactly on the tie.
+        assert raw.lo == F(9, 8)
+    else:
+        assert round_half_away(raw.lo) != round_half_away(raw.hi)  # the search alone straddles
     lo, hi, has_root = isolate_max_root(p, WIDTH, places=2)
     assert has_root and 0 < hi - lo <= WIDTH
     assert round_half_away(lo) == round_half_away(hi) == rounded

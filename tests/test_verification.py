@@ -122,6 +122,16 @@ def test_descent_domain_errors():
             find_descent_x(n)
 
 
+def test_repeated_grid_points_color_counts_and_descent_inputs_rejected():
+    for check in (check_th3_grid, check_th4_grid):
+        with pytest.raises(ValueError, match="1 repeated"):
+            check(4, (1, 2, F(2, 2)))
+    with pytest.raises(ValueError, match="2 repeated"):
+        check_colored(4, (2, 3, 2))
+    with pytest.raises(ValueError, match="3 repeated"):
+        check_descent((3, 7, 3))
+
+
 def test_sandwich_examples():
     t1 = sandwich(1)
     assert t1.lower == 0.0 and t1.lower < t1.exact == 2 < t1.upper
