@@ -141,6 +141,7 @@ def _one_case(guards, context) -> int:
 
 def dispatch_case(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> int:
     """0-based index of the unique case a map applies to the given input."""
+    _require_input(map_name, parts, a, b, k)
     entry = _entry(map_name)
     return globals()[entry.case](parts, *(() if entry.fixed_b is not None else (b,)))
 

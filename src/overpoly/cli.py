@@ -151,26 +151,32 @@ def _parse_xs(raw) -> tuple[Fraction, ...]:
     return tuple(Fraction(str(x)) for x in raw)
 
 
-# config key -> (parser, what the value must be); workers is checked by _workers.
+def _parse_workers(raw) -> int:
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
+        raise TypeError("not a positive integer")
+    return raw
+
+
+# config key -> (parser, what the value must be)
 _CONFIG_VALUES = {
     "caps": (_parse_caps, 'an object from color counts to integer caps, such as {"1": 26}'),
     "width": (_parse_width, 'a rational, such as "1/100"'),
     "xs": (_parse_xs, 'a list of rationals, such as ["1", "3/2"]'),
+    "workers": (_parse_workers, "a positive integer, such as 2"),
 }
-_CONFIG_KEYS = (*_CONFIG_VALUES, "workers")
 
 
 def _load_config(path: str | None) -> dict:
-    """The config file as a dict, with caps, width and xs checked and parsed."""
+    """The config file as a dict, with every value checked and parsed."""
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
-    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    unknown = sorted(set(config) - set(_CONFIG_VALUES))
     if unknown:
-        raise ValueError(f"unknown config keys {unknown}; known keys are {list(_CONFIG_KEYS)}")
+        raise ValueError(f"unknown config keys {unknown}; known keys are {list(_CONFIG_VALUES)}")
     for key, (parse, rule) in _CONFIG_VALUES.items():
         if key in config:
             try:
@@ -276,7 +282,7 @@ def _cmd_verify(args, config: dict) -> int:
         if report.counterexample is not None:
             print(f"counterexample={json.dumps(encode(report.counterexample))}")
         if report.inconclusive:
-            print(f"inconclusive={list(report.inconclusive)}")
+            print(f"inconclusive={json.dumps(encode(report.inconclusive))}")
         if report.stats:
             print(f"stats={json.dumps(encode(report.stats), sort_keys=True)}")
     return 0 if report.holds else 1
@@ -299,19 +305,16 @@ def _cmd_roots(args, config: dict) -> int:
 
 
 def _workers(config: dict) -> int:
-    """The pool size: OVERPOLY_WORKERS, else the config key workers, else 1."""
-    if "OVERPOLY_WORKERS" in os.environ:
-        source, raw = "OVERPOLY_WORKERS", os.environ["OVERPOLY_WORKERS"]
-    elif "workers" in config:
-        source, raw = "config key workers", config["workers"]
-    else:
-        return 1
+    """The pool size: OVERPOLY_WORKERS, else the config key workers (checked on load), else 1."""
+    if "OVERPOLY_WORKERS" not in os.environ:
+        return config.get("workers", 1)
+    raw = os.environ["OVERPOLY_WORKERS"]
     try:
-        workers = int(raw) if isinstance(raw, (int, str)) and not isinstance(raw, bool) else 0
+        workers = int(raw)
     except ValueError:
         workers = 0
     if workers < 1:
-        raise ValueError(f"{source} must be a positive integer, got {raw!r}")
+        raise ValueError(f"OVERPOLY_WORKERS must be a positive integer, got {raw!r}")
     return workers
 
 

@@ -12,19 +12,23 @@ inequality between P_m values at x is multiplied through by its positive
 common denominator.  The descent certificates are re-checked by Fraction
 evaluation of the same polynomials, a separate code path.
 
-Exception sets are data, not code: each claim's declared exceptions live in a
-constant next to its checker, and a run only "holds" when the exceptions it
-finds are exactly the declared ones, so a regression that accidentally
-"fixes" an exception fails loudly.
+Every checker decides through one verdict rule, _decide: each checker
+records the key of every wrong-way comparison in scan order, and the first is
+the counterexample.  Exception sets are data, not code: each claim's declared
+exceptions live in a constant next to its checker, and a run only "holds"
+when it fails nowhere, has nothing inconclusive, and finds exactly the
+declared exceptions, so a regression that accidentally "fixes" an exception
+fails loudly.
 
 Transcendental comparisons run in double precision with a relative
-inconclusive band of 1e-9: a comparison whose relative slack is inside the
-band is flagged rather than counted as pass or fail.  The single exception is
-the truncation-remainder check, where the bound sits below double-precision
-resolution of the compared quantities for large n (the bound over the count
-shrinks like 2^(9/2) e^(-mu/2)/mu, which drops under 2^-52 before n reaches
-400); that one comparison is evaluated with mpmath at 50 significant digits
-and reported alongside double-precision display values.
+inconclusive band of 1e-9, and _band is the one place a slack is classified:
+a comparison whose relative slack is inside the band is flagged rather than
+counted as pass or fail.  The single exception is the truncation-remainder
+check, where the bound sits below double-precision resolution of the
+compared quantities for large n (the bound over the count shrinks like
+2^(9/2) e^(-mu/2)/mu, which drops under 2^-52 before n reaches 400); that one
+comparison is evaluated with mpmath at 50 significant digits and reported
+alongside double-precision display values.
 """
 
 from __future__ import annotations
@@ -103,6 +107,36 @@ def _rel_slack(lhs: float, rhs: float) -> float:
     return (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
+def _band(near) -> tuple[list, list]:
+    """(failed keys, inconclusive keys) from (key, relative slack) pairs, in scan order.
+
+    A slack <= -INCONCLUSIVE_BAND fails and one inside the band is
+    inconclusive; any other passes, so callers may leave those pairs out.
+    """
+    failed, inconclusive = [], []
+    for key, slack in near:
+        if slack <= -INCONCLUSIVE_BAND:
+            failed.append(key)
+        elif slack < INCONCLUSIVE_BAND:
+            inconclusive.append(key)
+    return failed, inconclusive
+
+
+def _decide(claim, range_checked, failed=(), inconclusive=(), found=None, declared=None, **stats) -> VerifyReport:
+    """The report of one claim: failed[0] is the counterexample, and the claim
+    holds only with no failure, nothing inconclusive and, when declared
+    exceptions are given, the equalities found exactly equal to them."""
+    return VerifyReport(
+        claim=claim,
+        range_checked=range_checked,
+        holds=not failed and not inconclusive and (declared is None or set(found) == declared),
+        exceptions=() if declared is None else tuple(sorted(found)),
+        counterexample=failed[0] if failed else None,
+        inconclusive=tuple(inconclusive),
+        stats=stats,
+    )
+
+
 def _grid(xs) -> tuple[Fraction, ...]:
     xs = tuple(Fraction(x) for x in xs)
     if not xs or any(x < 1 for x in xs):
@@ -129,25 +163,22 @@ def check_th1(n_max: int) -> VerifyReport:
     """
     _need_range("n_max", n_max, 2)
     pb = pbar_prefix(n_max)
-    found = []
-    counterexample = None
+    found, failed = [], []
     for total in range(2, n_max + 1):
         for b in range(1, total // 2 + 1):
             a = total - b
             lhs, rhs = pb[a] * pb[b], pb[total]
             if lhs == rhs:
                 found.append((a, b))
-            elif lhs < rhs and counterexample is None:
-                counterexample = (a, b)
-    expected = {e for e in TH1_EXCEPTIONS if e[0] + e[1] <= n_max}
-    holds = counterexample is None and set(found) == expected
-    return VerifyReport(
-        claim="th1",
-        range_checked=f"a >= b >= 1, a+b <= {n_max}",
-        holds=holds,
-        exceptions=tuple(sorted(found)),
-        counterexample=counterexample,
-        stats={"pairs": sum(t // 2 for t in range(2, n_max + 1))},
+            elif lhs < rhs:
+                failed.append((a, b))
+    return _decide(
+        "th1",
+        f"a >= b >= 1, a+b <= {n_max}",
+        failed,
+        found=found,
+        declared={e for e in TH1_EXCEPTIONS if e[0] + e[1] <= n_max},
+        pairs=sum(t // 2 for t in range(2, n_max + 1)),
     )
 
 
@@ -164,24 +195,17 @@ def check_th3_grid(n_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
         (x, x.denominator, scaled_values(n_max, x), scaled_values(n_max, x, derivative=True))
         for x in xs
     ]
-    counterexample = None
+    failed = []
     for n in range(1, n_max):
         for x, q, values, derivs in grid:
-            if counterexample is not None:
-                continue
             if not (n + 1) * q * values[n] < values[n + 1]:
-                counterexample = ("value", n, x)
+                failed.append(("value", n, x))
             elif not (
                 2 * math.factorial(n) * q ** (n - 1) <= derivs[n]
                 and (n + 1) * q * derivs[n] < derivs[n + 1]
             ):
-                counterexample = ("derivative", n, x)
-    return VerifyReport(
-        claim="th3",
-        range_checked=f"1 <= n < {n_max}, x in {{{', '.join(map(str, xs))}}}",
-        holds=counterexample is None,
-        counterexample=counterexample,
-    )
+                failed.append(("derivative", n, x))
+    return _decide("th3", f"1 <= n < {n_max}, x in {{{', '.join(map(str, xs))}}}", failed)
 
 
 def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
@@ -194,8 +218,7 @@ def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
     xs = _grid(xs)
     _need_range("a_max", a_max, 2)
     grid = [(x, scaled_values(a_max, x)) for x in xs]
-    found = []
-    counterexample = None
+    found, failed = [], []
     for total in range(2, a_max + 1):
         for a in range(1, total):
             b = total - a
@@ -205,16 +228,14 @@ def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
                 rhs = values[total]
                 if lhs == rhs:
                     found.append((a, b, x))
-                elif lhs < rhs and counterexample is None:
-                    counterexample = (a, b, x)
-    expected = {e for e in TH4_EXCEPTIONS if e[0] + e[1] <= a_max and e[2] in xs}
-    holds = counterexample is None and set(found) == expected
-    return VerifyReport(
-        claim="th4",
-        range_checked=f"a, b >= 1, a+b <= {a_max}, x in {{{', '.join(map(str, xs))}}}",
-        holds=holds,
-        exceptions=tuple(sorted(found)),
-        counterexample=counterexample,
+                elif lhs < rhs:
+                    failed.append((a, b, x))
+    return _decide(
+        "th4",
+        f"a, b >= 1, a+b <= {a_max}, x in {{{', '.join(map(str, xs))}}}",
+        failed,
+        found=found,
+        declared={e for e in TH4_EXCEPTIONS if e[0] + e[1] <= a_max and e[2] in xs},
     )
 
 
@@ -228,66 +249,38 @@ def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
         raise ValueError("colored check needs a non-empty set of k >= 2")
     _need_distinct("color counts", k_set)
     _need_range("a_max", a_max, 2)
-    counterexample = None
+    failed = []
     for k in k_set:
         vals = scaled_values(a_max, k)
         for total in range(2, a_max + 1):
             for b in range(1, total // 2 + 1):
                 a = total - b
-                if not math.comb(total, a) * vals[a] * vals[b] > vals[total] and counterexample is None:
-                    counterexample = (a, b, k)
-    return VerifyReport(
-        claim="th5",
-        range_checked=f"a >= b >= 1, a+b <= {a_max}, k in {set(k_set)}",
-        holds=counterexample is None,
-        counterexample=counterexample,
-    )
+                if not math.comb(total, a) * vals[a] * vals[b] > vals[total]:
+                    failed.append((a, b, k))
+    return _decide("th5", f"a >= b >= 1, a+b <= {a_max}, k in {set(k_set)}", failed)
 
 
 def check_le3(n_max: int) -> VerifyReport:
     """pbar(n) > 1 + ln(2n), double precision, with minimum-slack reporting."""
     _need_range("n_max", n_max, 1)
     pb = pbar_prefix(n_max)
-    counterexample = None
-    inconclusive = []
-    min_slack, argmin = math.inf, None
-    for n in range(1, n_max + 1):
-        slack = _rel_slack(float(pb[n]), 1 + math.log(2 * n))
-        if abs(slack) < INCONCLUSIVE_BAND:
-            inconclusive.append(n)
-        elif slack < 0 and counterexample is None:
-            counterexample = n
-        if slack < min_slack:
-            min_slack, argmin = slack, n
-    return VerifyReport(
-        claim="le3",
-        range_checked=f"1 <= n <= {n_max}",
-        holds=counterexample is None and not inconclusive,
-        counterexample=counterexample,
-        inconclusive=tuple(inconclusive),
-        stats={"min_rel_slack": min_slack, "argmin": argmin},
-    )
+    slacks = [(n, _rel_slack(float(pb[n]), 1 + math.log(2 * n))) for n in range(1, n_max + 1)]
+    argmin, min_slack = min(slacks, key=lambda pair: pair[1])
+    return _decide("le3", f"1 <= n <= {n_max}", *_band(slacks), min_rel_slack=min_slack, argmin=argmin)
 
 
 def check_logconcave(n_max: int) -> VerifyReport:
     """pbar(n)^2 >= pbar(n-1) pbar(n+1) for 2 <= n <= n_max, exact integers."""
     _need_range("n_max", n_max, 2)
     pb = pbar_prefix(n_max + 1)
-    counterexample = None
-    equalities = []
+    equalities, failed = [], []
     for n in range(2, n_max + 1):
         lhs, rhs = pb[n] ** 2, pb[n - 1] * pb[n + 1]
         if lhs == rhs:
             equalities.append(n)
-        elif lhs < rhs and counterexample is None:
-            counterexample = n
-    return VerifyReport(
-        claim="logconcave",
-        range_checked=f"2 <= n <= {n_max}",
-        holds=counterexample is None,
-        counterexample=counterexample,
-        stats={"equalities": tuple(equalities)},
-    )
+        elif lhs < rhs:
+            failed.append(n)
+    return _decide("logconcave", f"2 <= n <= {n_max}", failed, equalities=tuple(equalities))
 
 
 def find_descent_x(n: int) -> Fraction:
@@ -314,21 +307,13 @@ def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
     if not ns:
         raise ValueError("descent check needs at least one n")
     _need_distinct("descent inputs", ns)
-    points = {}
-    counterexample = None
+    points, failed = {}, []
     for n in ns:
         x = find_descent_x(n)
-        certified = 0 < x < 1 and pbar_poly(n + 1)(x) < pbar_poly(n)(x)
-        if not certified and counterexample is None:
-            counterexample = n
+        if not (0 < x < 1 and pbar_poly(n + 1)(x) < pbar_poly(n)(x)):
+            failed.append(n)
         points[str(n)] = x
-    return VerifyReport(
-        claim="descent",
-        range_checked=f"n in {ns}",
-        holds=counterexample is None,
-        counterexample=counterexample,
-        stats={"points": points},
-    )
+    return _decide("descent", f"n in {ns}", failed, points=points)
 
 
 @dataclass(frozen=True)
@@ -390,8 +375,7 @@ def sandwich_verdict(t: BoundTriple) -> tuple[dict, list, list]:
     truncation bound does not hold, which is claimed from n = 2 on.
     """
     slacks = {"lower": _rel_slack(float(t.exact), t.lower), "upper": _rel_slack(t.upper, float(t.exact))}
-    inconclusive = [label for label, slack in slacks.items() if abs(slack) < INCONCLUSIVE_BAND]
-    failed = [label for label, slack in slacks.items() if slack <= -INCONCLUSIVE_BAND]
+    failed, inconclusive = _band(slacks.items())
     if t.n >= 2 and not t.remainder_ok:
         failed.append("remainder")
     return slacks, inconclusive, failed
@@ -402,26 +386,21 @@ def check_ie7(n_max: int, n_min: int = 1) -> VerifyReport:
     _need_range("n_min", n_min, 1)
     _need_range("n_max", n_max, n_min)
     pbar_prefix(n_max)
-    counterexample = None
-    inconclusive = []
+    failed, inconclusive = [], []
     min_lower_slack = min_upper_slack = math.inf
     for n in range(n_min, n_max + 1):
-        slacks, unsure, failed = sandwich_verdict(sandwich(n))
+        slacks, unsure, wrong = sandwich_verdict(sandwich(n))
+        failed.extend((label, n) for label in wrong)
         inconclusive.extend((label, n) for label in unsure)
-        if failed and counterexample is None:
-            counterexample = (failed[0], n)
         min_lower_slack = min(min_lower_slack, slacks["lower"])
         min_upper_slack = min(min_upper_slack, slacks["upper"])
-    return VerifyReport(
-        claim="ie7",
-        range_checked=f"{n_min} <= n <= {n_max} (remainder from n=2)",
-        holds=counterexample is None and not inconclusive,
-        counterexample=counterexample,
-        inconclusive=tuple(inconclusive),
-        stats={
-            "min_lower_rel_slack": min_lower_slack,
-            "min_upper_rel_slack": min_upper_slack,
-        },
+    return _decide(
+        "ie7",
+        f"{n_min} <= n <= {n_max} (remainder from n=2)",
+        failed,
+        inconclusive,
+        min_lower_rel_slack=min_lower_slack,
+        min_upper_rel_slack=min_upper_slack,
     )
 
 
@@ -433,8 +412,7 @@ def check_ie8(a_max: int) -> VerifyReport:
     """
     _need_range("a_max", a_max, 2)
     pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
-    counterexample = None
-    inconclusive = []
+    near = []  # slacks from the band up pass; the rest go to _band, with no call per triple
     min_slack, argmin = math.inf, None
     triples = 0
     for a in range(1, a_max + 1):
@@ -444,19 +422,17 @@ def check_ie8(a_max: int) -> VerifyReport:
                 triples += 1
                 lhs, rhs = pb[a + b - k], factor * pb[b - k]
                 slack = (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)  # _rel_slack, inlined
-                if abs(slack) < INCONCLUSIVE_BAND:
-                    inconclusive.append((a, b, k))
-                elif slack < 0 and counterexample is None:
-                    counterexample = (a, b, k)
+                if slack < INCONCLUSIVE_BAND:
+                    near.append(((a, b, k), slack))
                 if slack < min_slack:
                     min_slack, argmin = slack, (a, b, k)
-    return VerifyReport(
-        claim="ie8",
-        range_checked=f"1 <= k < b <= a <= {a_max}",
-        holds=counterexample is None and not inconclusive,
-        counterexample=counterexample,
-        inconclusive=tuple(inconclusive),
-        stats={"triples": triples, "min_rel_slack": min_slack, "argmin": argmin},
+    return _decide(
+        "ie8",
+        f"1 <= k < b <= a <= {a_max}",
+        *_band(near),
+        triples=triples,
+        min_rel_slack=min_slack,
+        argmin=argmin,
     )
 
 
@@ -474,27 +450,16 @@ def check_ie11(a_lo: int, a_hi: int) -> VerifyReport:
     """
     _need_range("a_lo", a_lo, 2)
     _need_range("a_hi", a_hi, a_lo)
-    first_passing = None
-    counterexample = None
-    inconclusive = []
-    for a in range(a_lo, a_hi + 1):
-        lhs, rhs = _ie11_sides(a)
-        slack = _rel_slack(lhs, rhs)
-        if abs(slack) < INCONCLUSIVE_BAND:
-            inconclusive.append(a)
-            continue
-        if slack > 0:
-            if first_passing is None:
-                first_passing = a
-        elif a >= IE11_THRESHOLD and counterexample is None:
-            counterexample = a
-    return VerifyReport(
-        claim="ie11",
-        range_checked=f"{a_lo} <= a <= {a_hi}, claim from a >= {IE11_THRESHOLD}",
-        holds=counterexample is None and not inconclusive,
-        counterexample=counterexample,
-        inconclusive=tuple(inconclusive),
-        stats={"first_passing": first_passing, "threshold": IE11_THRESHOLD},
+    slacks = [(a, _rel_slack(*_ie11_sides(a))) for a in range(a_lo, a_hi + 1)]
+    failed, inconclusive = _band(slacks)
+    not_passing = {*failed, *inconclusive}
+    return _decide(
+        "ie11",
+        f"{a_lo} <= a <= {a_hi}, claim from a >= {IE11_THRESHOLD}",
+        [a for a in failed if a >= IE11_THRESHOLD],
+        inconclusive,
+        first_passing=next((a for a, _ in slacks if a not in not_passing), None),
+        threshold=IE11_THRESHOLD,
     )
 
 

@@ -115,6 +115,10 @@ def test_domain_preconditions():
         peel_one_colored(parts((3, 1, False)), 2, 1)  # k < 2
     with pytest.raises(ValueError):
         split_pair_colored(parts((2, 2, False), (1, 2, B)), 1, 2, 2)  # a < 2
+    with pytest.raises(ValueError):
+        dispatch_case("g1", parts((3, 1, False)), a=-5, k=99)  # both used to give case 1
+    with pytest.raises(ValueError):
+        dispatch_case("g1", parts((3, 1, False)), 2, 7)  # a peel takes no b
 
 
 def _domain(map_name, a, b, k):

@@ -170,6 +170,17 @@ def test_bounds_exit_follows_sandwich_verdict(capsys, monkeypatch):
     assert code == 1 and len(out.splitlines()) == 3
 
 
+def test_verify_text_prints_inconclusive_as_json(capsys, monkeypatch):
+    def fake(n):
+        upper = 10.0 + (1e-12 if n == 4 else 1.0)  # n = 4: upper slack inside the band
+        return BoundTriple(n, 9.0, upper, 10, 0.0, 0.0, 0.0, True)
+
+    monkeypatch.setattr("overpoly.verification.sandwich", fake)
+    code, out, _ = run(capsys, "verify", "ie7", "--nmax", "5")
+    assert code == 1
+    assert out.splitlines()[1] == 'inconclusive=[["upper", 4]]'  # was [('upper', 4)]
+
+
 def test_determinism(capsys):
     argv = ("verify", "th4", "--amax", "12", "--format", "json")
     _, first, _ = run(capsys, *argv)
@@ -308,6 +319,11 @@ def test_bad_config_exits_2(tmp_path, capsys, payload):
         ({"width": None}, ["roots", "--amax", "1", "--bmax", "1"]),
         ({"width": [1]}, ["roots", "--amax", "1", "--bmax", "1"]),
         ({"width": True}, ["roots", "--amax", "1", "--bmax", "1"]),
+        ({"workers": "abc"}, ["poly", "3"]),
+        ({"workers": "3"}, ["poly", "3"]),
+        ({"workers": True}, ["poly", "3"]),
+        ({"workers": 0}, ["poly", "3"]),
+        ({"workers": 2.0}, ["poly", "3"]),
     ],
 )
 def test_config_type_error_names_the_key(tmp_path, capsys, payload, argv):

@@ -345,6 +345,37 @@ def test_ie7_reports_first_failure_and_every_inconclusive_n(monkeypatch):
     assert report.inconclusive == (("upper", 4),)
 
 
+def _lhs_at_slack(rhs, slack):
+    """The lhs whose _rel_slack against a positive rhs is slack."""
+    return rhs * (1 + slack) if slack < 0 else rhs / (1 - slack)
+
+
+def _one_comparison(claim, slack, monkeypatch):
+    """Run claim over a range with one comparison, at the given relative slack; return (report, key)."""
+    if claim == "le3":
+        rhs = 1 + math.log(2)
+        monkeypatch.setattr(verification, "pbar_prefix", lambda n: [1, _lhs_at_slack(rhs, slack)])
+        return check_le3(1), 1
+    if claim == "ie8":
+        rhs = 1 + math.log(4)  # (1 + ln 4) pbar(1), with pbar(1) = 1
+        monkeypatch.setattr(verification, "pbar_prefix", lambda n: [1, 1, 4, _lhs_at_slack(rhs, slack)])
+        return check_ie8(2), (2, 2, 1)
+    if claim == "ie11":
+        monkeypatch.setattr(verification, "_ie11_sides", lambda a: (_lhs_at_slack(50.0, slack), 50.0))
+        return check_ie11(100, 100), 100
+    monkeypatch.setattr(verification, "sandwich", lambda n: _triple(n, 10.0, _lhs_at_slack(10.0, slack), 20.0))
+    return check_ie7(1), ("lower", 1)
+
+
+@pytest.mark.parametrize("claim", ["le3", "ie8", "ie11", "ie7"])
+@pytest.mark.parametrize("slack, verdict", [(-2e-9, "fail"), (-5e-10, "inconclusive"), (5e-10, "inconclusive"), (2e-9, "pass")])
+def test_banded_claims_share_one_verdict_rule(monkeypatch, claim, slack, verdict):
+    report, key = _one_comparison(claim, slack, monkeypatch)
+    assert report.holds == (verdict == "pass")
+    assert report.counterexample == (key if verdict == "fail" else None)
+    assert report.inconclusive == ((key,) if verdict == "inconclusive" else ())
+
+
 def test_default_width_is_shared():
     assert DEFAULT_WIDTH == F(1, 10**4)
     assert inspect.signature(roots_table).parameters["width"].default is DEFAULT_WIDTH
@@ -462,6 +493,13 @@ def test_th1_reports_the_first_counterexample(monkeypatch):
     monkeypatch.setattr(verification, "pbar_prefix", _inflated_prefix({10, 20}))
     report = check_th1(24)
     assert not report.holds and report.counterexample == (9, 1)
+
+
+def test_th1_fails_when_a_declared_exception_disappears(monkeypatch):
+    # pbar(1) = 3 turns both declared equalities (1,1) and (2,1) into strict inequalities.
+    monkeypatch.setattr(verification, "pbar_prefix", lambda n: [3 if m == 1 else v for m, v in enumerate(pbar_prefix(n))])
+    report = check_th1(20)
+    assert not report.holds and report.counterexample is None and report.exceptions == ()
 
 
 def test_th3_reports_a_derivative_counterexample(monkeypatch):
