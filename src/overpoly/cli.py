@@ -142,7 +142,10 @@ def _parse_caps(raw) -> dict[int, int]:
 def _parse_width(raw) -> Fraction:
     if isinstance(raw, bool):
         raise TypeError("not a rational")
-    return Fraction(raw)
+    width = Fraction(raw)  # OverflowError for an infinite float, ValueError for NaN
+    if width <= 0:
+        raise ValueError("not positive")
+    return width
 
 
 def _parse_xs(raw) -> tuple[Fraction, ...]:
@@ -160,7 +163,7 @@ def _parse_workers(raw) -> int:
 # config key -> (parser, what the value must be)
 _CONFIG_VALUES = {
     "caps": (_parse_caps, 'an object from color counts to integer caps, such as {"1": 26}'),
-    "width": (_parse_width, 'a rational, such as "1/100"'),
+    "width": (_parse_width, 'a positive rational, such as "1/100"'),
     "xs": (_parse_xs, 'a list of rationals, such as ["1", "3/2"]'),
     "workers": (_parse_workers, "a positive integer, such as 2"),
 }
@@ -181,7 +184,7 @@ def _load_config(path: str | None) -> dict:
         if key in config:
             try:
                 config[key] = parse(config[key])
-            except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+            except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError):
                 raise ValueError(f"config key {key} must be {rule}; got {json.dumps(config[key])}") from None
     return config
 

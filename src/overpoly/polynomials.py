@@ -1,4 +1,5 @@
-"""Dense exact-rational polynomials and the overpartition polynomial family.
+"""Exact polynomials over one integer denominator, and the overpartition
+polynomial family.
 
 pbar_poly(n) is the degree-n polynomial with constant term 0 (for n >= 1),
 defined by pbar_poly(0) = 1 and
@@ -18,7 +19,8 @@ with the falling factorial (m-1)!/(m-k)! updated as k grows, so building the
 memo takes integer products and sums only and never divides.  Each new entry
 is checked against the Gauss-identity route for pbar: sum(Q_m) = m! pbar(m),
 or ArithmeticError.  The memo grows sequentially under a lock and is safe to
-read concurrently once warm; Poly values are built from it on request.
+read concurrently once warm; Poly values are built from it on request, as
+Poly(Q_m, m!).
 
 The module also provides, from the same integer vectors:
 
@@ -27,8 +29,8 @@ The module also provides, from the same integer vectors:
     n! it is sum_k sigma_bar(k) * C(n,k) * (k-1)! * Q_{n-k};
   * product_gap_poly(a, b) = P_a * P_b - P_{a+b}, whose largest non-negative
     real root marks where the product inequality P_a(x) P_b(x) > P_{a+b}(x)
-    starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b}
-    (scaled_gap, the integer vector the root table re-checks);
+    starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b},
+    and the root table isolates and re-checks its integer numerators;
   * scaled_values(n, p/q): the integers q^m * Q_m(p/q) for m <= n (and
     q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner
     (homogeneous_value), so that comparisons of P_m values at a rational
@@ -40,8 +42,10 @@ The module also provides, from the same integer vectors:
     q-series prod_m ((1+q^m)/(1-q^m))^k, an expansion route independent of
     the recursion.
 
-Poly coefficients are fractions.Fraction, normalized by construction;
-polynomial equality is structural and Poly values are immutable.
+A Poly is its integer numerators over one positive denominator, normalized
+by construction; polynomial equality is structural and Poly values are
+immutable.  Poly evaluates by an integer power sum, a separate code path from
+homogeneous_value's Horner loop, so each can re-check the other's results.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import zip_longest
+from math import comb, factorial, gcd, lcm
 
 from .divisors import pbar_prefix, sigma_bar
 
@@ -58,7 +63,6 @@ __all__ = [
     "pbar_poly",
     "pbar_derivative",
     "product_gap_poly",
-    "scaled_gap",
     "scaled_values",
     "homogeneous_value",
     "SeriesTable",
@@ -69,105 +73,107 @@ __all__ = [
 
 
 class Poly:
-    """Immutable dense univariate polynomial over Fraction.
+    """Immutable dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored ascending by degree with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree -1.
+    nums holds integer numerators ascending by degree with no trailing zeros,
+    over one denominator den > 0 with gcd(den, *nums) = 1, so equal
+    polynomials have equal fields.  Poly(rationals) takes the coefficients
+    themselves; Poly(integers, den) takes numerators over den >= 1.  The zero
+    polynomial has nums == (), den == 1 and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs=(), den: int | None = None):
+        if den is None:
+            rationals = [Fraction(c) for c in coeffs]
+            den = lcm(*(f.denominator for f in rationals))
+            nums = [f.numerator * (den // f.denominator) for f in rationals]
+        elif den < 1:
+            raise ValueError(f"Poly denominator must be >= 1, got {den}")
+        else:
+            nums = list(coeffs)
+        while nums and nums[-1] == 0:
+            nums.pop()
+        g = gcd(den, *nums)
+        self.nums = tuple(c // g for c in nums)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending by degree."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        den = lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [c * (den // other.den) for c in other.nums]
+        return Poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly([-c for c in self.nums], self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            out = [0] * (len(self.nums) + len(other.nums) - 1)
+            for i, a in enumerate(self.nums):
                 if a:
-                    for j, b in enumerate(other.coeffs):
+                    for j, b in enumerate(other.nums):
                         out[i + j] += a * b
-            return Poly(out)
+            return Poly(out, self.den * other.den)
         c = Fraction(other)
-        return Poly([a * c for a in self.coeffs])
+        return Poly([a * c.numerator for a in self.nums], self.den * c.denominator)
 
     __rmul__ = __mul__
 
     def __call__(self, x) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
+        """Exact value at a rational point x = p/q: the integer power sum
+        sum_i nums[i] p^i q^(d-i) over den * q^d, for the degree d."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        d = max(self.degree, 0)
+        return Fraction(sum(c * p**i * q ** (d - i) for i, c in enumerate(self.nums)), self.den * q**d)
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
+        """Highest degree first, as in "1/3*x^2 - x + 2"; the zero polynomial is "0"."""
         terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = str(abs(c))
-            if i == 0:
-                body = mag
-            else:
-                xs = "x" if i == 1 else f"x^{i}"
-                body = xs if abs(c) == 1 else f"{mag}*{xs}"
-            terms.append(("-" if c < 0 else "+", body))
-        sign, first = terms[0]
-        text = ("-" if sign == "-" else "") + first
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
+        for i, c in reversed(list(enumerate(self.coeffs))):
+            if c:
+                power = "x" if i == 1 else f"x^{i}"
+                body = str(abs(c)) if i == 0 else power if abs(c) == 1 else f"{abs(c)}*{power}"
+                terms.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(terms) or "+ 0"
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 _q_memo: list[tuple[int, ...]] = [(1,)]
@@ -196,15 +202,11 @@ def _q_prefix(n: int) -> list[tuple[int, ...]]:
     return _q_memo[: n + 1]
 
 
-def _scaled_poly(numerators, denominator: int) -> Poly:
-    return Poly([Fraction(c, denominator) for c in numerators])
-
-
 def pbar_poly(n: int) -> Poly:
     """The overpartition polynomial P_n as an exact rational polynomial."""
     if n < 0:
         raise ValueError(f"pbar_poly undefined for n={n}; need n >= 0")
-    return _scaled_poly(_q_prefix(n)[n], factorial(n))
+    return Poly(_q_prefix(n)[n], factorial(n))
 
 
 def pbar_derivative(n: int) -> Poly:
@@ -221,12 +223,14 @@ def pbar_derivative(n: int) -> Poly:
     for k in range(1, n + 1):
         c = sigma_bar(k) * comb(n, k) * factorial(k - 1)
         acc[: n - k + 1] = [u + c * v for u, v in zip(acc, qs[n - k])]
-    return _scaled_poly(acc, factorial(n))
+    return Poly(acc, factorial(n))
 
 
-def scaled_gap(a: int, b: int) -> list[int]:
-    """(a+b)! * (P_a * P_b - P_{a+b}) = C(a+b, a) * Q_a * Q_b - Q_{a+b}, as
-    ascending integer coefficients: a positive multiple of the gap polynomial."""
+def product_gap_poly(a: int, b: int) -> Poly:
+    """P_a * P_b - P_{a+b}, built as C(a+b, a) * Q_a * Q_b - Q_{a+b} over (a+b)!.
+
+    Constant term is 0 and the derivative at 0 is -sigma_bar(a+b)/(a+b).
+    """
     if a < 1 or b < 1:
         raise ValueError(f"the gap polynomial needs a, b >= 1; got a={a}, b={b}")
     qs = _q_prefix(a + b)
@@ -236,15 +240,7 @@ def scaled_gap(a: int, b: int) -> list[int]:
         c = binom * u
         for j, v in enumerate(qs[b]):
             scaled[i + j] += c * v
-    return scaled
-
-
-def product_gap_poly(a: int, b: int) -> Poly:
-    """P_a * P_b - P_{a+b}.
-
-    Constant term is 0 and the derivative at 0 is -sigma_bar(a+b)/(a+b).
-    """
-    return _scaled_poly(scaled_gap(a, b), factorial(a + b))
+    return Poly(scaled, factorial(a + b))
 
 
 def _homogeneous_horner(coeffs, p: int, q_pows) -> int:

@@ -21,8 +21,8 @@ optional rounding refinement may move one of them to a decimal boundary.
 
 The search is the integer Vincent-Collins-Akritas method in the form of
 Rouillier & Zimmermann, "Efficient isolation of polynomial's real roots"
-(J. Comput. Appl. Math. 162, 2004).  Denominators are cleared and x = B*t maps
-(0, B) onto (0, 1); every node of the bisection tree carries a positive
+(J. Comput. Appl. Math. 162, 2004).  It reads the integer numerators of the
+Poly, and x = B*t maps (0, B) onto (0, 1); every node of the bisection tree carries a positive
 integer multiple of p restricted to its interval and rescaled to (0, 1), and
 derives its children from it with one halving and one Taylor shift by 1.  The
 squarefree reduction is skipped when gcd(p, p') = 1 modulo a large prime.
@@ -31,10 +31,11 @@ the root table have their roots below 1, far under their Cauchy bounds (1e11
 at cell (10, 10)), and B = 2^e adds only e*i bits to the i-th coefficient.
 No floating point enters any decision.
 
-The Fraction routines (taylor_shift, variations_in_interval, no_roots_above,
-squarefree_part) are an independent route to the same certificates: the
-exact squarefree fallback, and the fallback of the re-check of every emitted
-bracket.
+A second route to the same certificates shares no code with the search:
+taylor_shift, variations_in_interval and no_roots_above rest on one integer
+shift by a rational, q^d * p((u + t)/q) for the point u/q, and
+squarefree_part on an integer primitive pseudo-remainder gcd.  It is the
+exact squarefree fallback, and the re-check of every emitted bracket.
 """
 
 from __future__ import annotations
@@ -73,67 +74,79 @@ def sign_variations(coeffs) -> int:
     return count
 
 
-def _shift(coeffs: list[Fraction], c: Fraction) -> list[Fraction]:
-    """Coefficients of p(x + c), by repeated synthetic division."""
-    out = list(coeffs)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return out
+def _integer_shift(nums, x: Fraction) -> list[int]:
+    """Ascending integer coefficients of q^d * p((u + t)/q), for x = u/q and p of degree d.
+
+    The i-th one is q^(d-i) times that of p(x + t), so zero sign variations
+    certify that p has no root in (x, oo).  Each synthetic-division pass of the
+    shift by u, acc -> acc * u + c from the top coefficient down, is one accumulate.
+    """
+    u, q = x.numerator, x.denominator
+    desc = [c * q**i for i, c in enumerate(reversed(nums))]
+    if u:
+        for end in range(len(desc), 1, -1):
+            desc[:end] = accumulate(desc[:end], lambda acc, c: acc * u + c)
+    return desc[::-1]
 
 
 def taylor_shift(p: Poly, c) -> Poly:
     """p(x + c) as a Poly."""
-    return Poly(_shift(list(p.coeffs), Fraction(c)))
+    c = Fraction(c)
+    q = c.denominator
+    shifted = _integer_shift(p.nums, c)
+    return Poly([s * q**i for i, s in enumerate(shifted)], p.den * q ** max(p.degree, 0))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
     """1 + max |a_i| / |lead|: strictly exceeds the modulus of every root."""
     if p.degree < 1:
         raise ValueError("root bound needs a nonconstant polynomial")
-    lead = abs(p.leading)
-    rest = [abs(c) for c in p.coeffs[:-1]]
-    return Fraction(1) + (max(rest) / lead if rest else Fraction(0))
+    return 1 + Fraction(max(abs(c) for c in p.nums[:-1]), abs(p.nums[-1]))
 
 
-def _divmod_exact(a: list[Fraction], b: list[Fraction]):
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    r = list(a)
-    while r and len(r) >= len(b):
-        f = r[-1] / b[-1]
-        off = len(r) - len(b)
-        q[off] = f
-        for i in range(len(b)):
-            r[off + i] -= f * b[i]
-        while r and r[-1] == 0:
-            r.pop()
-    return q, r
+def _trim(coeffs: list[int]) -> list[int]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
-def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        _, r = _divmod_exact(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its entries, with a positive last entry (empty stays empty)."""
+    content = math.gcd(*a) or 1
+    return [c // content if a[-1] > 0 else -c // content for c in a]
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lead(b)^k * a = q * b + r, deg r < deg b and k = len(q)."""
+    q, r = [0] * (len(a) - len(b) + 1), list(a)
+    for off in reversed(range(len(q))):
+        top = r.pop()
+        q = [b[-1] * c for c in q]
+        q[off] = top
+        r = [b[-1] * c for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[off + i] -= top * c
+    return q, _trim(r)
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """p with repeated factors collapsed: p / gcd(p, p')."""
+    """p with repeated factors collapsed: exactly p / monic(gcd(p, p')).
+
+    The gcd g is the last nonzero primitive pseudo-remainder, an integer
+    polynomial that by Gauss's lemma divides the numerators of p in Z[x].
+    """
     if p.degree < 1:
         return p
-    coeffs = list(p.coeffs)
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    g = _gcd(coeffs, deriv)
+    g, b = _primitive(list(p.nums)), _primitive([i * c for i, c in enumerate(p.nums)][1:])
+    while b:
+        g, b = b, _primitive(_pseudo_divide(g, b)[1])
     if len(g) == 1:
         return p
-    q, r = _divmod_exact(coeffs, g)
-    if r:
+    quotient, rest = _pseudo_divide(p.nums, g)
+    if rest:
         raise ArithmeticError("gcd does not divide its polynomial")
-    return Poly(q)
+    # lead(g)^k * p.nums = quotient * g, so p / monic(g) = quotient / (lead(g)^(k-1) * p.den).
+    return Poly(quotient, p.den * g[-1] ** (len(quotient) - 1))
 
 
 def variations_in_interval(p: Poly, lo, hi) -> int:
@@ -145,11 +158,12 @@ def variations_in_interval(p: Poly, lo, hi) -> int:
     lo, hi = Fraction(lo), Fraction(hi)
     if hi <= lo:
         raise ValueError(f"need lo < hi; got [{lo}, {hi}]")
-    shifted = _shift(list(p.coeffs), lo)
-    width = hi - lo
-    scaled = [c * width**i for i, c in enumerate(shifted)]
-    moebius = _shift(list(reversed(scaled)), Fraction(1))
-    return sign_variations(moebius)
+    # _integer_shift gives q^d p(lo + t/q); t = q (hi - lo) s = (a/b) s maps
+    # s in (0, 1) onto (lo, hi), and b^d clears the new denominators.
+    width = lo.denominator * (hi - lo)
+    a, b, d = width.numerator, width.denominator, p.degree
+    scaled = [c * a**i * b ** (d - i) for i, c in enumerate(_integer_shift(p.nums, lo))]
+    return sign_variations(_integer_shift(scaled[::-1], Fraction(1)))
 
 
 _NO_ROOTS_MAX_DEPTH = 64  # halvings of (c, Cauchy bound) before no_roots_above gives up
@@ -164,7 +178,7 @@ def no_roots_above(p: Poly, c) -> bool:
     within _NO_ROOTS_MAX_DEPTH halvings (in particular when a root really is there).
     """
     c = Fraction(c)
-    if sign_variations(_shift(list(p.coeffs), c)) == 0:
+    if sign_variations(_integer_shift(p.nums, c)) == 0:
         return True
     bound = cauchy_root_bound(p)
     if bound <= c:
@@ -209,18 +223,6 @@ def round_half_away(q: Fraction, places: int = 2) -> str:
 # Mersenne primes for the modular squarefree certificate, tried in order until
 # one does not divide the leading coefficient.
 _SQUAREFREE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
-
-
-def _integer_coeffs(coeffs) -> list[int]:
-    """The rational coefficients times the lcm of their denominators."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _trim(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
@@ -366,24 +368,22 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
         raise ValueError(f"width must be positive, got {width}")
     if p.degree < 1:
         raise ValueError("cannot isolate roots of a constant polynomial")
-    coeffs = list(p.coeffs)
-    if coeffs[-1] < 0:
-        coeffs = [-c for c in coeffs]
+    nums = list(p.nums)
+    if nums[-1] < 0:
+        nums = [-c for c in nums]
     zero_mult = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
+    while nums[0] == 0:
+        nums.pop(0)
         zero_mult += 1
-    if len(coeffs) == 1:
+    if len(nums) == 1:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
 
-    reduced = Poly(coeffs)
-    ints = _integer_coeffs(reduced.coeffs)
-    if not _certainly_squarefree(ints):
+    reduced = Poly(nums, p.den)
+    if not _certainly_squarefree(nums):
         reduced = squarefree_part(reduced)
-        ints = _integer_coeffs(reduced.coeffs)
-    e = _bound_exponent(ints, cauchy_root_bound(reduced))
+    e = _bound_exponent(reduced.nums, cauchy_root_bound(reduced))
     # A positive integer multiple of reduced(2^e * t), content removed.
-    unit = [c << (e * i) for i, c in enumerate(ints)]
+    unit = [c << (e * i) for i, c in enumerate(reduced.nums)]
     content = math.gcd(*unit)
     unit = [c // content for c in unit]
 

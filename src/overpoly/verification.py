@@ -9,8 +9,8 @@ non-negative real roots of the gap polynomials.
 The grid checks (th3, th4, th5 and the descent search) compare integers
 only: with x = p/q and N_m = q^m * m! * P_m(x) from scaled_values, every
 inequality between P_m values at x is multiplied through by its positive
-common denominator.  The descent certificates are re-checked by Fraction
-evaluation of the same polynomials, a separate code path.
+common denominator.  The descent certificates are re-checked by evaluating
+pbar_poly with Poly's integer power sum, a separate code path.
 
 Every checker decides through one verdict rule, _decide: each checker
 records the key of every wrong-way comparison in scan order, and the first is
@@ -37,11 +37,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import accumulate
 
 from .divisors import pbar_exact, pbar_prefix
-from .polynomials import Poly, homogeneous_value, pbar_poly, product_gap_poly, scaled_gap, scaled_values
-from .rootisolation import isolate_max_root, no_roots_above, round_half_away, sign_variations
+from .polynomials import homogeneous_value, pbar_poly, product_gap_poly, scaled_values
+from .rootisolation import isolate_max_root, no_roots_above, round_half_away
 
 __all__ = [
     "INCONCLUSIVE_BAND",
@@ -302,7 +301,7 @@ def find_descent_x(n: int) -> Fraction:
 
 
 def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
-    """Descent certificates for each n in ns, re-verified by Fraction evaluation."""
+    """Descent certificates for each n in ns, re-verified by Poly evaluation."""
     ns = tuple(ns)
     if not ns:
         raise ValueError("descent check needs at least one n")
@@ -519,46 +518,29 @@ def roots_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _variations_above(coeffs: list[int], x: Fraction) -> int:
-    """Sign variations of q^d * p((u + t)/q) for x = u/q.
-
-    The coefficients of q^d * p(t/q) are shifted by the integer u; zero
-    variations certify that p has no root in (x, oo).  Each synthetic-division
-    pass, acc -> acc * u + c from the top coefficient down, is one accumulate.
-    """
-    u, q = x.numerator, x.denominator
-    d = len(coeffs) - 1
-    desc = [c * q**i for i, c in enumerate(reversed(coeffs))]
-    if u:
-        for end in range(d + 1, 1, -1):
-            desc[:end] = accumulate(desc[:end], lambda acc, c: acc * u + c)
-    return sign_variations(desc)
-
-
 def certify_root_record(record: RootRecord, width=DEFAULT_WIDTH) -> bool:
     """Re-verify a RootRecord against its polynomial with exact arithmetic.
 
     Checks the bracket width, that both ends round to the printed two-decimal
     value, the endpoint signs (value <= 0 at lo or an exact root inside, > 0 at
     hi unless hi is itself the root), and that no root lies above bracket_hi.
-    The polynomial is the integer vector scaled_gap(a, b); the signs come from
-    homogeneous integer Horner and the last check from the integer shift of
-    _variations_above, falling back to the Fraction subdivision of
-    no_roots_above only when that shift still shows variations.  Neither
-    route uses the root search's power-of-two bound, Taylor shift or
-    bisection tree.
+    The polynomial is product_gap_poly(a, b); the signs come from homogeneous
+    integer Horner on its numerators, a separate path from the Poly evaluation
+    that settles the rounding, and the last check from no_roots_above, whose
+    direct shift certificate runs first.  Neither route uses the root search's
+    power-of-two bound, Taylor shift or bisection tree.
     """
     lo, hi = record.bracket_lo, record.bracket_hi
     if not (0 <= lo <= hi and hi - lo <= Fraction(width)):
         return False
     if not round_half_away(lo) == round_half_away(hi) == record.rounded:
         return False
-    coeffs = scaled_gap(record.a, record.b)
-    if not (homogeneous_value(coeffs, lo) <= 0 or lo == 0):
+    gap = product_gap_poly(record.a, record.b)
+    if not (homogeneous_value(gap.nums, lo) <= 0 or lo == 0):
         return False
-    if homogeneous_value(coeffs, hi) < 0:
+    if homogeneous_value(gap.nums, hi) < 0:
         return False
-    return _variations_above(coeffs, hi) == 0 or no_roots_above(Poly(coeffs), hi)
+    return no_roots_above(gap, hi)
 
 
 # Each claim: (checker name in this module, {range parameter: default}).

@@ -319,6 +319,10 @@ def test_bad_config_exits_2(tmp_path, capsys, payload):
         ({"width": None}, ["roots", "--amax", "1", "--bmax", "1"]),
         ({"width": [1]}, ["roots", "--amax", "1", "--bmax", "1"]),
         ({"width": True}, ["roots", "--amax", "1", "--bmax", "1"]),
+        ({"width": float("inf")}, ["poly", "2"]),
+        ({"width": 1e400}, ["roots", "--amax", "1", "--bmax", "1"]),
+        ({"width": "-1/2"}, ["poly", "3"]),
+        ({"width": "-1/2"}, ["roots", "--amax", "1", "--bmax", "1"]),
         ({"workers": "abc"}, ["poly", "3"]),
         ({"workers": "3"}, ["poly", "3"]),
         ({"workers": True}, ["poly", "3"]),
@@ -327,7 +331,8 @@ def test_bad_config_exits_2(tmp_path, capsys, payload):
     ],
 )
 def test_config_type_error_names_the_key(tmp_path, capsys, payload, argv):
-    # Each of these used to print a traceback and exit 1, or (2.5) run with cap 2.
+    # Each of these used to print a traceback and exit 1, or (2.5) run with cap 2;
+    # a width of -1/2 used to pass on poly, and roots did not name the key.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
     code, out, err = run(capsys, "--config", str(config), *argv)

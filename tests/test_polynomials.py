@@ -4,7 +4,7 @@ import importlib
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +45,74 @@ def test_arithmetic_respects_evaluation(p, q, x):
 @given(small_polys, small_polys)
 def test_derivative_product_rule(p, q):
     assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+rational_lists = st.lists(rationals, max_size=6)
+
+
+def _trimmed(cs) -> tuple:
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _reference_str(cs) -> str:
+    """The printed form of the trimmed Fraction list cs, highest degree first."""
+    out = ""
+    for i in reversed(range(len(cs))):
+        if cs[i] == 0:
+            continue
+        mag = abs(cs[i])
+        term = str(mag) if i == 0 else ("" if mag == 1 else f"{mag}*") + ("x" if i == 1 else f"x^{i}")
+        if not out:
+            out = ("-" if cs[i] < 0 else "") + term
+        else:
+            out += (" - " if cs[i] < 0 else " + ") + term
+    return out or "0"
+
+
+@given(rational_lists, rational_lists, rationals)
+def test_poly_matches_fraction_lists(a, b, c):
+    p, q = Poly(a), Poly(b)
+    assert p.coeffs == _trimmed(a) and all(type(x) is Fraction for x in p.coeffs)
+    pad = max(len(a), len(b))
+    a0, b0 = a + [F(0)] * (pad - len(a)), b + [F(0)] * (pad - len(b))
+    assert (p + q).coeffs == _trimmed(x + y for x, y in zip(a0, b0))
+    assert (p - q).coeffs == _trimmed(x - y for x, y in zip(a0, b0))
+    product = [F(0)] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    assert (p * q).coeffs == _trimmed(product)
+    assert (p * c).coeffs == (c * p).coeffs == _trimmed(x * c for x in a)
+    assert p.derivative().coeffs == _trimmed([i * x for i, x in enumerate(a)][1:])
+    assert p(c) == sum(x * c**i for i, x in enumerate(a))
+    assert str(p) == _reference_str(_trimmed(a))
+    assert repr(p) == f"Poly({list(_trimmed(a))!r})"
+    assert (p == q) == (_trimmed(a) == _trimmed(b))
+
+
+@given(rational_lists, st.integers(1, 50))
+def test_poly_fields_are_canonical(a, k):
+    p = Poly(a)
+    assert p.den >= 1 and gcd(p.den, *p.nums) == 1 and p.nums[-1:] != (0,)
+    # The same polynomial over a k-fold denominator has the same fields and hash.
+    same = Poly([k * n for n in p.nums], k * p.den)
+    assert same == p and (same.nums, same.den) == (p.nums, p.den) and hash(same) == hash(p)
+    assert Poly(p.nums, p.den) == Poly(p.coeffs) == p
+
+
+@given(st.lists(st.integers(-50, 50), max_size=6), st.integers(1, 60))
+def test_numerators_over_a_denominator(nums, den):
+    assert Poly(nums, den) == Poly([F(n, den) for n in nums])
+
+
+@pytest.mark.parametrize("den", [0, -3])
+def test_poly_rejects_a_denominator_below_one(den):
+    with pytest.raises(ValueError):
+        Poly([1, 2], den)
 
 
 def test_poly_normalization_and_str():

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import fraction_shift, fraction_variations_in_interval
 
 from overpoly.polynomials import Poly, product_gap_poly
 from overpoly.rootisolation import (
     _bound_exponent,
     _certainly_squarefree,
-    _integer_coeffs,
+    _integer_shift,
     _shift1,
     cauchy_root_bound,
     isolate_max_root,
@@ -40,6 +41,27 @@ def test_taylor_shift():
     assert taylor_shift(taylor_shift(q, F(7, 3)), F(-7, 3)) == q
 
 
+shift_points = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+integer_lists = st.lists(st.integers(-20, 20), max_size=8)
+
+
+@given(integer_lists, st.integers(1, 30), shift_points)
+def test_shifts_agree_with_the_fraction_oracle(nums, den, c):
+    p = Poly(nums, den)
+    assert taylor_shift(p, c) == Poly(fraction_shift(p.coeffs, c))
+    d, q = p.degree, c.denominator
+    # q^d * p((u + t)/q) is q^d * p(c + t/q): coefficient i is q^(d-i) times the one of p(c + t).
+    expected = [q ** (d - i) * s for i, s in enumerate(fraction_shift(p.nums, c))]
+    assert _integer_shift(p.nums, c) == expected
+
+
+@given(integer_lists, shift_points, st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12))
+def test_variations_in_interval_agrees_with_the_fraction_oracle(nums, lo, width):
+    p = Poly(nums)
+    expected = fraction_variations_in_interval(p.coeffs, lo, lo + width)
+    assert variations_in_interval(p, lo, lo + width) == expected
+
+
 def test_cauchy_bound_exceeds_roots():
     # (x-2)(x+3)(x-1/2) has roots 2, -3, 1/2
     p = Poly([3, F(5, 2), -F(1, 2), 1]) * 2
@@ -51,7 +73,9 @@ def test_cauchy_bound_exceeds_roots():
 def test_squarefree_part_collapses_multiplicity():
     p = Poly([-1, 1])  # x - 1
     q = Poly([2, 1])  # x + 2
-    assert squarefree_part(p * p * q) in (p * q, (p * q) * F(1, 1))
+    assert squarefree_part(p * p * q) == p * q
+    # (2x - 1)^2 (x + 2) over x - 1/2, the monic gcd: the primitive gcd 2x - 1 has lead 2.
+    assert squarefree_part(Poly([1, -4, 4]) * q) == Poly([-4, 6, 4])
     collapsed = squarefree_part(p * p * q * q * q)
     assert collapsed.degree == 2
     assert collapsed(1) == 0 and collapsed(-2) == 0
@@ -140,15 +164,16 @@ def test_bracket_contains_known_max_root(roots):
 
 def test_integer_shift_matches_fraction_shift():
     q = [3, -2, 5, 1, 0, -7]
+    assert _shift1(q) == fraction_shift(q, 1)
     assert Poly(_shift1(q)) == taylor_shift(Poly(q), 1)
     assert _shift1([-1, 0, 1]) == [0, 2, 1]
 
 
 def test_modular_squarefree_certificate():
     p = Poly([-1, 1]) * Poly([2, 1]) * Poly([-2, 0, 1])  # (x-1)(x+2)(x^2-2)
-    assert _certainly_squarefree(_integer_coeffs(p.coeffs))
-    assert not _certainly_squarefree(_integer_coeffs((p * Poly([-1, 1])).coeffs))
-    assert _certainly_squarefree(_integer_coeffs(product_gap_poly(5, 7).coeffs[1:]))
+    assert _certainly_squarefree(p.nums)
+    assert not _certainly_squarefree((p * Poly([-1, 1])).nums)
+    assert _certainly_squarefree(product_gap_poly(5, 7).nums[1:])
 
 
 @pytest.mark.parametrize(
@@ -223,13 +248,26 @@ def test_bracket_certified_with_repeated_factors(factored):
         assert variations_in_interval(squarefree_part(distinct), lo, hi) == 1
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=4))
+def test_squarefree_part_is_the_product_of_the_distinct_factors(factored):
+    poly, distinct = Poly([1]), Poly([1])
+    for factor, multiplicity in factored:
+        for _ in range(multiplicity):
+            poly = poly * factor
+    for factor in {f for f, _ in factored}:
+        distinct = distinct * factor
+    # p / monic(gcd(p, p')) keeps the leading coefficient of p.
+    assert squarefree_part(poly) == distinct * (poly.leading / distinct.leading)
+
+
 @settings(deadline=None, max_examples=80)
 @given(st.lists(factors, min_size=1, max_size=4))
 def test_power_of_two_bound_is_the_smallest_certified(factor_list):
     poly = Poly([1])
     for factor in factor_list:
         poly = poly * factor
-    e = _bound_exponent(_integer_coeffs(poly.coeffs), cauchy_root_bound(poly))
+    e = _bound_exponent(poly.nums, cauchy_root_bound(poly))
     bound = F(2**e)
     assert bound <= 2 * cauchy_root_bound(poly)
     assert poly(bound) != 0 and no_roots_above(poly, bound)

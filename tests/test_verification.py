@@ -8,10 +8,11 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import fraction_shift
 
-from overpoly import verification
+from overpoly import polynomials, rootisolation, verification
 from overpoly.divisors import pbar_exact, pbar_prefix
-from overpoly.polynomials import homogeneous_value, pbar_poly, scaled_values
+from overpoly.polynomials import Poly, homogeneous_value, pbar_poly, scaled_values
 from overpoly.serial import encode, load
 from overpoly.verification import (
     BoundTriple,
@@ -114,6 +115,22 @@ def test_descent_certificates():
     report = check_descent((3, 7))
     assert report.holds
     assert report.stats["points"]["3"] == x3
+
+
+@pytest.mark.parametrize("wrong", ["point", "search arithmetic"])
+def test_descent_recheck_rejects_a_wrong_point(monkeypatch, wrong):
+    # P_4 - P_3 = (2x^4 + 8x^3 + 10x^2 - 2x)/3 is 21/8 > 0 at x = 1/2, so 1/2 is
+    # no descent point for n = 3.  The search's integer Horner, negated, accepts
+    # it; the re-check through Poly evaluation must not share that arithmetic.
+    if wrong == "point":
+        monkeypatch.setattr(verification, "find_descent_x", lambda n: F(1, 2))
+    else:
+        horner = polynomials._homogeneous_horner
+        monkeypatch.setattr(polynomials, "_homogeneous_horner", lambda *args: -horner(*args))
+        assert verification.find_descent_x(3) == F(1, 2)
+    report = check_descent((3,))
+    assert not report.holds and report.counterexample == 3
+    assert report.stats["points"] == {"3": F(1, 2)}
 
 
 def test_descent_domain_errors():
@@ -439,23 +456,20 @@ def test_certify_checks_the_rounding():
     st.fractions(min_value=0, max_value=4, max_denominator=12),
 )
 def test_integer_recheck_agrees_with_fraction_shift(coeffs, hi):
-    from overpoly.polynomials import Poly
-    from overpoly.rootisolation import no_roots_above, sign_variations, taylor_shift
-
     poly = Poly(coeffs)
     value = homogeneous_value(coeffs, hi)
     assert (value > 0) - (value < 0) == (poly(hi) > 0) - (poly(hi) < 0)
-    variations = verification._variations_above(coeffs, hi)
-    assert variations == sign_variations(taylor_shift(poly, hi).coeffs)
+    variations = rootisolation.sign_variations(rootisolation._integer_shift(coeffs, hi))
+    assert variations == rootisolation.sign_variations(fraction_shift(coeffs, hi))
     if variations == 0:
-        assert no_roots_above(poly, hi)
+        assert rootisolation.no_roots_above(poly, hi)
 
 
 def test_recheck_rejects_a_bracket_below_the_largest_root(monkeypatch):
     # (2x - 1)(4x - 3)(5x - 4): a sign change up through 1/2 as through 4/5, so
     # a bracket at 1/2 passes the endpoint signs and only the check above hi
     # can reject it.
-    monkeypatch.setattr(verification, "scaled_gap", lambda a, b: [-12, 55, -82, 40])
+    monkeypatch.setattr(verification, "product_gap_poly", lambda a, b: Poly([-12, 55, -82, 40]))
     below = RootRecord(1, 1, F(49999, 100000), F(50001, 100000), "0.50")
     assert not certify_root_record(below)
     top = RootRecord(1, 1, F(79999, 100000), F(80001, 100000), "0.80")
