@@ -7,16 +7,14 @@ usage, parse, and resource-cap errors.
 
 Rationals cross the boundary as exact "p/q" strings (plain integers and exact
 decimals also parse); output is deterministic for fixed arguments.  A JSON
---config file may override caps, the root-bracket width, the evaluation grid,
-and the worker count; the OVERPOLY_WORKERS environment variable takes
-precedence for workers.
+--config file may override caps, the root-bracket width and the evaluation
+grid.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -55,8 +53,15 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(chunk) for chunk in text.split(",") if chunk.strip())
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}") from exc
+
+
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(chunk) for chunk in text.split(",") if chunk.strip())
+    return tuple(_int(chunk) for chunk in text.split(",") if chunk.strip())
 
 
 # verify flag -> (checker range parameter, type, help); CLAIMS says which claim takes which.
@@ -76,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="overpoly",
         description="Exact arithmetic and verification for overpartition polynomials.",
     )
-    parser.add_argument("--config", help="JSON file overriding caps/width/xs/workers")
+    parser.add_argument("--config", help="JSON file overriding caps/width/xs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="overpartition polynomial for one n")
@@ -154,18 +159,11 @@ def _parse_xs(raw) -> tuple[Fraction, ...]:
     return tuple(Fraction(str(x)) for x in raw)
 
 
-def _parse_workers(raw) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool) or raw < 1:
-        raise TypeError("not a positive integer")
-    return raw
-
-
 # config key -> (parser, what the value must be)
 _CONFIG_VALUES = {
     "caps": (_parse_caps, 'an object from color counts to integer caps, such as {"1": 26}'),
     "width": (_parse_width, 'a positive rational, such as "1/100"'),
     "xs": (_parse_xs, 'a list of rationals, such as ["1", "3/2"]'),
-    "workers": (_parse_workers, "a positive integer, such as 2"),
 }
 
 
@@ -224,6 +222,9 @@ def _cmd_series(args, config: dict) -> int:
 
 def _cmd_enumerate(args, config: dict) -> int:
     constraint = Constraint.parse(args.forbid) if args.forbid else NO_CONSTRAINT
+    for size, color in sorted(constraint.forbidden):
+        if color > args.colors >= 1:  # a color count below 1 is enumerate_ops's error
+            raise ValueError(f"ban '{size}_{color}' has color {color}, above --colors {args.colors}")
     caps = _caps_from(config, args.colors, args.cap)
     items = enumerate_ops(args.n, args.colors, constraint, caps=caps)
     if args.format == "json":
@@ -295,7 +296,7 @@ def _cmd_roots(args, config: dict) -> int:
     width = args.width
     if width is None:
         width = config.get("width", DEFAULT_WIDTH)
-    records = roots_table(args.amax, args.bmax, width, workers=_workers(config))
+    records = roots_table(args.amax, args.bmax, width)
     if args.format == "csv":
         sys.stdout.write(roots_csv(records))
     elif args.format == "json":
@@ -305,20 +306,6 @@ def _cmd_roots(args, config: dict) -> int:
         for record in records:
             print(f"x({record.a},{record.b}) = {record.rounded}  bracket=[{record.bracket_lo}, {record.bracket_hi}]")
     return 0
-
-
-def _workers(config: dict) -> int:
-    """The pool size: OVERPOLY_WORKERS, else the config key workers (checked on load), else 1."""
-    if "OVERPOLY_WORKERS" not in os.environ:
-        return config.get("workers", 1)
-    raw = os.environ["OVERPOLY_WORKERS"]
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"OVERPOLY_WORKERS must be a positive integer, got {raw!r}")
-    return workers
 
 
 def _cmd_bounds(args, config: dict) -> int:

@@ -20,6 +20,7 @@ configuration, not constants.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
@@ -51,6 +52,10 @@ class Part(NamedTuple):
         return f"{self.size}{bar}_{self.color}"
 
 
+_POSITIVE = "0*[1-9][0-9]*"
+_BAN = re.compile(f"({_POSITIVE})(?:_({_POSITIVE}))?")  # s or s_c in decimal digits
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Forbidden (size, color) pairs, banned for non-overlined parts only."""
@@ -62,14 +67,20 @@ class Constraint:
 
     @staticmethod
     def parse(text: str) -> "Constraint":
-        """Parse "1_1,2_1" into a Constraint; empty string means no constraint."""
+        """Parse "1_1,2_1" into a Constraint; empty string means no constraint.
+
+        Each ban is s or s_c (color 1 if left out) in decimal digits with
+        s, c >= 1; any other ban raises ValueError naming it.
+        """
         pairs = set()
         for chunk in text.split(","):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            size_text, _, color_text = chunk.partition("_")
-            pairs.add((int(size_text), int(color_text) if color_text else 1))
+            match = _BAN.fullmatch(chunk)
+            if not match:
+                raise ValueError(f"bad ban {chunk!r}: need s or s_c with integers s, c >= 1")
+            pairs.add((int(match[1]), int(match[2] or 1)))
         return Constraint(frozenset(pairs))
 
 

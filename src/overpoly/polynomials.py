@@ -96,8 +96,17 @@ class Poly:
         while nums and nums[-1] == 0:
             nums.pop()
         g = gcd(den, *nums)
-        self.nums = tuple(c // g for c in nums)
-        self.den = den // g
+        object.__setattr__(self, "nums", tuple(c // g for c in nums))
+        object.__setattr__(self, "den", den // g)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Poly is immutable; cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Poly is immutable; cannot delete {name}")
+
+    def __reduce__(self):
+        return Poly, (self.nums, self.den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -473,41 +473,25 @@ class RootRecord:
     rounded: str
 
 
-def _roots_cell(args) -> RootRecord:
-    a, b, width = args
-    lo, hi, _ = isolate_max_root(product_gap_poly(a, b), width, places=2)
-    return RootRecord(a, b, lo, hi, round_half_away(lo))
-
-
-def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH, workers: int = 1) -> list[RootRecord]:
+def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]:
     """Certified max-root brackets for every gap polynomial cell, row-major.
 
     The gap polynomial is symmetric in (a, b), so only cells with a <= b are
-    isolated and each result is copied to (b, a).  Cells are independent;
-    with workers > 1 they are computed in a process pool after the polynomial
-    memo is warmed sequentially in the parent.  Every distinct record is
-    re-checked by certify_root_record before it is mirrored, and a failure
-    raises ArithmeticError.
+    isolated, one after another, and each result is copied to (b, a).  Every
+    distinct record is re-checked by certify_root_record before it is
+    mirrored, and a failure raises ArithmeticError.
     """
     _need_range("a_max", a_max, 1)
     _need_range("b_max", b_max, 1)
     width = Fraction(width)
-    pbar_poly(a_max + b_max)  # warm the shared memo before any fork
     cells = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)]
-    unique = sorted({(min(a, b), max(a, b)) for a, b in cells})
-    jobs = [(a, b, width) for a, b in unique]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only the pool needs multiprocessing
-
-        chunk = max(1, len(jobs) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            computed = list(pool.map(_roots_cell, jobs, chunksize=chunk))
-    else:
-        computed = [_roots_cell(job) for job in jobs]
-    for record in computed:
+    by_pair = {}
+    for a, b in sorted({(min(a, b), max(a, b)) for a, b in cells}):
+        lo, hi, _ = isolate_max_root(product_gap_poly(a, b), width, places=2)
+        record = RootRecord(a, b, lo, hi, round_half_away(lo))
         if not certify_root_record(record, width):
-            raise ArithmeticError(f"root record for cell ({record.a}, {record.b}) failed its re-check")
-    by_pair = dict(zip(unique, computed))
+            raise ArithmeticError(f"root record for cell ({a}, {b}) failed its re-check")
+        by_pair[a, b] = record
     return [replace(by_pair[min(a, b), max(a, b)], a=a, b=b) for a, b in cells]
 
 

@@ -65,6 +65,14 @@ def test_enumerate_forbid(capsys):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("forbid", ["1_1_1", "0_1", "1_0", "1_5"])
+def test_enumerate_rejects_a_bad_ban(capsys, forbid):
+    # Each of these used to be ignored (1_1_1 banned (1, 11)) and print count = 8.
+    code, out, err = run(capsys, "enumerate", "3", "--count", "--colors", "1", "--forbid", forbid)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{forbid}'" in err
+
+
 def test_enumerate_cap_exceeded(capsys):
     code, _, err = run(capsys, "enumerate", "26")
     assert code == 2
@@ -323,11 +331,6 @@ def test_bad_config_exits_2(tmp_path, capsys, payload):
         ({"width": 1e400}, ["roots", "--amax", "1", "--bmax", "1"]),
         ({"width": "-1/2"}, ["poly", "3"]),
         ({"width": "-1/2"}, ["roots", "--amax", "1", "--bmax", "1"]),
-        ({"workers": "abc"}, ["poly", "3"]),
-        ({"workers": "3"}, ["poly", "3"]),
-        ({"workers": True}, ["poly", "3"]),
-        ({"workers": 0}, ["poly", "3"]),
-        ({"workers": 2.0}, ["poly", "3"]),
     ],
 )
 def test_config_type_error_names_the_key(tmp_path, capsys, payload, argv):
@@ -338,6 +341,23 @@ def test_config_type_error_names_the_key(tmp_path, capsys, payload, argv):
     code, out, err = run(capsys, "--config", str(config), *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"error: config key {next(iter(payload))} must be ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["bogus", "workers"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 2}))
+    code, out, err = run(capsys, "--config", str(config), "roots", "--amax", "1", "--bmax", "1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: unknown config keys ['{key}']; known keys are ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("claim, flag, value", [("th5", "--kset", "2,x"), ("descent", "--ns", "3, y")])
+def test_verify_names_a_bad_integer(capsys, claim, flag, value):
+    # The message used to name the parser's helper, _int_list, instead of the bad chunk.
+    code, out, err = run(capsys, "verify", claim, flag, value)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith(f"argument {flag}: not an integer: '{value[-1]}'")
 
 
 @pytest.mark.parametrize(
@@ -448,47 +468,3 @@ def test_verify_usage_names_flags(capsys):
     assert code == 0
     assert "--nmax NMAX" in out and "--kset KSET" in out and "N_MAX" not in out
     assert "{th1,th3,th4,th5,le3,ie7,ie8,ie11,logconcave,descent}" in out
-
-
-@pytest.mark.parametrize(
-    "env, config, expected",
-    [(None, None, 1), ("3", None, 3), (None, 2, 2), ("3", 2, 3)],
-    ids=["default", "env", "config", "env-over-config"],
-)
-def test_roots_workers_resolution(tmp_path, capsys, monkeypatch, env, config, expected):
-    received = []
-    monkeypatch.setattr(
-        "overpoly.cli.roots_table", lambda *args, workers: received.append(workers) or []
-    )
-    if env is None:
-        monkeypatch.delenv("OVERPOLY_WORKERS", raising=False)
-    else:
-        monkeypatch.setenv("OVERPOLY_WORKERS", env)
-    argv = ["roots", "--amax", "2", "--bmax", "2"]
-    if config is not None:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"workers": config}))
-        argv = ["--config", str(path), *argv]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0 and out == "a,b,root\n"
-    assert received == [expected]
-
-
-@pytest.mark.parametrize("source", ["env", "config"])
-@pytest.mark.parametrize("value", ["-4", "0", "abc"])
-def test_roots_rejects_bad_workers(tmp_path, capsys, monkeypatch, source, value):
-    # -4 and 0 used to run sequentially with exit 0.
-    monkeypatch.setattr("overpoly.cli.roots_table", lambda *args, workers: [])
-    monkeypatch.delenv("OVERPOLY_WORKERS", raising=False)
-    argv = ["roots", "--amax", "2", "--bmax", "2"]
-    if source == "env":
-        monkeypatch.setenv("OVERPOLY_WORKERS", value)
-        name = "OVERPOLY_WORKERS"
-    else:
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({"workers": value if value == "abc" else int(value)}))
-        argv = ["--config", str(path), *argv]
-        name = "config key workers"
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and name in err

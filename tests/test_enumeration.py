@@ -1,5 +1,6 @@
 """The brute-force overpartition oracle."""
 
+import re
 from fractions import Fraction
 from itertools import chain, zip_longest
 
@@ -172,6 +173,10 @@ def test_constraint_parsing():
     assert Constraint.parse("1_1,2_1") == forbid((1, 1), (2, 1))
     assert Constraint.parse("3") == forbid((3, 1))
     assert Constraint.parse("") == NO_CONSTRAINT
+    assert Constraint.parse(" 01_02 ,") == forbid((1, 2))
+    for bad in ("1_1_1", "0_1", "1_0", "1_", "_1", "x", "+1"):
+        with pytest.raises(ValueError, match=re.escape(f"'{bad}'")):
+            Constraint.parse(bad)
 
 
 def test_deterministic_order():

@@ -1,6 +1,7 @@
 """Polynomial arithmetic and the overpartition polynomial family."""
 
 import importlib
+import pickle
 import threading
 from contextlib import contextmanager
 from fractions import Fraction
@@ -113,6 +114,17 @@ def test_numerators_over_a_denominator(nums, den):
 def test_poly_rejects_a_denominator_below_one(den):
     with pytest.raises(ValueError):
         Poly([1, 2], den)
+
+
+@pytest.mark.parametrize("field, value", [("nums", (5,)), ("den", 3)])
+def test_poly_fields_cannot_be_assigned(field, value):
+    # Assigning nums used to succeed and change the hash of a live Poly.
+    p = Poly([1, 2])
+    before = hash(p)
+    with pytest.raises(AttributeError):
+        setattr(p, field, value)
+    assert (p.nums, p.den) == ((1, 2), 1) and hash(p) == before
+    assert pickle.loads(pickle.dumps(p)) == p
 
 
 def test_poly_normalization_and_str():

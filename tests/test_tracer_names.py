@@ -34,7 +34,6 @@ def test_every_traced_name_exists():
 def test_traced_audit_counts_map_applications(tmp_path):
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("OVERPOLY_WORKERS", None)
     done = subprocess.run(
         [sys.executable, str(TRACER), str(spans), "0", "bijection", "g1", "--a", "3"],
         env=env, capture_output=True, text=True, timeout=120,

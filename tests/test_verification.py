@@ -249,12 +249,6 @@ def test_gap_positive_beyond_rounded_root():
                 assert gap(x) > 0, (record.a, record.b, x)
 
 
-def test_roots_table_parallel_matches_sequential():
-    sequential = roots_table(3, 3, workers=1)
-    parallel = roots_table(3, 3, workers=2)
-    assert parallel == sequential
-
-
 def test_roots_csv_format():
     records = roots_table(2, 2)
     text = roots_csv(records)
