@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -54,10 +55,10 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}") from exc
+    """An optional sign and ASCII digits; int() alone also reads '1_2' and non-ASCII digits."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}")
+    return int(text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -66,10 +67,10 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 # verify flag -> (checker range parameter, type, help); CLAIMS says which claim takes which.
 _RANGE_FLAGS = {
-    "--nmax": ("n_max", int, None),
-    "--amax": ("a_max", int, None),
-    "--alo": ("a_lo", int, None),
-    "--ahi": ("a_hi", int, None),
+    "--nmax": ("n_max", _int, None),
+    "--amax": ("a_max", _int, None),
+    "--alo": ("a_lo", _int, None),
+    "--ahi": ("a_hi", _int, None),
     "--xs": ("xs", _rational_list, 'grid, e.g. "1,3/2,2,5/2,3"'),
     "--kset": ("k_set", _int_list, 'color counts, e.g. "2,3"'),
     "--ns": ("ns", _int_list, 'descent inputs, e.g. "3,7,15,31"'),
@@ -86,32 +87,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly", help="overpartition polynomial for one n")
     p.set_defaults(handler=_cmd_poly)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p.add_argument("--eval", dest="point", type=_rational, help="evaluate at a rational point")
     p.add_argument("--derivative", action="store_true", help="use the derivative-identity polynomial")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("series", help="truncated exponential generating series")
     p.set_defaults(handler=_cmd_series)
-    p.add_argument("order", type=int)
+    p.add_argument("order", type=_int)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("enumerate", help="list k-colored overpartitions of n")
     p.set_defaults(handler=_cmd_enumerate)
-    p.add_argument("n", type=int)
-    p.add_argument("--colors", type=int, default=1)
+    p.add_argument("n", type=_int)
+    p.add_argument("--colors", type=_int, default=1)
     p.add_argument("--forbid", default="", help='non-overlined bans, e.g. "1_1,2_1"')
     p.add_argument("--count", action="store_true", help="print the count only")
-    p.add_argument("--cap", type=int, help="enumeration cap for this color count")
+    p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("bijection", help="exhaustively audit one of the injections")
     p.set_defaults(handler=_cmd_bijection)
     p.add_argument("map", choices=MAP_NAMES)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int)
-    p.add_argument("--colors", type=int, default=1)
-    p.add_argument("--cap", type=int, help="enumeration cap for this color count")
+    p.add_argument("--a", type=_int, required=True)
+    p.add_argument("--b", type=_int)
+    p.add_argument("--colors", type=_int, default=1)
+    p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify", help="check one claim over its range")
@@ -123,22 +124,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="certified max-root table for the gap polynomials")
     p.set_defaults(handler=_cmd_roots)
-    p.add_argument("--amax", type=int, default=10)
-    p.add_argument("--bmax", type=int, default=10)
+    p.add_argument("--amax", type=_int, default=10)
+    p.add_argument("--bmax", type=_int, default=10)
     p.add_argument("--width", type=_rational, help=f"bracket width (default {DEFAULT_WIDTH})")
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
     p = sub.add_parser("bounds", help="analytic sandwich and truncated-series data")
     p.set_defaults(handler=_cmd_bounds)
-    p.add_argument("n", type=int, nargs="?")
-    p.add_argument("--nmax", type=int, help="scan 1..nmax instead of a single n")
+    p.add_argument("n", type=_int, nargs="?")
+    p.add_argument("--nmax", type=_int, help="scan 1..nmax instead of a single n")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
 
 def _parse_caps(raw) -> dict[int, int]:
-    caps = {int(count): cap for count, cap in raw.items()}
+    caps = {_int(count): cap for count, cap in raw.items()}
     if any(count < 1 or not isinstance(cap, int) or isinstance(cap, bool) for count, cap in caps.items()):
         raise TypeError("not a cap table")
     return caps
@@ -182,7 +183,7 @@ def _load_config(path: str | None) -> dict:
         if key in config:
             try:
                 config[key] = parse(config[key])
-            except (AttributeError, OverflowError, TypeError, ValueError, ZeroDivisionError):
+            except (argparse.ArgumentTypeError, ArithmeticError, AttributeError, TypeError, ValueError):
                 raise ValueError(f"config key {key} must be {rule}; got {json.dumps(config[key])}") from None
     return config
 

@@ -9,33 +9,36 @@ polynomials:
                            certify the interval empty, one variation certifies
                            exactly one root inside.
 
-isolate_max_root() deflates the root at 0, reduces to the squarefree part,
-and starts from the smallest power of two B = 2^e whose shifted polynomial
-p(B + t) has no sign variations and a nonzero constant term, so that no root
-lies in [B, oo).  Some e up to ceil(log2) of the Cauchy bound always passes,
-because every coefficient of p(c + t) is positive once c exceeds the real
-part of every root.  It then scans the dyadic subintervals of (0, B) right to
-left, bisecting until the rightmost root is pinned in a bracket no wider than
-the requested width.  Both ends of that bracket are dyadic rationals; the
-optional rounding refinement may move one of them to a decimal boundary.
+isolate_max_root() deflates the root at 0 and starts from the smallest power
+of two B = 2^e whose scaled polynomial p(B(1 + t)) has no sign variations and
+a nonzero constant term, so that no root lies in [B, oo).  Some e up to
+ceil(log2) of the Cauchy bound always passes, because every coefficient of
+p(c + t) is positive once c exceeds the real part of every root.
 
-The search is the integer Vincent-Collins-Akritas method in the form of
-Rouillier & Zimmermann, "Efficient isolation of polynomial's real roots"
-(J. Comput. Appl. Math. 162, 2004).  It reads the integer numerators of the
-Poly, and x = B*t maps (0, B) onto (0, 1); every node of the bisection tree carries a positive
-integer multiple of p restricted to its interval and rescaled to (0, 1), and
-derives its children from it with one halving and one Taylor shift by 1.  The
-squarefree reduction is skipped when gcd(p, p') = 1 modulo a large prime.
+When p(0) < 0 < p(B), it bisects (0, B) by the exact sign of p until the
+bracket is no wider than the requested width.  That bracket holds a sign
+change, but not necessarily the largest root, so it is kept only when
+p(hi(1 + t)) has no sign variations, the same test as the one for B.
+Otherwise the search runs on the squarefree part: the integer
+Vincent-Collins-Akritas method in the form of Rouillier & Zimmermann,
+"Efficient isolation of polynomial's real roots" (J. Comput. Appl. Math. 162,
+2004).  x = B*t maps (0, B) onto (0, 1); every node of its bisection tree
+carries a positive integer multiple of p restricted to its interval and
+rescaled to (0, 1), derives its children from it with one halving and one
+Taylor shift by 1, and the dyadic subintervals are scanned right to left.
+Both ends of a bracket from either search are dyadic rationals; the optional
+rounding refinement may move one of them to a decimal boundary.
+
 The power-of-two start keeps the coefficients small: the gap polynomials of
 the root table have their roots below 1, far under their Cauchy bounds (1e11
 at cell (10, 10)), and B = 2^e adds only e*i bits to the i-th coefficient.
 No floating point enters any decision.
 
 A second route to the same certificates shares no code with the search:
-taylor_shift, variations_in_interval and no_roots_above rest on one integer
-shift by a rational, q^d * p((u + t)/q) for the point u/q, and
-squarefree_part on an integer primitive pseudo-remainder gcd.  It is the
-exact squarefree fallback, and the re-check of every emitted bracket.
+variations_in_interval and no_roots_above rest on one integer shift by a
+rational, q^d * p((u + t)/q) for the point u/q.  It is the re-check of every
+emitted bracket.  squarefree_part is an integer primitive pseudo-remainder
+gcd.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .polynomials import Poly
 
 __all__ = [
     "sign_variations",
-    "taylor_shift",
     "cauchy_root_bound",
     "squarefree_part",
     "variations_in_interval",
@@ -87,14 +89,6 @@ def _integer_shift(nums, x: Fraction) -> list[int]:
         for end in range(len(desc), 1, -1):
             desc[:end] = accumulate(desc[:end], lambda acc, c: acc * u + c)
     return desc[::-1]
-
-
-def taylor_shift(p: Poly, c) -> Poly:
-    """p(x + c) as a Poly."""
-    c = Fraction(c)
-    q = c.denominator
-    shifted = _integer_shift(p.nums, c)
-    return Poly([s * q**i for i, s in enumerate(shifted)], p.den * q ** max(p.degree, 0))
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -220,42 +214,6 @@ def round_half_away(q: Fraction, places: int = 2) -> str:
     return f"{prefix}{head}.{tail:0{places}d}"
 
 
-# Mersenne primes for the modular squarefree certificate, tried in order until
-# one does not divide the leading coefficient.
-_SQUAREFREE_PRIMES = (2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
-
-
-def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
-    """Whether gcd(a, b) is a nonzero constant over the integers mod prime."""
-    a = _trim([c % prime for c in a])
-    b = _trim([c % prime for c in b])
-    while b:
-        inverse = pow(b[-1], -1, prime)
-        while len(a) >= len(b):
-            f = a[-1] * inverse % prime
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - f * c) % prime
-            _trim(a)
-        a, b = b, a
-    return len(a) == 1
-
-
-def _certainly_squarefree(ints: list[int]) -> bool:
-    """True only if gcd(p, p') = 1 over Q; False means undecided.
-
-    A gcd g of positive degree over Q has a primitive integer multiple that
-    divides p in Z[x], so its leading coefficient divides lead(p).  Modulo a
-    prime not dividing lead(p), g keeps its degree and divides both p and p',
-    so the gcd there has positive degree too.
-    """
-    deriv = [i * c for i, c in enumerate(ints)][1:]
-    for prime in _SQUAREFREE_PRIMES:
-        if ints[-1] % prime:
-            return _coprime_mod(ints, deriv, prime)
-    return False
-
-
 def _shift1(coeffs: list[int]) -> list[int]:
     """Coefficients of q(t + 1), ascending like the input.
 
@@ -311,10 +269,10 @@ def _rightmost_cell(unit: list[int], narrow_depth: int):
 def _settle_rounding(p: Poly, lo: Fraction, hi: Fraction, places: int):
     """Shrink a bracket until both ends round to the same `places` digits.
 
-    (lo, hi) holds exactly one root of the squarefree p and hi is not a root,
-    so p changes sign only there.  Each step cuts at the rounding boundary
-    just above lo, or at the midpoint when that boundary is hi itself, and
-    keeps the side where the sign changes; a root on the cut ends it.
+    p changes sign in (lo, hi): p(lo) and p(hi) are nonzero with opposite
+    signs.  Each step cuts at the rounding boundary just above lo, or at the
+    midpoint when that boundary is hi itself, and keeps the side where the
+    sign changes; a root on the cut ends it.
     """
     scale = 10**places
     half = Fraction(1, 2)
@@ -333,6 +291,16 @@ def _settle_rounding(p: Poly, lo: Fraction, hi: Fraction, places: int):
     return lo, hi
 
 
+def _scaled_shift(ints: list[int], x: Fraction) -> list[int]:
+    """Ascending integer coefficients of q^d p(x(1 + t)), for x = u/q > 0 and p of degree d.
+
+    Zero sign variations certify that the integer polynomial p has no root in
+    (x, oo); the constant term is q^d p(x).
+    """
+    u, q, d = x.numerator, x.denominator, len(ints) - 1
+    return _shift1([c * u**i * q ** (d - i) for i, c in enumerate(ints)])
+
+
 def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
     """Smallest e >= 0 such that no root of the integer polynomial lies in [2^e, oo).
 
@@ -342,7 +310,7 @@ def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
     """
     e = 0
     while True:
-        shifted = _shift1([c << (e * i) for i, c in enumerate(ints)])
+        shifted = _scaled_shift(ints, Fraction(2**e))
         if shifted[0] != 0 and sign_variations(shifted) == 0:
             return e
         if 2**e >= cauchy:
@@ -353,15 +321,18 @@ def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
 def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     """Bracket the largest non-negative real root of p within the given width.
 
-    The search starts from the smallest B = 2^e (e >= 0) for which p(B + t)
-    has no sign variations and p(B) != 0, and bisects (0, B), so both ends of
-    a bracket from the search are dyadic rationals.  Certificates: the
-    returned hi has no roots of p above it (Descartes, via the bound and the
-    scan invariant), and either lo == hi is an exact root or the open interval
-    (lo, hi) carries Moebius variation count 1 (exactly one root).  With
-    `places`, the bracket is refined further until lo and hi round half away
-    from zero to the same `places`-digit decimal.  Requires a nonconstant p;
-    the sign of the leading coefficient is normalized away.
+    Both searches work inside (0, B) for the smallest B = 2^e (e >= 0) for
+    which p(B + t) has no sign variations and p(B) != 0, so both ends of a
+    bracket from a search are dyadic rationals.  When p(0) < 0 < p(B),
+    bisection by the exact sign of p halves (0, B) down to the width, and its
+    bracket is kept if p(hi(1 + t)) has no sign variations.  Otherwise the
+    Descartes search runs on the squarefree part.  Certificates: the returned
+    hi has no roots of p above it, and either lo == hi is an exact root or the
+    open interval (lo, hi) holds the largest root, where p changes sign (after
+    the fallback, its squarefree part does).  With `places`, the bracket is
+    refined further until lo and hi round half away from zero to the same
+    `places`-digit decimal.  Requires a nonconstant p; the sign of the leading
+    coefficient is normalized away.
     """
     width = Fraction(width)
     if width <= 0:
@@ -378,10 +349,25 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     if len(nums) == 1:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
 
-    reduced = Poly(nums, p.den)
-    if not _certainly_squarefree(nums):
-        reduced = squarefree_part(reduced)
-    e = _bound_exponent(reduced.nums, cauchy_root_bound(reduced))
+    deflated = Poly(nums, p.den)
+    e = _bound_exponent(nums, cauchy_root_bound(deflated))
+    if nums[0] < 0:
+        lo, hi = Fraction(0), Fraction(2**e)
+        while hi - lo > width:
+            mid = (lo + hi) / 2
+            value = deflated(mid)
+            if value == 0:
+                lo = hi = mid
+            elif value > 0:
+                hi = mid
+            else:
+                lo = mid
+        if places is not None:
+            lo, hi = _settle_rounding(deflated, lo, hi, places)
+        if sign_variations(_scaled_shift(nums, hi)) == 0:
+            return RootBracket(lo, hi, True)
+
+    reduced = squarefree_part(deflated)
     # A positive integer multiple of reduced(2^e * t), content removed.
     unit = [c << (e * i) for i, c in enumerate(reduced.nums)]
     content = math.gcd(*unit)

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -282,6 +283,15 @@ def test_roots_csv_matches_golden(capsys):
     assert out.encode() == (DATA / "roots_20x20.csv").read_bytes()
 
 
+def test_roots_30x30_json_is_pinned(capsys):
+    # Recorded while the search was the Descartes scan alone, before it began with sign bisection.
+    code, out, _ = run(capsys, "roots", "--amax", "30", "--bmax", "30", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e4535cf534a6eba83bcd380fd1282f099cdbedfbadcdbd86b501047fc003adc6"
+    )
+
+
 @pytest.mark.parametrize("claim", ["th3", "th4"])
 def test_config_xs_grid(tmp_path, capsys, claim):
     config = tmp_path / "config.json"
@@ -358,6 +368,39 @@ def test_verify_names_a_bad_integer(capsys, claim, flag, value):
     code, out, err = run(capsys, "verify", claim, flag, value)
     assert code == 2 and out == ""
     assert err.splitlines()[-1].endswith(f"argument {flag}: not an integer: '{value[-1]}'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "th1", "--nmax", "1_2"],
+        ["verify", "th5", "--amax", "4", "--kset", "1_0"],
+        ["verify", "descent", "--ns", "3,1_5"],
+        ["verify", "ie11", "--alo", "\u0669\u0664"],
+        ["poly", "\u0663"],
+        ["series", "1_0"],
+        ["enumerate", "3", "--count", "--cap", "1_000"],
+        ["bijection", "g1", "--a", "\u0663"],
+        ["roots", "--amax", "\uff13", "--bmax", "3"],
+        ["bounds", "--nmax", "\uff13"],
+    ],
+)
+def test_integer_arguments_take_only_ascii_digits(capsys, argv):
+    # int() reads '1_2' as 12 and Arabic-Indic or fullwidth digits as their values;
+    # each of these used to run and exit 0.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert ": not an integer: " in err
+
+
+@pytest.mark.parametrize("count", ["1_0", "\u0661", "\uff12"])
+def test_config_cap_counts_take_only_ascii_digits(tmp_path, capsys, count):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"caps": {count: 5}}))  # each used to set a cap and exit 0
+    code, out, err = run(capsys, "--config", str(config), "enumerate", "3", "--count")
+    assert code == 2 and out == ""
+    assert err.startswith("error: config key caps must be ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import fraction_shift, fraction_variations_in_interval
 
+import overpoly.rootisolation as rootisolation
 from overpoly.polynomials import Poly, product_gap_poly
 from overpoly.rootisolation import (
     _bound_exponent,
-    _certainly_squarefree,
     _integer_shift,
+    _scaled_shift,
     _shift1,
     cauchy_root_bound,
     isolate_max_root,
@@ -18,9 +19,9 @@ from overpoly.rootisolation import (
     round_half_away,
     sign_variations,
     squarefree_part,
-    taylor_shift,
     variations_in_interval,
 )
+from overpoly.verification import roots_table
 
 F = Fraction
 WIDTH = F(1, 10**4)
@@ -34,11 +35,11 @@ def test_sign_variations():
 
 
 def test_taylor_shift():
-    p = Poly([-1, 0, 1])  # x^2 - 1
-    assert taylor_shift(p, 1) == Poly([0, 2, 1])
-    assert taylor_shift(p, -1) == Poly([0, -2, 1])
-    q = Poly([3, -2, 5, 1])
-    assert taylor_shift(taylor_shift(q, F(7, 3)), F(-7, 3)) == q
+    assert _integer_shift([-1, 0, 1], F(1)) == [0, 2, 1]  # x^2 - 1 at 1 + t
+    assert _integer_shift([-1, 0, 1], F(-1)) == [0, -2, 1]
+    assert _integer_shift([-1, 0, 1], F(1, 2)) == [-3, 2, 1]  # 2^2 ((1 + t)/2)^2 - 2^2
+    q = [3, -2, 5, 1]
+    assert _integer_shift(_integer_shift(q, F(7)), F(-7)) == q
 
 
 shift_points = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -48,7 +49,6 @@ integer_lists = st.lists(st.integers(-20, 20), max_size=8)
 @given(integer_lists, st.integers(1, 30), shift_points)
 def test_shifts_agree_with_the_fraction_oracle(nums, den, c):
     p = Poly(nums, den)
-    assert taylor_shift(p, c) == Poly(fraction_shift(p.coeffs, c))
     d, q = p.degree, c.denominator
     # q^d * p((u + t)/q) is q^d * p(c + t/q): coefficient i is q^(d-i) times the one of p(c + t).
     expected = [q ** (d - i) * s for i, s in enumerate(fraction_shift(p.nums, c))]
@@ -67,7 +67,7 @@ def test_cauchy_bound_exceeds_roots():
     p = Poly([3, F(5, 2), -F(1, 2), 1]) * 2
     bound = cauchy_root_bound(p)
     assert bound > 3
-    assert sign_variations(taylor_shift(p, bound).coeffs) == 0
+    assert sign_variations(_integer_shift(p.nums, bound)) == 0
 
 
 def test_squarefree_part_collapses_multiplicity():
@@ -165,15 +165,57 @@ def test_bracket_contains_known_max_root(roots):
 def test_integer_shift_matches_fraction_shift():
     q = [3, -2, 5, 1, 0, -7]
     assert _shift1(q) == fraction_shift(q, 1)
-    assert Poly(_shift1(q)) == taylor_shift(Poly(q), 1)
+    assert _shift1(q) == _integer_shift(q, F(1))
     assert _shift1([-1, 0, 1]) == [0, 2, 1]
 
 
-def test_modular_squarefree_certificate():
-    p = Poly([-1, 1]) * Poly([2, 1]) * Poly([-2, 0, 1])  # (x-1)(x+2)(x^2-2)
-    assert _certainly_squarefree(p.nums)
-    assert not _certainly_squarefree((p * Poly([-1, 1])).nums)
-    assert _certainly_squarefree(product_gap_poly(5, 7).nums[1:])
+@given(integer_lists, st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12))
+def test_scaled_shift_agrees_with_the_fraction_oracle(nums, x):
+    # q^d p(x(1 + t)) is q^d p(x + s) at s = x t: coefficient i gains x^i.
+    q, d = x.denominator, len(nums) - 1
+    expected = [q**d * s * x**i for i, s in enumerate(fraction_shift(nums, x))]
+    assert _scaled_shift(nums, x) == expected
+
+
+def _count_descartes_searches(monkeypatch) -> list:
+    calls, search = [], rootisolation._rightmost_cell
+    monkeypatch.setattr(rootisolation, "_rightmost_cell", lambda *args: calls.append(args) or search(*args))
+    return calls
+
+
+def test_bisection_bracket_kept_without_the_descartes_search(monkeypatch):
+    calls = _count_descartes_searches(monkeypatch)
+    lo, hi, has_root = isolate_max_root(_linear(F(86, 100)) * Poly([1, 1]), WIDTH)  # p(0) < 0
+    assert has_root and lo < F(86, 100) < hi and hi - lo <= WIDTH
+    assert calls == []
+
+
+def test_search_falls_back_past_a_smaller_sign_change(monkeypatch):
+    # p(0) < 0 < p(1/2): bisection pins 3/10, whose bracket fails the test above hi.
+    calls = _count_descartes_searches(monkeypatch)
+    p = _linear(F(3, 10)) * _linear(F(84, 100)) * _linear(F(86, 100))
+    lo, hi, has_root = isolate_max_root(p, WIDTH)
+    assert has_root and lo < F(86, 100) < hi and hi - lo <= WIDTH
+    assert len(calls) == 1
+
+
+def test_search_falls_back_when_p_is_positive_at_zero():
+    assert isolate_max_root(Poly([2, -3, 1]), WIDTH) == (F(2), F(2), True)  # (x - 1)(x - 2)
+
+
+def test_search_falls_back_past_a_double_root():
+    # The double root 3/4 has no sign change; bisection finds only 3/10.
+    p = _linear(F(3, 4)) * _linear(F(3, 4)) * _linear(F(3, 10))
+    assert isolate_max_root(p, WIDTH) == (F(3, 4), F(3, 4), True)
+    assert isolate_max_root(p, WIDTH, places=2) == (F(3, 4), F(3, 4), True)
+
+
+def test_root_table_needs_no_descartes_search(monkeypatch):
+    def unused(*args):
+        raise AssertionError("the Descartes search ran")
+
+    monkeypatch.setattr(rootisolation, "_rightmost_cell", unused)
+    assert len(roots_table(10, 10)) == 100
 
 
 @pytest.mark.parametrize(
@@ -273,7 +315,7 @@ def test_power_of_two_bound_is_the_smallest_certified(factor_list):
     assert poly(bound) != 0 and no_roots_above(poly, bound)
     if e > 0:
         half = bound / 2
-        assert poly(half) == 0 or sign_variations(taylor_shift(poly, half).coeffs) > 0
+        assert poly(half) == 0 or sign_variations(_integer_shift(poly.nums, half)) > 0
 
 
 def test_power_of_two_bound_checks_its_certificate(monkeypatch):
