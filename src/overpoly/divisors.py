@@ -25,13 +25,11 @@ sigma_bar recursion n pbar(n) = sum_k sigma_bar(k) pbar(n-k) is an independent
 route to the same numbers; the polynomial memo in `polynomials` checks every
 entry against it through P_n(1) = pbar(n), and the tests keep it as an oracle.
 The full prefix pbar(0..n) is memoized because every verification pass
-consumes contiguous ranges; the memo grows under a lock, and concurrent reads
-after a sequential warm-up are safe.
+consumes contiguous ranges.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from math import isqrt
 
@@ -75,21 +73,18 @@ def sigma_bar(n: int) -> int:
 
 
 _pbar_memo: list[int] = [1]
-_pbar_lock = threading.Lock()
 
 
 def pbar_prefix(n: int) -> list[int]:
     """The list [pbar(0), ..., pbar(n)] from Gauss's theta recursion."""
     if n < 0:
         raise ValueError(f"pbar undefined for n={n}; need n >= 0")
-    if len(_pbar_memo) <= n:
-        with _pbar_lock:
-            while len(_pbar_memo) <= n:
-                m = len(_pbar_memo)
-                r = isqrt(m)
-                odd = sum(_pbar_memo[m - k * k] for k in range(1, r + 1, 2))
-                even = sum(_pbar_memo[m - k * k] for k in range(2, r + 1, 2))
-                _pbar_memo.append(2 * (odd - even))
+    while len(_pbar_memo) <= n:
+        m = len(_pbar_memo)
+        r = isqrt(m)
+        odd = sum(_pbar_memo[m - k * k] for k in range(1, r + 1, 2))
+        even = sum(_pbar_memo[m - k * k] for k in range(2, r + 1, 2))
+        _pbar_memo.append(2 * (odd - even))
     return _pbar_memo[: n + 1]
 
 

@@ -18,8 +18,7 @@ scaling the recursion reads
 with the falling factorial (m-1)!/(m-k)! updated as k grows, so building the
 memo takes integer products and sums only and never divides.  Each new entry
 is checked against the Gauss-identity route for pbar: sum(Q_m) = m! pbar(m),
-or ArithmeticError.  The memo grows sequentially under a lock and is safe to
-read concurrently once warm; Poly values are built from it on request, as
+or ArithmeticError.  Poly values are built from the memo on request, as
 Poly(Q_m, m!).
 
 The module also provides, from the same integer vectors:
@@ -32,9 +31,8 @@ The module also provides, from the same integer vectors:
     starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b},
     and the root table isolates and re-checks its integer numerators;
   * scaled_values(n, p/q): the integers q^m * Q_m(p/q) for m <= n (and
-    q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner
-    (homogeneous_value), so that comparisons of P_m values at a rational
-    point need no Fraction;
+    q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner,
+    so that comparisons of P_m values at a rational point need no Fraction;
   * series_expand(N): the truncated formal exponential of
     x * sum_{n<=N} sigma_bar(n) q^n / n, whose q^n coefficient must reproduce
     pbar_poly(n) exactly;
@@ -45,12 +43,12 @@ The module also provides, from the same integer vectors:
 A Poly is its integer numerators over one positive denominator, normalized
 by construction; polynomial equality is structural and Poly values are
 immutable.  Poly evaluates by an integer power sum, a separate code path from
-homogeneous_value's Horner loop, so each can re-check the other's results.
+the Horner loops of scaled_values and of the root search, so it can re-check
+their results.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -64,7 +62,6 @@ __all__ = [
     "pbar_derivative",
     "product_gap_poly",
     "scaled_values",
-    "homogeneous_value",
     "SeriesTable",
     "series_exp",
     "series_expand",
@@ -186,28 +183,24 @@ class Poly:
 
 
 _q_memo: list[tuple[int, ...]] = [(1,)]
-_q_lock = threading.Lock()
 
 
 def _q_prefix(n: int) -> list[tuple[int, ...]]:
     """[Q_0, ..., Q_n] with Q_m = m! * P_m as ascending integer coefficients."""
     if len(_q_memo) <= n:
-        with _q_lock:
-            pb = pbar_prefix(n)
-            while len(_q_memo) <= n:
-                m = len(_q_memo)
-                acc = [0] * m
-                falling = 1  # (m-1)! / (m-k)!
-                for k in range(1, m + 1):
-                    c = sigma_bar(k) * falling
-                    acc[: m - k + 1] = [u + c * v for u, v in zip(acc, _q_memo[m - k])]
-                    falling *= m - k
-                entry = (0, *acc)
-                if sum(entry) != factorial(m) * pb[m]:
-                    raise ArithmeticError(
-                        f"P_{m}(1) disagrees with pbar({m}) from the theta recursion"
-                    )
-                _q_memo.append(entry)
+        pb = pbar_prefix(n)
+        while len(_q_memo) <= n:
+            m = len(_q_memo)
+            acc = [0] * m
+            falling = 1  # (m-1)! / (m-k)!
+            for k in range(1, m + 1):
+                c = sigma_bar(k) * falling
+                acc[: m - k + 1] = [u + c * v for u, v in zip(acc, _q_memo[m - k])]
+                falling *= m - k
+            entry = (0, *acc)
+            if sum(entry) != factorial(m) * pb[m]:
+                raise ArithmeticError(f"P_{m}(1) disagrees with pbar({m}) from the theta recursion")
+            _q_memo.append(entry)
     return _q_memo[: n + 1]
 
 
@@ -259,14 +252,6 @@ def _homogeneous_horner(coeffs, p: int, q_pows) -> int:
     for c, q_pow in zip(reversed(coeffs), q_pows):
         acc = acc * p + c * q_pow
     return acc
-
-
-def homogeneous_value(coeffs, x) -> int:
-    """q^d * f(p/q) for x = p/q in lowest terms and the integer coefficients
-    of f, of degree d: a positive multiple of f(x), so it has the sign of f(x)."""
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
-    return _homogeneous_horner(coeffs, p, [q**j for j in range(len(coeffs))])
 
 
 def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:

@@ -16,18 +16,23 @@ ceil(log2) of the Cauchy bound always passes, because every coefficient of
 p(c + t) is positive once c exceeds the real part of every root.
 
 When p(0) < 0 < p(B), it bisects (0, B) by the exact sign of p until the
-bracket is no wider than the requested width.  That bracket holds a sign
-change, but not necessarily the largest root, so it is kept only when
-p(hi(1 + t)) has no sign variations, the same test as the one for B.
-Otherwise the search runs on the squarefree part: the integer
-Vincent-Collins-Akritas method in the form of Rouillier & Zimmermann,
-"Efficient isolation of polynomial's real roots" (J. Comput. Appl. Math. 162,
-2004).  x = B*t maps (0, B) onto (0, 1); every node of its bisection tree
-carries a positive integer multiple of p restricted to its interval and
-rescaled to (0, 1), derives its children from it with one halving and one
-Taylor shift by 1, and the dyadic subintervals are scanned right to left.
-Both ends of a bracket from either search are dyadic rationals; the optional
-rounding refinement may move one of them to a decimal boundary.
+bracket is no wider than the requested width.  Every point of the bisection
+is an integer m over one power of two q, so its sign is that of the integer
+polynomial q^d p(m/q) at m: integer Horner on coefficients scaled once per
+search, with no rational arithmetic per step.  The rounding refinement does
+the same over the denominator 5^places * 2^k of its decimal cuts.  The
+bisection's bracket holds a sign change, but not necessarily the largest
+root, so it is kept only when p(hi(1 + t)) has no sign variations, the same
+test as the one for B.  Otherwise the search runs on the squarefree part:
+the integer Vincent-Collins-Akritas method in the form of Rouillier &
+Zimmermann, "Efficient isolation of polynomial's real roots" (J. Comput.
+Appl. Math. 162, 2004).  x = B*t maps (0, B) onto (0, 1); every node of its
+bisection tree carries a positive integer multiple of p restricted to its
+interval and rescaled to (0, 1), derives its children from it with one
+halving and one Taylor shift by 1, and the dyadic subintervals are scanned
+right to left.  Both ends of a bracket from either search are dyadic
+rationals; the optional rounding refinement may move one of them to a
+decimal boundary.
 
 The power-of-two start keeps the coefficients small: the gap polynomials of
 the root table have their roots below 1, far under their Cauchy bounds (1e11
@@ -36,16 +41,18 @@ No floating point enters any decision.
 
 A second route to the same certificates shares no code with the search:
 variations_in_interval and no_roots_above rest on one integer shift by a
-rational, q^d * p((u + t)/q) for the point u/q.  It is the re-check of every
-emitted bracket.  squarefree_part is an integer primitive pseudo-remainder
-gcd.
+rational, q^d * p((u + t)/q) for the point u/q, and take the signs they need
+from Poly evaluation.  With the endpoint signs of Poly's integer power sum,
+no_roots_above is the re-check of every emitted bracket.  squarefree_part is
+an integer primitive pseudo-remainder gcd.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .polynomials import Poly
@@ -266,29 +273,55 @@ def _rightmost_cell(unit: list[int], narrow_depth: int):
     return None
 
 
-def _settle_rounding(p: Poly, lo: Fraction, hi: Fraction, places: int):
-    """Shrink a bracket until both ends round to the same `places` digits.
+def _scaled_coeffs(nums, q: int) -> list[int]:
+    """Descending coefficients of q^d p(m / q) as a polynomial in m, for the
+    integer coefficients nums of p of degree d: nums[d - j] * q^j, top first.
 
-    p changes sign in (lo, hi): p(lo) and p(hi) are nonzero with opposite
-    signs.  Each step cuts at the rounding boundary just above lo, or at the
-    midpoint when that boundary is hi itself, and keeps the side where the
-    sign changes; a root on the cut ends it.
+    At an integer m its value has the sign of p(m / q).
     """
-    scale = 10**places
-    half = Fraction(1, 2)
-    hi_positive = p(hi) > 0
-    while round_half_away(lo, places) != round_half_away(hi, places):
-        cut = (math.floor(lo * scale + half) + half) / scale
+    q_pows = accumulate(repeat(q, len(nums) - 1), mul, initial=1)
+    return [c * q_pow for c, q_pow in zip(reversed(nums), q_pows)]
+
+
+def _sign_at(desc: list[int], m: int) -> int:
+    """Sign of the integer polynomial with descending coefficients desc at the integer m, by Horner."""
+    acc = 0
+    for c in desc:
+        acc = acc * m + c
+    return (acc > 0) - (acc < 0)
+
+
+def _settle_rounding(nums, lo: Fraction, hi: Fraction, places: int):
+    """Shrink a dyadic bracket until both ends round to the same `places` digits.
+
+    p(lo) < 0 < p(hi) for the integer coefficients nums of p, or lo == hi.
+    Each step cuts at the rounding boundary just above lo, or at the midpoint
+    when that boundary is hi itself, and keeps the side where the sign
+    changes; a root on the cut ends it.  Both ends and every cut are integers
+    over one denominator 5^places * 2^k, whose signs come from _sign_at.
+    """
+    k = max(places + 1, lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1)
+    den = 5**places << k
+    lo, hi = lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator
+    desc = None
+    while True:
+        # floor(x * 10^places + 1/2) for x = n / den is floor(n * 2^places / 2^k + 1/2).
+        units = ((lo << places + 1) + (1 << k)) >> k + 1
+        if units == ((hi << places + 1) + (1 << k)) >> k + 1:
+            return Fraction(lo, den), Fraction(hi, den)
+        cut = (2 * units + 1) << k - places - 1  # (units + 1/2) / 10^places
         if cut >= hi:
-            cut = (lo + hi) / 2
-        value = p(cut)
-        if value == 0:
-            return cut, cut
-        if (value > 0) == hi_positive:
+            lo, hi, k, den, desc = lo << 1, hi << 1, k + 1, den << 1, None
+            cut = (lo + hi) >> 1
+        if desc is None:
+            desc = _scaled_coeffs(nums, den)
+        sign = _sign_at(desc, cut)
+        if sign == 0:
+            lo = hi = cut
+        elif sign > 0:
             hi = cut
         else:
             lo = cut
-    return lo, hi
 
 
 def _scaled_shift(ints: list[int], x: Fraction) -> list[int]:
@@ -318,6 +351,14 @@ def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
         e += 1
 
 
+def _narrow_depth(e: int, width: Fraction) -> int:
+    """Smallest k >= 0 with 2^(e - k) <= width: the halvings of (0, 2^e) down to the width."""
+    k = 0
+    while width.denominator << e > width.numerator << k:
+        k += 1
+    return k
+
+
 def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     """Bracket the largest non-negative real root of p within the given width.
 
@@ -325,14 +366,16 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     which p(B + t) has no sign variations and p(B) != 0, so both ends of a
     bracket from a search are dyadic rationals.  When p(0) < 0 < p(B),
     bisection by the exact sign of p halves (0, B) down to the width, and its
-    bracket is kept if p(hi(1 + t)) has no sign variations.  Otherwise the
-    Descartes search runs on the squarefree part.  Certificates: the returned
-    hi has no roots of p above it, and either lo == hi is an exact root or the
-    open interval (lo, hi) holds the largest root, where p changes sign (after
-    the fallback, its squarefree part does).  With `places`, the bracket is
-    refined further until lo and hi round half away from zero to the same
-    `places`-digit decimal.  Requires a nonconstant p; the sign of the leading
-    coefficient is normalized away.
+    bracket is kept if p(hi(1 + t)) has no sign variations.  Each sign is
+    integer Horner at the numerator m of a point m/2^s, on the numerators of
+    p scaled once by the powers of 2^s (_scaled_coeffs, _sign_at).
+    Otherwise the Descartes search runs on the squarefree part.
+    Certificates: the returned hi has no roots of p above it, and either
+    lo == hi is an exact root or the open interval (lo, hi) holds the largest
+    root, where p changes sign (after the fallback, its squarefree part
+    does).  With `places`, the bracket is refined further until lo and hi
+    round half away from zero to the same `places`-digit decimal.  Requires a
+    nonconstant p; the sign of the leading coefficient is normalized away.
     """
     width = Fraction(width)
     if width <= 0:
@@ -351,19 +394,25 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
 
     deflated = Poly(nums, p.den)
     e = _bound_exponent(nums, cauchy_root_bound(deflated))
+    depth = _narrow_depth(e, width)
     if nums[0] < 0:
-        lo, hi = Fraction(0), Fraction(2**e)
-        while hi - lo > width:
-            mid = (lo + hi) / 2
-            value = deflated(mid)
-            if value == 0:
+        # Every point of the bisection is an integer m over 2^s.
+        s = max(depth - e, 0)
+        desc = _scaled_coeffs(nums, 1 << s)
+        lo, hi = 0, 1 << e + s
+        for _ in range(depth):
+            mid = (lo + hi) >> 1
+            sign = _sign_at(desc, mid)
+            if sign == 0:
                 lo = hi = mid
-            elif value > 0:
+                break
+            if sign > 0:
                 hi = mid
             else:
                 lo = mid
+        lo, hi = Fraction(lo, 1 << s), Fraction(hi, 1 << s)
         if places is not None:
-            lo, hi = _settle_rounding(deflated, lo, hi, places)
+            lo, hi = _settle_rounding(nums, lo, hi, places)
         if sign_variations(_scaled_shift(nums, hi)) == 0:
             return RootBracket(lo, hi, True)
 
@@ -373,10 +422,7 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     content = math.gcd(*unit)
     unit = [c // content for c in unit]
 
-    narrow_depth = 0
-    while Fraction(2**e, 2**narrow_depth) > width:
-        narrow_depth += 1
-    cell = _rightmost_cell(unit, narrow_depth)
+    cell = _rightmost_cell(unit, depth)
     if cell is None:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
     k, c, exact = cell
@@ -385,5 +431,5 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
         return RootBracket(lo, lo, True)
     hi = Fraction((c + 1) << e, 2**k)
     if places is not None:
-        lo, hi = _settle_rounding(reduced, lo, hi, places)
+        lo, hi = _settle_rounding(reduced.nums, lo, hi, places)
     return RootBracket(lo, hi, True)

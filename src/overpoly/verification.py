@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .divisors import pbar_exact, pbar_prefix
-from .polynomials import homogeneous_value, pbar_poly, product_gap_poly, scaled_values
+from .polynomials import pbar_poly, product_gap_poly, scaled_values
 from .rootisolation import isolate_max_root, no_roots_above, round_half_away
 
 __all__ = [
@@ -477,9 +477,10 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]
     """Certified max-root brackets for every gap polynomial cell, row-major.
 
     The gap polynomial is symmetric in (a, b), so only cells with a <= b are
-    isolated, one after another, and each result is copied to (b, a).  Every
-    distinct record is re-checked by certify_root_record before it is
-    mirrored, and a failure raises ArithmeticError.
+    isolated, one after another, and each result is copied to (b, a).  Each
+    distinct cell builds its gap polynomial once; the search and the re-check
+    of certify_root_record both read it, and a failed re-check raises
+    ArithmeticError before the record is mirrored.
     """
     _need_range("a_max", a_max, 1)
     _need_range("b_max", b_max, 1)
@@ -487,9 +488,10 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]
     cells = [(a, b) for a in range(1, a_max + 1) for b in range(1, b_max + 1)]
     by_pair = {}
     for a, b in sorted({(min(a, b), max(a, b)) for a, b in cells}):
-        lo, hi, _ = isolate_max_root(product_gap_poly(a, b), width, places=2)
+        gap = product_gap_poly(a, b)
+        lo, hi, _ = isolate_max_root(gap, width, places=2)
         record = RootRecord(a, b, lo, hi, round_half_away(lo))
-        if not certify_root_record(record, width):
+        if not _certify_bracket(record, gap, width):
             raise ArithmeticError(f"root record for cell ({a}, {b}) failed its re-check")
         by_pair[a, b] = record
     return [replace(by_pair[min(a, b), max(a, b)], a=a, b=b) for a, b in cells]
@@ -508,21 +510,25 @@ def certify_root_record(record: RootRecord, width=DEFAULT_WIDTH) -> bool:
     Checks the bracket width, that both ends round to the printed two-decimal
     value, the endpoint signs (value <= 0 at lo or an exact root inside, > 0 at
     hi unless hi is itself the root), and that no root lies above bracket_hi.
-    The polynomial is product_gap_poly(a, b); the signs come from homogeneous
-    integer Horner on its numerators, a separate path from the Poly evaluation
-    that settles the rounding, and the last check from no_roots_above, whose
-    direct shift certificate runs first.  Neither route uses the root search's
-    power-of-two bound, Taylor shift or bisection tree.
+    The polynomial is product_gap_poly(a, b), built here; the signs come from
+    Poly's integer power sum, a separate path from the Horner signs of the
+    search, and the last check from no_roots_above, whose direct shift
+    certificate runs first.  Neither route uses the root search's power-of-two
+    bound, Taylor shift, bisection or rounding steps.
     """
+    return _certify_bracket(record, product_gap_poly(record.a, record.b), width)
+
+
+def _certify_bracket(record: RootRecord, gap, width) -> bool:
+    """certify_root_record against the given gap polynomial of the record's cell."""
     lo, hi = record.bracket_lo, record.bracket_hi
     if not (0 <= lo <= hi and hi - lo <= Fraction(width)):
         return False
     if not round_half_away(lo) == round_half_away(hi) == record.rounded:
         return False
-    gap = product_gap_poly(record.a, record.b)
-    if not (homogeneous_value(gap.nums, lo) <= 0 or lo == 0):
+    if not (lo == 0 or gap(lo) <= 0):
         return False
-    if homogeneous_value(gap.nums, hi) < 0:
+    if gap(hi) < 0:
         return False
     return no_roots_above(gap, hi)
 

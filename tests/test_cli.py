@@ -292,6 +292,15 @@ def test_roots_30x30_json_is_pinned(capsys):
     )
 
 
+def test_roots_50x50_json_is_pinned(capsys):
+    # Recorded while the bisection still took its signs from Poly evaluation.
+    code, out, _ = run(capsys, "roots", "--amax", "50", "--bmax", "50", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3b1db0af738871e339d746cab8509835744acaae45c89192ac4c122d8355accd"
+    )
+
+
 @pytest.mark.parametrize("claim", ["th3", "th4"])
 def test_config_xs_grid(tmp_path, capsys, claim):
     config = tmp_path / "config.json"

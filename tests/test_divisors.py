@@ -128,19 +128,3 @@ def test_pbar_strictly_increasing():
     values = pbar_prefix(500)
     assert all(values[n] < values[n + 1] for n in range(500))
 
-
-def test_pbar_memo_safe_under_concurrent_growth():
-    import threading
-
-    results = []
-
-    def worker():
-        results.append(pbar_prefix(520))
-
-    threads = [threading.Thread(target=worker) for _ in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r == results[0] for r in results)
-    assert results[0][520] == pbar_exact(520)

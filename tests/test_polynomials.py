@@ -2,7 +2,6 @@
 
 import importlib
 import pickle
-import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial, gcd
@@ -310,21 +309,3 @@ def test_memo_cross_check_catches_a_corrupted_route(corrupted):
             pbar_poly(n)
     assert pbar_poly(n)(1) == pbar_exact(n)
 
-
-def test_integer_memo_safe_under_concurrent_growth():
-    results = []
-
-    def worker():
-        results.append(pbar_poly(70))
-
-    with _memos_restored() as (q_memo, _):
-        del q_memo[5:]
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not any(t.is_alive() for t in threads)
-        assert [len(q) for q in q_memo] == list(range(1, 72))
-    assert len(results) == 6 and all(r == results[0] for r in results)
-    assert results[0](1) == pbar_exact(70)

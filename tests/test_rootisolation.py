@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from oracles import fraction_shift, fraction_variations_in_interval
 
 import overpoly.rootisolation as rootisolation
@@ -11,8 +11,10 @@ from overpoly.polynomials import Poly, product_gap_poly
 from overpoly.rootisolation import (
     _bound_exponent,
     _integer_shift,
+    _scaled_coeffs,
     _scaled_shift,
     _shift1,
+    _sign_at,
     cauchy_root_bound,
     isolate_max_root,
     no_roots_above,
@@ -175,6 +177,26 @@ def test_scaled_shift_agrees_with_the_fraction_oracle(nums, x):
     q, d = x.denominator, len(nums) - 1
     expected = [q**d * s * x**i for i, s in enumerate(fraction_shift(nums, x))]
     assert _scaled_shift(nums, x) == expected
+
+
+# (4x - 3)^2 (10x - 3): the double root 3/4 and the simple root 3/10.
+ROOT_PAIR = [-27, 162, -288, 160]
+
+
+@example(ROOT_PAIR, (3, 4))
+@example(ROOT_PAIR, (75, 100))
+@example(ROOT_PAIR, (30, 100))
+@example(ROOT_PAIR, (12288, 16384))
+@given(
+    st.lists(st.integers(-20, 20), min_size=1, max_size=8),
+    # m / (5^j 2^k): the dyadic points of the bisection and the decimal cuts of the rounding
+    st.tuples(st.integers(-300, 300), st.integers(0, 3), st.integers(0, 8)).map(lambda t: (t[0], 5 ** t[1] << t[2])),
+)
+def test_integer_sign_agrees_with_poly_and_the_fraction_oracle(nums, point):
+    m, q = point
+    value, oracle = Poly(nums)(F(m, q)), fraction_shift(nums, F(m, q))[0]
+    sign = _sign_at(_scaled_coeffs(nums, q), m)
+    assert sign == (value > 0) - (value < 0) == (oracle > 0) - (oracle < 0)
 
 
 def _count_descartes_searches(monkeypatch) -> list:

@@ -12,7 +12,7 @@ from oracles import fraction_shift
 
 from overpoly import polynomials, rootisolation, verification
 from overpoly.divisors import pbar_exact, pbar_prefix
-from overpoly.polynomials import Poly, homogeneous_value, pbar_poly, scaled_values
+from overpoly.polynomials import Poly, pbar_poly, scaled_values
 from overpoly.serial import encode, load
 from overpoly.verification import (
     BoundTriple,
@@ -451,8 +451,8 @@ def test_certify_checks_the_rounding():
 )
 def test_integer_recheck_agrees_with_fraction_shift(coeffs, hi):
     poly = Poly(coeffs)
-    value = homogeneous_value(coeffs, hi)
-    assert (value > 0) - (value < 0) == (poly(hi) > 0) - (poly(hi) < 0)
+    value, oracle = poly(hi), fraction_shift(coeffs, hi)[0]
+    assert (value > 0) - (value < 0) == (oracle > 0) - (oracle < 0)
     variations = rootisolation.sign_variations(rootisolation._integer_shift(coeffs, hi))
     assert variations == rootisolation.sign_variations(fraction_shift(coeffs, hi))
     if variations == 0:
@@ -474,6 +474,30 @@ def test_recheck_rejects_a_real_bracket_moved_down():
     record = roots_table(2, 2)[3]
     moved = RootRecord(2, 2, record.bracket_lo - F(1, 1000), record.bracket_hi - F(1, 1000), "0.84")
     assert certify_root_record(record) and not certify_root_record(moved)
+
+
+def test_recheck_catches_a_negated_search_sign(monkeypatch):
+    expected = roots_table(4, 4)
+    sign_at = rootisolation._sign_at
+    monkeypatch.setattr(rootisolation, "_sign_at", lambda desc, m: -sign_at(desc, m))
+    # Every largest root at 4x4 lies above 1/2: the negated bisection runs down
+    # to (0, 2^-14), fails the search's own test above hi, and the Descartes
+    # fallback returns the true bracket, which the re-check accepts.
+    assert roots_table(4, 4) == expected
+    # Cell (3, 6) has its root near 0.48: the negated bisection runs up to
+    # (1 - 2^-14, 1), which passes the test above hi, so only the re-check's
+    # own endpoint signs can reject it.
+    with pytest.raises(ArithmeticError, match=r"\(3, 6\)"):
+        roots_table(3, 6)
+
+
+def test_roots_table_builds_each_gap_polynomial_once(monkeypatch):
+    calls = []
+    build = verification.product_gap_poly
+    monkeypatch.setattr(verification, "product_gap_poly", lambda a, b: calls.append((a, b)) or build(a, b))
+    records = roots_table(10, 10)
+    assert len(calls) == len(set(calls)) == 55  # one per cell a <= b
+    assert certify_root_record(records[-1]) and len(calls) == 56  # the public re-check builds its own
 
 
 def _inflated_prefix(at):
