@@ -31,8 +31,9 @@ The module also provides, from the same integer vectors:
     starts to hold; scaled by (a+b)! it is C(a+b, a) * Q_a * Q_b - Q_{a+b},
     and the root table isolates and re-checks its integer numerators;
   * scaled_values(n, p/q): the integers q^m * Q_m(p/q) for m <= n (and
-    q^(m-1) * Q_m'(p/q) for the derivative), by homogeneous integer Horner,
-    so that comparisons of P_m values at a rational point need no Fraction;
+    q^(m-1) * Q_m'(p/q) for the derivative), by integer Horner at p on the
+    coefficients scaled by the powers of q, so that comparisons of P_m values
+    at a rational point need no Fraction;
   * series_expand(N): the truncated formal exponential of
     x * sum_{n<=N} sigma_bar(n) q^n / n, whose q^n coefficient must reproduce
     pbar_poly(n) exactly;
@@ -42,17 +43,19 @@ The module also provides, from the same integer vectors:
 
 A Poly is its integer numerators over one positive denominator, normalized
 by construction; polynomial equality is structural and Poly values are
-immutable.  Poly evaluates by an integer power sum, a separate code path from
-the Horner loops of scaled_values and of the root search, so it can re-check
-their results.
+immutable.  Poly evaluates by an integer power sum.  scaled_values and the
+root search take their values from the one integer Horner loop here,
+_horner on _scaled_coeffs, so Poly evaluation is a separate code path that
+can re-check their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .divisors import pbar_prefix, sigma_bar
 
@@ -245,12 +248,21 @@ def product_gap_poly(a: int, b: int) -> Poly:
     return Poly(scaled, factorial(a + b))
 
 
-def _homogeneous_horner(coeffs, p: int, q_pows) -> int:
-    """acc -> acc * p + c * q^j at the j-th step down from the leading
-    coefficient: sum_i c_i p^i q^(d-i), integer products and sums only."""
+def _scaled_coeffs(nums, q: int) -> list[int]:
+    """Descending coefficients of q^d p(m / q) as a polynomial in m, for the
+    integer coefficients nums of p of degree d: nums[d - j] * q^j, top first.
+
+    At an integer m its value has the sign of p(m / q).
+    """
+    q_pows = accumulate(repeat(q, len(nums) - 1), mul, initial=1)
+    return [c * q_pow for c, q_pow in zip(reversed(nums), q_pows)]
+
+
+def _horner(desc, m: int) -> int:
+    """Value at the integer m of the integer polynomial with descending coefficients desc."""
     acc = 0
-    for c, q_pow in zip(reversed(coeffs), q_pows):
-        acc = acc * p + c * q_pow
+    for c in desc:
+        acc = acc * m + c
     return acc
 
 
@@ -259,18 +271,17 @@ def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
 
     Q_m = m! * P_m, so P_m(x) = N_m / (q^m * m!).  With derivative set, N_m is
     q^(m-1) * Q_m'(p/q) instead (N_0 = 0), so P_m'(x) = N_m / (q^(m-1) * m!).
-    Homogeneous Horner, with the powers of q computed once for every m.
+    Each N_m is _horner at p on the coefficients scaled by _scaled_coeffs.
     """
     if n_max < 0:
         raise ValueError(f"scaled_values needs n_max >= 0; got {n_max}")
     x = Fraction(x)
     p, q = x.numerator, x.denominator
-    q_pows = [q**j for j in range(n_max + 1)]
     out = []
     for coeffs in _q_prefix(n_max):
         if derivative:
             coeffs = [i * c for i, c in enumerate(coeffs)][1:]
-        out.append(_homogeneous_horner(coeffs, p, q_pows))
+        out.append(_horner(_scaled_coeffs(coeffs, q), p))
     return out
 
 

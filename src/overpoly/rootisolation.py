@@ -15,24 +15,25 @@ a nonzero constant term, so that no root lies in [B, oo).  Some e up to
 ceil(log2) of the Cauchy bound always passes, because every coefficient of
 p(c + t) is positive once c exceeds the real part of every root.
 
-When p(0) < 0 < p(B), it bisects (0, B) by the exact sign of p until the
-bracket is no wider than the requested width.  Every point of the bisection
-is an integer m over one power of two q, so its sign is that of the integer
-polynomial q^d p(m/q) at m: integer Horner on coefficients scaled once per
-search, with no rational arithmetic per step.  The rounding refinement does
-the same over the denominator 5^places * 2^k of its decimal cuts.  The
-bisection's bracket holds a sign change, but not necessarily the largest
-root, so it is kept only when p(hi(1 + t)) has no sign variations, the same
-test as the one for B.  Otherwise the search runs on the squarefree part:
-the integer Vincent-Collins-Akritas method in the form of Rouillier &
+Every bracket is narrowed by one loop, _refine, which follows the sign
+change of p: it halves a dyadic bracket down to the requested width, then
+makes the decimal cuts of the optional rounding.  Each point is an integer m
+over one denominator q, and its sign is that of the integer Horner value
+q^d p(m/q) (polynomials._horner on _scaled_coeffs, shared with
+scaled_values), so no step builds a rational.  When p(0) < 0 < p(B), _refine
+starts from (0, B); its bracket holds a sign change but not necessarily the
+largest root, so it is kept only when p(hi(1 + t)) has no sign variations,
+the same test as the one for B.  Otherwise _refine narrows the first cell
+with one sign variation that a right-to-left Descartes search finds for the
+squarefree part: the integer Vincent-Collins-Akritas method of Rouillier &
 Zimmermann, "Efficient isolation of polynomial's real roots" (J. Comput.
-Appl. Math. 162, 2004).  x = B*t maps (0, B) onto (0, 1); every node of its
-bisection tree carries a positive integer multiple of p restricted to its
-interval and rescaled to (0, 1), derives its children from it with one
-halving and one Taylor shift by 1, and the dyadic subintervals are scanned
-right to left.  Both ends of a bracket from either search are dyadic
-rationals; the optional rounding refinement may move one of them to a
-decimal boundary.
+Appl. Math. 162, 2004).  x = B*t maps (0, B) onto (0, 1); each node of its
+bisection tree carries a positive integer multiple of p on its interval,
+rescaled to (0, 1), and derives its children with one halving and one
+Taylor shift by 1.  The half of a one-variation cell that holds the root has
+one variation too, so following the sign change ends on the cell a deeper
+Descartes search would return.  Bracket ends are dyadic until the rounding
+moves one to a decimal boundary.
 
 The power-of-two start keeps the coefficients small: the gap polynomials of
 the root table have their roots below 1, far under their Cauchy bounds (1e11
@@ -51,11 +52,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
-from operator import mul
+from itertools import accumulate
 from typing import NamedTuple
 
-from .polynomials import Poly
+from .polynomials import Poly, _horner, _scaled_coeffs
 
 __all__ = [
     "sign_variations",
@@ -239,7 +239,7 @@ def _descartes01(q: list[int]) -> int:
     return sign_variations(_shift1(q[::-1]))
 
 
-def _rightmost_cell(unit: list[int], narrow_depth: int):
+def _rightmost_cell(unit: list[int]):
     """Right-first dyadic Descartes search for the largest root of q on (0, 1).
 
     `unit` is a squarefree integer polynomial with no roots in [1, oo).  A node
@@ -249,9 +249,9 @@ def _rightmost_cell(unit: list[int], narrow_depth: int):
     child is the left one shifted by 1; the right child's constant term is
     zero exactly when the midpoint is a root.
 
-    Returns (k, c, False) for the rightmost one-variation interval with
-    k >= narrow_depth, (k, c, True) when the point c/2^k is the largest root,
-    and None when q has no root in (0, 1).
+    Returns (k, c, False) for the first one-variation interval, which holds
+    the largest root and no other, (k, c, True) when the point c/2^k is the
+    largest root, and None when q has no root in (0, 1).
     """
     d = len(unit) - 1
     stack = [(0, 0, unit)]
@@ -262,7 +262,7 @@ def _rightmost_cell(unit: list[int], narrow_depth: int):
         v = _descartes01(q)
         if v == 0:
             continue
-        if v == 1 and k >= narrow_depth:
+        if v == 1:
             return k, c, False
         left = [a << (d - i) for i, a in enumerate(q)]
         right = _shift1(left)
@@ -273,65 +273,63 @@ def _rightmost_cell(unit: list[int], narrow_depth: int):
     return None
 
 
-def _scaled_coeffs(nums, q: int) -> list[int]:
-    """Descending coefficients of q^d p(m / q) as a polynomial in m, for the
-    integer coefficients nums of p of degree d: nums[d - j] * q^j, top first.
+def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | None) -> tuple[Fraction, Fraction]:
+    """Narrow the dyadic bracket (lo, hi) of the one sign change of p in it.
 
-    At an integer m its value has the sign of p(m / q).
+    p has the integer coefficients nums and is < 0 on (lo, x) and > 0 on
+    (x, hi] for its one root x there, or lo == hi.  Each step cuts at the
+    midpoint while the bracket is wider than `width`; then, with `places`, at
+    the rounding boundary just above lo (the midpoint when that is hi) until
+    lo and hi round half away from zero to the same `places` digits.  A step
+    keeps the side of the sign change; a root on the cut ends it.  Ends and
+    cuts are integers over one denominator, a power of two times 5^places
+    from the first decimal cut on.
     """
-    q_pows = accumulate(repeat(q, len(nums) - 1), mul, initial=1)
-    return [c * q_pow for c, q_pow in zip(reversed(nums), q_pows)]
-
-
-def _sign_at(desc: list[int], m: int) -> int:
-    """Sign of the integer polynomial with descending coefficients desc at the integer m, by Horner."""
-    acc = 0
-    for c in desc:
-        acc = acc * m + c
-    return (acc > 0) - (acc < 0)
-
-
-def _settle_rounding(nums, lo: Fraction, hi: Fraction, places: int):
-    """Shrink a dyadic bracket until both ends round to the same `places` digits.
-
-    p(lo) < 0 < p(hi) for the integer coefficients nums of p, or lo == hi.
-    Each step cuts at the rounding boundary just above lo, or at the midpoint
-    when that boundary is hi itself, and keeps the side where the sign
-    changes; a root on the cut ends it.  Both ends and every cut are integers
-    over one denominator 5^places * 2^k, whose signs come from _sign_at.
-    """
-    k = max(places + 1, lo.denominator.bit_length() - 1, hi.denominator.bit_length() - 1)
-    den = 5**places << k
+    # The smallest n >= 0 with hi - lo <= 2^n width, and the smallest power of
+    # two over which lo, hi and the midpoints of all n halvings are integers.
+    span = (hi - lo) / width
+    halvings = max(0, (span.numerator - 1) // span.denominator).bit_length()
+    den = max(lo.denominator, hi.denominator, ((hi - lo) / (1 << halvings)).denominator)
     lo, hi = lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator
     desc = None
     while True:
-        # floor(x * 10^places + 1/2) for x = n / den is floor(n * 2^places / 2^k + 1/2).
-        units = ((lo << places + 1) + (1 << k)) >> k + 1
-        if units == ((hi << places + 1) + (1 << k)) >> k + 1:
-            return Fraction(lo, den), Fraction(hi, den)
-        cut = (2 * units + 1) << k - places - 1  # (units + 1/2) / 10^places
-        if cut >= hi:
-            lo, hi, k, den, desc = lo << 1, hi << 1, k + 1, den << 1, None
+        if (hi - lo) * width.denominator > width.numerator * den:
             cut = (lo + hi) >> 1
+        elif places is None:
+            break
+        else:
+            # Every decimal cut (2 units + 1) / (2 * 10^places) is an integer over den.
+            tie = 2 * 10**places
+            if den % tie:
+                scale = math.lcm(den, tie) // den
+                lo, hi, den, desc = lo * scale, hi * scale, den * scale, None
+            units = (lo * tie + den) // (2 * den)  # floor(lo * 10^places + 1/2) for lo / den
+            if units == (hi * tie + den) // (2 * den):
+                break
+            cut = (2 * units + 1) * (den // tie)
+            if cut >= hi:
+                lo, hi, den, desc = lo << 1, hi << 1, den << 1, None
+                cut = (lo + hi) >> 1
         if desc is None:
             desc = _scaled_coeffs(nums, den)
-        sign = _sign_at(desc, cut)
-        if sign == 0:
+        value = _horner(desc, cut)
+        if value == 0:
             lo = hi = cut
-        elif sign > 0:
+        elif value > 0:
             hi = cut
         else:
             lo = cut
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def _scaled_shift(ints: list[int], x: Fraction) -> list[int]:
     """Ascending integer coefficients of q^d p(x(1 + t)), for x = u/q > 0 and p of degree d.
 
     Zero sign variations certify that the integer polynomial p has no root in
-    (x, oo); the constant term is q^d p(x).
+    (x, oo); the constant term is q^d p(x).  _scaled_coeffs by q, read back
+    as ascending and scaled by u, gives the ascending ints[i] u^i q^(d-i).
     """
-    u, q, d = x.numerator, x.denominator, len(ints) - 1
-    return _shift1([c * u**i * q ** (d - i) for i, c in enumerate(ints)])
+    return _shift1(_scaled_coeffs(_scaled_coeffs(ints, x.denominator), x.numerator))
 
 
 def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
@@ -351,31 +349,21 @@ def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
         e += 1
 
 
-def _narrow_depth(e: int, width: Fraction) -> int:
-    """Smallest k >= 0 with 2^(e - k) <= width: the halvings of (0, 2^e) down to the width."""
-    k = 0
-    while width.denominator << e > width.numerator << k:
-        k += 1
-    return k
-
-
 def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     """Bracket the largest non-negative real root of p within the given width.
 
     Both searches work inside (0, B) for the smallest B = 2^e (e >= 0) for
-    which p(B + t) has no sign variations and p(B) != 0, so both ends of a
-    bracket from a search are dyadic rationals.  When p(0) < 0 < p(B),
-    bisection by the exact sign of p halves (0, B) down to the width, and its
-    bracket is kept if p(hi(1 + t)) has no sign variations.  Each sign is
-    integer Horner at the numerator m of a point m/2^s, on the numerators of
-    p scaled once by the powers of 2^s (_scaled_coeffs, _sign_at).
-    Otherwise the Descartes search runs on the squarefree part.
+    which p(B + t) has no sign variations and p(B) != 0.  When
+    p(0) < 0 < p(B), _refine narrows (0, B) by the exact sign of p, and its
+    bracket is kept if p(hi(1 + t)) has no sign variations.  Otherwise
+    _rightmost_cell finds the dyadic cell of the largest root of the
+    squarefree part, and _refine narrows that cell on the squarefree part.
     Certificates: the returned hi has no roots of p above it, and either
     lo == hi is an exact root or the open interval (lo, hi) holds the largest
     root, where p changes sign (after the fallback, its squarefree part
-    does).  With `places`, the bracket is refined further until lo and hi
-    round half away from zero to the same `places`-digit decimal.  Requires a
-    nonconstant p; the sign of the leading coefficient is normalized away.
+    does).  With `places`, _refine goes on until lo and hi round half away
+    from zero to the same `places`-digit decimal.  Requires a nonconstant p;
+    the sign of the leading coefficient is normalized away.
     """
     width = Fraction(width)
     if width <= 0:
@@ -394,25 +382,8 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
 
     deflated = Poly(nums, p.den)
     e = _bound_exponent(nums, cauchy_root_bound(deflated))
-    depth = _narrow_depth(e, width)
     if nums[0] < 0:
-        # Every point of the bisection is an integer m over 2^s.
-        s = max(depth - e, 0)
-        desc = _scaled_coeffs(nums, 1 << s)
-        lo, hi = 0, 1 << e + s
-        for _ in range(depth):
-            mid = (lo + hi) >> 1
-            sign = _sign_at(desc, mid)
-            if sign == 0:
-                lo = hi = mid
-                break
-            if sign > 0:
-                hi = mid
-            else:
-                lo = mid
-        lo, hi = Fraction(lo, 1 << s), Fraction(hi, 1 << s)
-        if places is not None:
-            lo, hi = _settle_rounding(nums, lo, hi, places)
+        lo, hi = _refine(nums, Fraction(0), Fraction(1 << e), width, places)
         if sign_variations(_scaled_shift(nums, hi)) == 0:
             return RootBracket(lo, hi, True)
 
@@ -422,14 +393,10 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     content = math.gcd(*unit)
     unit = [c // content for c in unit]
 
-    cell = _rightmost_cell(unit, depth)
+    cell = _rightmost_cell(unit)
     if cell is None:
         return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
     k, c, exact = cell
-    lo = Fraction(c << e, 2**k)
-    if exact:
-        return RootBracket(lo, lo, True)
-    hi = Fraction((c + 1) << e, 2**k)
-    if places is not None:
-        lo, hi = _settle_rounding(reduced.nums, lo, hi, places)
-    return RootBracket(lo, hi, True)
+    lo = Fraction(c << e, 1 << k)
+    hi = lo if exact else Fraction((c + 1) << e, 1 << k)
+    return RootBracket(*_refine(reduced.nums, lo, hi, width, places), True)

@@ -1,7 +1,6 @@
 """Divisor sums and the exact overpartition-count recursion."""
 
 import math
-from functools import cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +29,6 @@ def _pbar_series_oracle(n_max):
     return series
 
 
-@cache
 def _pbar_sigma_bar_oracle(n_max):
     """pbar(0..n_max) from n pbar(n) = sum_k sigma_bar(k) pbar(n-k), exact division.
 
@@ -119,9 +117,15 @@ def test_pbar_matches_series_oracle():
     assert oracle[: len(PBAR_FIRST)] == PBAR_FIRST
 
 
+@pytest.fixture(scope="module")
+def sigma_bar_oracle_600():
+    # Built once outside the timed examples: the O(n^2) oracle alone can pass hypothesis's deadline.
+    return _pbar_sigma_bar_oracle(600)
+
+
 @given(st.integers(min_value=0, max_value=600))
-def test_theta_recursion_matches_sigma_bar_recursion(n):
-    assert pbar_prefix(n) == list(_pbar_sigma_bar_oracle(600)[: n + 1])
+def test_theta_recursion_matches_sigma_bar_recursion(sigma_bar_oracle_600, n):
+    assert pbar_prefix(n) == list(sigma_bar_oracle_600[: n + 1])
 
 
 def test_pbar_strictly_increasing():

@@ -7,14 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import fraction_shift, fraction_variations_in_interval
 
 import overpoly.rootisolation as rootisolation
-from overpoly.polynomials import Poly, product_gap_poly
+from overpoly.polynomials import Poly, _horner, _scaled_coeffs, product_gap_poly
 from overpoly.rootisolation import (
     _bound_exponent,
     _integer_shift,
-    _scaled_coeffs,
     _scaled_shift,
     _shift1,
-    _sign_at,
     cauchy_root_bound,
     isolate_max_root,
     no_roots_above,
@@ -23,7 +21,7 @@ from overpoly.rootisolation import (
     squarefree_part,
     variations_in_interval,
 )
-from overpoly.verification import roots_table
+from overpoly.verification import DEFAULT_WIDTH, roots_table
 
 F = Fraction
 WIDTH = F(1, 10**4)
@@ -195,8 +193,8 @@ ROOT_PAIR = [-27, 162, -288, 160]
 def test_integer_sign_agrees_with_poly_and_the_fraction_oracle(nums, point):
     m, q = point
     value, oracle = Poly(nums)(F(m, q)), fraction_shift(nums, F(m, q))[0]
-    sign = _sign_at(_scaled_coeffs(nums, q), m)
-    assert sign == (value > 0) - (value < 0) == (oracle > 0) - (oracle < 0)
+    scaled = _horner(_scaled_coeffs(nums, q), m)
+    assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0) == (oracle > 0) - (oracle < 0)
 
 
 def _count_descartes_searches(monkeypatch) -> list:
@@ -230,6 +228,18 @@ def test_search_falls_back_past_a_double_root():
     p = _linear(F(3, 4)) * _linear(F(3, 4)) * _linear(F(3, 10))
     assert isolate_max_root(p, WIDTH) == (F(3, 4), F(3, 4), True)
     assert isolate_max_root(p, WIDTH, places=2) == (F(3, 4), F(3, 4), True)
+
+
+def test_descartes_fallback_gives_the_bisection_brackets(monkeypatch):
+    # The factor 8x - 1 makes p(0) > 0, so every cell takes the fallback; its
+    # Descartes cell, narrowed by the same refinement, ends on the same bracket.
+    table = {(r.a, r.b): (r.bracket_lo, r.bracket_hi, True) for r in roots_table(12, 12)}
+    calls = _count_descartes_searches(monkeypatch)
+    for a in range(1, 13):
+        for b in range(a, 13):
+            p = product_gap_poly(a, b) * Poly([-1, 8])
+            assert isolate_max_root(p, DEFAULT_WIDTH, places=2) == table[a, b], (a, b)
+    assert len(calls) == 78
 
 
 def test_root_table_needs_no_descartes_search(monkeypatch):

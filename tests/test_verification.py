@@ -12,7 +12,7 @@ from oracles import fraction_shift
 
 from overpoly import polynomials, rootisolation, verification
 from overpoly.divisors import pbar_exact, pbar_prefix
-from overpoly.polynomials import Poly, pbar_poly, scaled_values
+from overpoly.polynomials import Poly, pbar_poly, product_gap_poly, scaled_values
 from overpoly.serial import encode, load
 from overpoly.verification import (
     BoundTriple,
@@ -125,8 +125,8 @@ def test_descent_recheck_rejects_a_wrong_point(monkeypatch, wrong):
     if wrong == "point":
         monkeypatch.setattr(verification, "find_descent_x", lambda n: F(1, 2))
     else:
-        horner = polynomials._homogeneous_horner
-        monkeypatch.setattr(polynomials, "_homogeneous_horner", lambda *args: -horner(*args))
+        horner = polynomials._horner
+        monkeypatch.setattr(polynomials, "_horner", lambda desc, m: -horner(desc, m))
         assert verification.find_descent_x(3) == F(1, 2)
     report = check_descent((3,))
     assert not report.holds and report.counterexample == 3
@@ -477,18 +477,18 @@ def test_recheck_rejects_a_real_bracket_moved_down():
 
 
 def test_recheck_catches_a_negated_search_sign(monkeypatch):
-    expected = roots_table(4, 4)
-    sign_at = rootisolation._sign_at
-    monkeypatch.setattr(rootisolation, "_sign_at", lambda desc, m: -sign_at(desc, m))
-    # Every largest root at 4x4 lies above 1/2: the negated bisection runs down
-    # to (0, 2^-14), fails the search's own test above hi, and the Descartes
-    # fallback returns the true bracket, which the re-check accepts.
-    assert roots_table(4, 4) == expected
+    horner = rootisolation._horner
+    monkeypatch.setattr(rootisolation, "_horner", lambda desc, m: -horner(desc, m))
+    # The bisection and the Descartes fallback narrow with the same signs, so
+    # the table stops at its first cell whose bracket misses the root.
+    with pytest.raises(ArithmeticError, match=r"\(1, 3\)"):
+        roots_table(4, 4)
     # Cell (3, 6) has its root near 0.48: the negated bisection runs up to
-    # (1 - 2^-14, 1), which passes the test above hi, so only the re-check's
-    # own endpoint signs can reject it.
-    with pytest.raises(ArithmeticError, match=r"\(3, 6\)"):
-        roots_table(3, 6)
+    # (1 - 2^-14, 1), which passes the search's own test above hi, so only the
+    # re-check's own endpoint signs can reject it.
+    lo, hi, _ = rootisolation.isolate_max_root(product_gap_poly(3, 6), DEFAULT_WIDTH, places=2)
+    assert (lo, hi) == (F(16383, 16384), 1)
+    assert not certify_root_record(RootRecord(3, 6, lo, hi, round_half_away(lo)))
 
 
 def test_roots_table_builds_each_gap_polynomial_once(monkeypatch):
