@@ -22,8 +22,8 @@ Multiplying the two gives the integer recursion (Corteel & Lovejoy,
 
 about sqrt(n) additions per entry and no products or divisions.  The
 sigma_bar recursion n pbar(n) = sum_k sigma_bar(k) pbar(n-k) is an independent
-route to the same numbers; the polynomial memo in `polynomials` checks every
-entry against it through P_n(1) = pbar(n), and the tests keep it as an oracle.
+route to the same numbers, which the tests keep as an oracle; the polynomial
+memo in `polynomials` checks every entry against pbar through P_n(1) = pbar(n).
 The full prefix pbar(0..n) is memoized because every verification pass
 consumes contiguous ranges.
 """

@@ -10,16 +10,23 @@ so that P_n(k) counts k-colored overpartitions of n and P_n(1) = pbar(n).
 All coefficients of P_n are strictly positive for n >= 1 and the leading
 coefficient is 2^n / n!.
 
-The family is stored as integer coefficient vectors Q_m = m! * P_m.  In that
-scaling the recursion reads
+The family is stored as integer coefficient vectors Q_m = m! * P_m.  The
+recursion above is the definition, but the memo is built from a sparser one:
+F = sum_n P_n(x) q^n is theta(q)^(-x) for Gauss's
+theta(q) = prod_m (1-q^m)/(1+q^m) = 1 + 2 sum_{s>=1} (-1)^s q^(s^2), so
+theta * q F' = -x * q theta' * F, which in the Q scaling reads
 
-    Q_m = x * sum_{k=1..m} sigma_bar(k) * (m-1)!/(m-k)! * Q_{m-k},
+    Q_m = sum_{s>=1, s^2<=m} 2 (-1)^(s+1) (m-1)!/(m-s^2)! * ((m-s^2) + s^2 x) * Q_{m-s^2},
 
-with the falling factorial (m-1)!/(m-k)! updated as k grows, so building the
-memo takes integer products and sums only and never divides.  Each new entry
-is checked against the Gauss-identity route for pbar: sum(Q_m) = m! pbar(m),
-or ArithmeticError.  Poly values are built from the memo on request, as
-Poly(Q_m, m!).
+about sqrt(m) vector updates per entry instead of m, with the falling
+factorial (m-1)!/(m-s^2)! updated as s grows: integer products and sums
+only, no division.  Each new entry must pass three exact checks, or
+ArithmeticError: sum(Q_m) = m! pbar(m) from divisors; the x coefficient
+Q_m[1] = (m-1)! sigma_bar(m), the sigma_bar recursion at first order, which
+sees a change that moves weight between degrees and so keeps the sum; and
+the leading coefficient Q_m[m] = 2^m.  The tests compare the memo entry by
+entry with the sigma_bar recursion itself.  Poly values are built from the
+memo on request, as Poly(Q_m, m!).
 
 The module also provides, from the same integer vectors:
 
@@ -54,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul
 
 from .divisors import pbar_prefix, sigma_bar
@@ -194,16 +201,23 @@ def _q_prefix(n: int) -> list[tuple[int, ...]]:
         pb = pbar_prefix(n)
         while len(_q_memo) <= n:
             m = len(_q_memo)
-            acc = [0] * m
-            falling = 1  # (m-1)! / (m-k)!
-            for k in range(1, m + 1):
-                c = sigma_bar(k) * falling
-                acc[: m - k + 1] = [u + c * v for u, v in zip(acc, _q_memo[m - k])]
-                falling *= m - k
-            entry = (0, *acc)
-            if sum(entry) != factorial(m) * pb[m]:
+            acc = [0] * (m + 1)
+            falling = 2  # 2 * (m-1)! / (m-s^2)!
+            for s in range(1, isqrt(m) + 1):
+                k = m - s * s
+                c = falling if s % 2 else -falling
+                const, linear = c * k, c * s * s
+                if k:  # the constant part vanishes at s^2 = m
+                    acc[: k + 1] = [u + const * v for u, v in zip(acc, _q_memo[k])]
+                acc[1 : k + 2] = [u + linear * v for u, v in zip(acc[1:], _q_memo[k])]
+                falling *= prod(range(k - 2 * s, k + 1))
+            if sum(acc) != factorial(m) * pb[m]:
                 raise ArithmeticError(f"P_{m}(1) disagrees with pbar({m}) from the theta recursion")
-            _q_memo.append(entry)
+            if acc[1] != factorial(m - 1) * sigma_bar(m):
+                raise ArithmeticError(f"the x coefficient of P_{m} disagrees with sigma_bar({m})/{m}")
+            if acc[m] != 2**m:
+                raise ArithmeticError(f"the leading coefficient of P_{m} is not 2^{m}/{m}!")
+            _q_memo.append(tuple(acc))
     return _q_memo[: n + 1]
 
 

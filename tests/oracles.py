@@ -1,7 +1,7 @@
 """Reference routines that the tests compare the package against.
 
-They work on plain lists of Fraction coefficients, ascending by degree, and
-share no code with overpoly.
+They work on plain lists of coefficients, ascending by degree, Fraction or
+int, and share no code with overpoly.
 """
 
 from fractions import Fraction
@@ -25,3 +25,22 @@ def fraction_variations_in_interval(coeffs, lo, hi) -> int:
     scaled = [c * (hi - lo) ** i for i, c in enumerate(fraction_shift(coeffs, lo))]
     signs = [v > 0 for v in fraction_shift(scaled[::-1], 1) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def sigma_bar_memo(n_max) -> list[list[int]]:
+    """[Q_0, ..., Q_n_max] with Q_m = m! * P_m, from the defining recursion
+    m * P_m = x * sum_{k=1..m} sigma_bar(k) * P_{m-k}, scaled by m! as
+    Q_m = x * sum_k sigma_bar(k) * (m-1)!/(m-k)! * Q_{m-k}, with
+    sigma_bar(k) = 2 * sum of the divisors d of k with k/d odd."""
+    sb = [0] + [2 * sum(d for d in range(1, k + 1) if k % d == 0 and (k // d) % 2) for k in range(1, n_max + 1)]
+    qs = [[1]]
+    for m in range(1, n_max + 1):
+        acc = [0] * (m + 1)
+        falling = 1  # (m-1)! / (m-k)!
+        for k in range(1, m + 1):
+            c = sb[k] * falling
+            for i, v in enumerate(qs[m - k]):
+                acc[i + 1] += c * v
+            falling *= m - k
+        qs.append(acc)
+    return qs

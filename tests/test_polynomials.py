@@ -8,6 +8,7 @@ from math import factorial, gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import sigma_bar_memo
 
 from overpoly import polynomials
 from overpoly.divisors import pbar_exact, sigma_bar
@@ -269,6 +270,14 @@ def test_integer_memo_matches_series_expand():
         assert list(_q(n)) == [c * factorial(n) for c in coeff.coeffs]
 
 
+def test_theta_memo_matches_the_sigma_bar_recursion():
+    # Built from an empty memo, so the three guards run on every entry.
+    with _memos_restored() as (q_memo, _):
+        del q_memo[1:]
+        memo = polynomials._q_prefix(150)
+    assert [list(q) for q in memo] == sigma_bar_memo(150)
+
+
 def test_integer_memo_matches_colored_product():
     for n in range(0, 21):
         for k in range(1, 4):
@@ -295,17 +304,26 @@ def _memos_restored():
         pbar_memo[:] = saved_pbar
 
 
-@pytest.mark.parametrize("corrupted", ["pbar", "memo"])
+# Each corruption, and the message of the memo check that must catch it.
+_CORRUPTIONS = {"pbar": "pbar", "memo": "pbar", "linear": "x coefficient", "leading": "leading coefficient"}
+
+
+@pytest.mark.parametrize("corrupted", list(_CORRUPTIONS))
 def test_memo_cross_check_catches_a_corrupted_route(corrupted):
     n = 30
     pbar_poly(n)
     with _memos_restored() as (q_memo, pbar_memo):
         del q_memo[n:]
+        q = list(q_memo[n - 1])
         if corrupted == "pbar":
             pbar_memo[n] += 1  # a wrong value from the theta recursion
+        elif corrupted == "memo":
+            q[-1] += 1
+        elif corrupted == "linear":
+            q[1], q[2] = q[1] + 1, q[2] - 1  # keeps Q_{n-1}(1), so the sum check passes
         else:
-            q_memo[n - 1] = (*q_memo[n - 1][:-1], q_memo[n - 1][-1] + 1)
-        with pytest.raises(ArithmeticError):
+            q[-1], q[-2] = q[-1] + 1, q[-2] - 1  # keeps Q_{n-1}(1) and every x coefficient
+        q_memo[n - 1] = tuple(q)
+        with pytest.raises(ArithmeticError, match=_CORRUPTIONS[corrupted]):
             pbar_poly(n)
     assert pbar_poly(n)(1) == pbar_exact(n)
-

@@ -193,6 +193,41 @@ def test_ie8_examples_and_small_range():
     assert report.stats["min_rel_slack"] > 0.1
 
 
+def _ie8_by_triples(a_max):
+    """check_ie8's report from one slack per triple (a, b, k), in scan order."""
+    pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
+    near, min_slack, argmin, triples = [], math.inf, None, 0
+    for a in range(1, a_max + 1):
+        factor = 1 + math.log(2 * a)
+        for b in range(2, a + 1):
+            for k in range(1, b):
+                triples += 1
+                slack = verification._rel_slack(pb[a + b - k], factor * pb[b - k])
+                if slack < verification.INCONCLUSIVE_BAND:
+                    near.append(((a, b, k), slack))
+                if slack < min_slack:
+                    min_slack, argmin = slack, (a, b, k)
+    return verification._decide(
+        "ie8",
+        f"1 <= k < b <= a <= {a_max}",
+        *verification._band(near),
+        triples=triples,
+        min_rel_slack=min_slack,
+        argmin=argmin,
+    )
+
+
+@pytest.mark.parametrize("band", [0.6, 0.9])
+@pytest.mark.parametrize("a_max", [12, 30])
+def test_ie8_near_pairs_expand_to_the_triples_in_scan_order(monkeypatch, band, a_max):
+    # A band this wide puts several pairs (a, b - k) inside it, each standing for
+    # many triples; the default band never reaches this path.
+    monkeypatch.setattr(verification, "INCONCLUSIVE_BAND", band)
+    report = check_ie8(a_max)
+    assert report.inconclusive
+    assert report == _ie8_by_triples(a_max)
+
+
 def test_ie11():
     report = check_ie11(2, 200)
     assert report.holds
