@@ -28,9 +28,9 @@ witnesses.  Images are compared as canonical values, never as strings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import serial
 from .enumeration import (
     NO_CONSTRAINT,
     Constraint,
@@ -104,15 +104,11 @@ class SplitPoint(NamedTuple):
     keep: int
 
 
-@dataclass(frozen=True)
-class ImagePair:
+class ImagePair(NamedTuple):
     """A pair of overpartitions, each canonical, with weights summing to the domain weight."""
 
     left: tuple[Part, ...]
     right: tuple[Part, ...]
-
-    def as_tuple(self):
-        return (self.left, self.right)
 
 
 def split_point(parts, b: int) -> SplitPoint:
@@ -381,8 +377,8 @@ def _require_domain(parts, total: int, k: int, constraint: Constraint, label: st
             raise ValueError(f"{label}: part {Part(size, color, overlined)} violates the domain constraint")
 
 
-@dataclass(frozen=True)
-class AuditReport:
+@serial.record
+class AuditReport(NamedTuple):
     """Outcome of exhaustively testing a map on one parameter cell."""
 
     map_name: str
@@ -411,7 +407,7 @@ def audit(map_name: str, a: int, b: int | None = None, k: int = 1, caps=None) ->
     right_cod = enumerate_ops(b_weight, k, entry.right, caps=caps)
     codomain_size = len(left_cod) * len(right_cod)
 
-    images: list[tuple] = [apply_map(lam, *map_args).as_tuple() for lam in domain]
+    images = [apply_map(lam, *map_args) for lam in domain]
     image_set = set(images)
 
     left_set, right_set = set(left_cod), set(right_cod)

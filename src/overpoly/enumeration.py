@@ -21,7 +21,6 @@ configuration, not constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
 __all__ = [
@@ -56,8 +55,7 @@ _POSITIVE = "0*[1-9][0-9]*"
 _BAN = re.compile(f"({_POSITIVE})(?:_({_POSITIVE}))?")  # s or s_c in decimal digits
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """Forbidden (size, color) pairs, banned for non-overlined parts only."""
 
     forbidden: frozenset[tuple[int, int]] = frozenset()

@@ -58,11 +58,11 @@ can re-check their results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul
+from typing import NamedTuple
 
 from .divisors import pbar_prefix, sigma_bar
 
@@ -299,21 +299,30 @@ def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class _SeriesFields(NamedTuple):
+    order: int
+    coeff_polys: tuple[Poly, ...]
+
+
+class SeriesTable(_SeriesFields):
     """Truncated q-series whose coefficients are polynomials in x.
 
     coeff_polys[n] is the coefficient of q^n, for 0 <= n <= order.
     """
 
-    order: int
-    coeff_polys: tuple[Poly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coeff_polys) != self.order + 1:
+    def __new__(cls, order: int, coeff_polys: tuple[Poly, ...]):
+        if len(coeff_polys) != order + 1:
             raise ValueError("coeff_polys must have length order + 1")
-        if self.coeff_polys[0] != Poly([1]):
+        if coeff_polys[0] != Poly([1]):
             raise ValueError("constant coefficient of the series must be 1")
+        return super().__new__(cls, order, coeff_polys)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip __new__.
+        return cls(*iterable)
 
 
 def series_exp(linear_coeffs, order: int) -> list[Poly]:

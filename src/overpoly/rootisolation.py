@@ -283,7 +283,9 @@ def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | Non
     lo and hi round half away from zero to the same `places` digits.  A step
     keeps the side of the sign change; a root on the cut ends it.  Ends and
     cuts are integers over one denominator, a power of two times 5^places
-    from the first decimal cut on.
+    from the first decimal cut on.  Past _boundary_halvings midpoint cuts
+    toward a rounding boundary at hi, p has no sign change in the bracket,
+    and ArithmeticError is raised.
     """
     # The smallest n >= 0 with hi - lo <= 2^n width, and the smallest power of
     # two over which lo, hi and the midpoints of all n halvings are integers.
@@ -291,7 +293,7 @@ def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | Non
     halvings = max(0, (span.numerator - 1) // span.denominator).bit_length()
     den = max(lo.denominator, hi.denominator, ((hi - lo) / (1 << halvings)).denominator)
     lo, hi = lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator
-    desc = None
+    desc = halvings_left = None
     while True:
         if (hi - lo) * width.denominator > width.numerator * den:
             cut = (lo + hi) >> 1
@@ -308,6 +310,11 @@ def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | Non
                 break
             cut = (2 * units + 1) * (den // tie)
             if cut >= hi:
+                if halvings_left is None:
+                    halvings_left = _boundary_halvings(nums, Fraction(hi, den), places)
+                if halvings_left <= 0:
+                    raise ArithmeticError(f"no sign change below the rounding boundary {Fraction(hi, den)}")
+                halvings_left -= 1
                 lo, hi, den, desc = lo << 1, hi << 1, den << 1, None
                 cut = (lo + hi) >> 1
         if desc is None:
@@ -320,6 +327,21 @@ def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | Non
         else:
             lo = cut
     return Fraction(lo, den), Fraction(hi, den)
+
+
+def _boundary_halvings(nums, hi: Fraction, places: int) -> int:
+    """Most midpoint cuts _refine needs toward a rounding boundary hi > 0.
+
+    hi = (2u + 1) / (2 * 10^places) ends a bracket (lo, hi) with lo >= 0 and
+    at most 10^-places wide.  (2 * 10^places)^d p(hi) is a nonzero integer
+    for the integer coefficients nums of degree d, and |p'| <= M on [0, hi]
+    for M = sum i |c_i| max(1, hi)^(i - 1), so a root x < hi has
+    hi - x >= 1/K with K = (2 * 10^places)^d M.  The cut after K.bit_length()
+    halvings lies above x, and hi moves off the boundary.
+    """
+    reach = max(1, math.ceil(hi))
+    slope = sum(i * abs(c) * reach ** (i - 1) for i, c in enumerate(nums[1:], 1))
+    return ((2 * 10**places) ** (len(nums) - 1) * slope).bit_length()
 
 
 def _scaled_shift(ints: list[int], x: Fraction) -> list[int]:

@@ -1,8 +1,9 @@
 """JSON-safe encoding for report payloads.
 
-Fractions become "p/q" strings (always with the slash), tuples become lists,
-and dataclasses become {field: value} objects; decoding reverses the first
-two, and load rebuilds a dataclass, so a report round-trips through
+Fractions become "p/q" strings (always with the slash), record classes (the
+NamedTuples marked with @record) become {field: value} objects in field
+order, and every other tuple becomes a list; decoding reverses the first and
+last, and load rebuilds a record, so a report round-trips through
 json.dumps/loads into an equal value.  Payload strings that themselves look
 like "p/q" would be mis-decoded; report fields never contain such strings.
 """
@@ -10,21 +11,27 @@ like "p/q" would be mis-decoded; report fields never contain such strings.
 from __future__ import annotations
 
 import re
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 _FRACTION_RE = re.compile(r"^-?\d+/\d+$")
+_RECORDS: set[type] = set()
+
+
+def record(cls):
+    """Class decorator: encode writes instances of cls as {field: value} objects."""
+    _RECORDS.add(cls)
+    return cls
 
 
 def encode(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
+    if type(value) in _RECORDS:
+        return {name: encode(v) for name, v in zip(value._fields, value)}
     if isinstance(value, (list, tuple)):
         return [encode(v) for v in value]
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
@@ -39,5 +46,5 @@ def decode(value):
 
 
 def load(cls, data: dict):
-    """Rebuild a dataclass instance of cls from its encode() output."""
+    """Rebuild a record of class cls from its encode() output."""
     return cls(**decode(data))

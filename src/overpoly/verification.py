@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
+from . import serial
 from .divisors import pbar_exact, pbar_prefix
 from .polynomials import pbar_poly, product_gap_poly, scaled_values
 from .rootisolation import isolate_max_root, no_roots_above, round_half_away
@@ -88,8 +89,8 @@ TH4_EXCEPTIONS = frozenset(
 IE11_THRESHOLD = 94  # ie11 is claimed for every a >= 94; below it, only reported
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+@serial.record
+class VerifyReport(NamedTuple):
     """One claim checked over one range."""
 
     claim: str
@@ -98,7 +99,7 @@ class VerifyReport:
     exceptions: tuple = ()
     counterexample: object = None
     inconclusive: tuple = ()
-    stats: dict = field(default_factory=dict)
+    stats: dict = {}  # the default dict is shared, so no report mutates its stats
 
 
 def _rel_slack(lhs: float, rhs: float) -> float:
@@ -315,8 +316,8 @@ def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
     return _decide("descent", f"n in {ns}", failed, points=points)
 
 
-@dataclass(frozen=True)
-class BoundTriple:
+@serial.record
+class BoundTriple(NamedTuple):
     """Sandwich bounds and truncated-series data for one n."""
 
     n: int
@@ -462,8 +463,8 @@ def check_ie11(a_lo: int, a_hi: int) -> VerifyReport:
     )
 
 
-@dataclass(frozen=True)
-class RootRecord:
+@serial.record
+class RootRecord(NamedTuple):
     """Certified bracket for the largest non-negative real root of one gap polynomial."""
 
     a: int
@@ -494,7 +495,7 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]
         if not _certify_bracket(record, gap, width):
             raise ArithmeticError(f"root record for cell ({a}, {b}) failed its re-check")
         by_pair[a, b] = record
-    return [replace(by_pair[min(a, b), max(a, b)], a=a, b=b) for a, b in cells]
+    return [by_pair[min(a, b), max(a, b)]._replace(a=a, b=b) for a, b in cells]
 
 
 def roots_csv(records) -> str:

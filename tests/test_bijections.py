@@ -191,7 +191,7 @@ def test_peel_one_unhit_shape_at_three():
     assert not report.surjective
     assert report.unhit_witness == unhit
     images = {
-        peel_one(lam, 3).as_tuple() for lam in enumerate_ops(4, 1, forbid((1, 1)))
+        peel_one(lam, 3) for lam in enumerate_ops(4, 1, forbid((1, 1)))
     }
     assert unhit not in images
 
@@ -290,3 +290,15 @@ def test_audit_report_json_round_trip():
     report = audit("f", 3, 2)
     rebuilt = load(AuditReport, json.loads(json.dumps(encode(report))))
     assert rebuilt == report
+
+
+def test_audit_report_encodes_parts_as_lists_in_field_order():
+    # Recorded before the report records became NamedTuples.
+    witness = (parts((2, 1, B), (1, 1, B)), parts((1, 1, B)))
+    report = AuditReport("g1", 3, None, 1, 4, 3, 4, True, True, False, witness, (witness[0], ()))
+    assert json.dumps(encode(report)) == (
+        '{"map_name": "g1", "a": 3, "b": null, "k": 1, "domain_size": 4, "image_size": 3, '
+        '"codomain_size": 4, "well_defined": true, "injective": true, "surjective": false, '
+        '"collision_witness": [[[2, 1, true], [1, 1, true]], [[1, 1, true]]], '
+        '"unhit_witness": [[[2, 1, true], [1, 1, true]], []]}'
+    )

@@ -442,6 +442,11 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert _modules_loaded_by_cli_import("multiprocessing", "concurrent.futures.process") == "[]"
 
 
+def test_cli_import_leaves_dataclasses_unloaded():
+    # dataclasses pulls in inspect, ast, dis and tokenize; the report records are NamedTuples.
+    assert _modules_loaded_by_cli_import("dataclasses", "inspect") == "[]"
+
+
 GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
 
 

@@ -287,6 +287,24 @@ def test_rounding_settled_on_an_exact_tie():
     assert isolate_max_root(q, WIDTH, places=2) == (F(223, 200), F(223, 200), True)
 
 
+def test_rounding_raises_without_a_sign_change():
+    # x - 1 is negative on all of (0, 0.505], and 0.505 is a rounding boundary:
+    # the midpoint cuts toward it used to go on forever.
+    with pytest.raises(ArithmeticError, match="no sign change"):
+        rootisolation._refine([-1, 1], F(0), F(101, 200), F(1), 2)
+
+
+@pytest.mark.parametrize("factor", [Poly([1]), Poly([1, 0, 1]), Poly([3, -2, 0, 0, 5])])
+@pytest.mark.parametrize("n", [1, 10**6, 10**30])
+def test_rounding_reaches_a_root_just_below_a_boundary(n, factor):
+    # n (200x - 101) + 1 has its root 1/(200 n) below the boundary 0.505, and the
+    # factor is positive there; the midpoint cuts toward 0.505 stay inside their bound.
+    p = Poly([1 - 101 * n, 200 * n]) * factor
+    lo, hi = rootisolation._refine(list(p.nums), F(0), F(101, 200), F(1), 2)
+    assert lo <= F(101, 200) - F(1, 200 * n) <= hi
+    assert round_half_away(lo) == round_half_away(hi) == "0.50"
+
+
 def _linear(r):
     return Poly([-r, 1])
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import fraction_shift
 
 from overpoly import polynomials, rootisolation, verification
+from overpoly.bijections import AuditReport
 from overpoly.divisors import pbar_exact, pbar_prefix
 from overpoly.polynomials import Poly, pbar_poly, product_gap_poly, scaled_values
 from overpoly.serial import encode, load
@@ -307,6 +308,27 @@ def test_reports_round_trip_json():
     assert load(RootRecord, json.loads(json.dumps(encode(record)))) == record
     triple = sandwich(5)
     assert load(BoundTriple, json.loads(json.dumps(encode(triple)))) == triple
+
+
+def test_verify_report_stats_default_to_an_empty_dict():
+    assert VerifyReport("th1", "r", True).stats == {}
+
+
+@pytest.mark.parametrize(
+    "report, field",
+    [
+        (VerifyReport("th1", "r", True), "holds"),
+        (BoundTriple(5, 1.0, 2.0, 12, 7.0, 1.5, 0.5, True), "exact"),
+        (RootRecord(1, 1, F(1), F(1), "1.00"), "rounded"),
+        (AuditReport("g1", 3, None, 1, 6, 6, 8, True, True, False, None, None), "injective"),
+    ],
+    ids=["VerifyReport", "BoundTriple", "RootRecord", "AuditReport"],
+)
+def test_report_fields_cannot_be_assigned(report, field):
+    before = getattr(report, field)
+    with pytest.raises(AttributeError):
+        setattr(report, field, "changed")
+    assert getattr(report, field) == before
 
 
 SMALL_RANGES = {
