@@ -2,8 +2,9 @@
 
 Subcommands expose every operation with machine-readable output and stable
 exit codes: 0 when the computation succeeded and every claim checked held,
-1 when a check found a counterexample or an unexpected exception set, 2 for
-usage, parse, and resource-cap errors.
+1 when a check found a counterexample or an unexpected exception set, or a
+certificate failed (one error: line, no traceback), 2 for usage, parse, and
+resource-cap errors.
 
 Rationals cross the boundary as exact "p/q" strings (plain integers and exact
 decimals also parse); output is deterministic for fixed arguments.  A JSON
@@ -354,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

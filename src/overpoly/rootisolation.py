@@ -9,31 +9,26 @@ polynomials:
                            certify the interval empty, one variation certifies
                            exactly one root inside.
 
-isolate_max_root() deflates the root at 0 and starts from the smallest power
-of two B = 2^e whose scaled polynomial p(B(1 + t)) has no sign variations and
-a nonzero constant term, so that no root lies in [B, oo).  Some e up to
+isolate_max_root() has one contract: after the root at 0 is deflated and the
+leading coefficient made positive, p(0) < 0.  Every gap polynomial
+P_a P_b - P_{a+b} meets it, with deflated constant term
+-(a+b-1)! sigma_bar(a+b).  The search starts from the smallest power of two
+B = 2^e whose scaled polynomial p(B(1 + t)) has no sign variations and a
+nonzero constant term, so that no root lies in [B, oo).  Some e up to
 ceil(log2) of the Cauchy bound always passes, because every coefficient of
-p(c + t) is positive once c exceeds the real part of every root.
+p(c + t) is positive once c exceeds the real part of every root.  So
+p(0) < 0 < p(B), and (0, B) holds a sign change.
 
-Every bracket is narrowed by one loop, _refine, which follows the sign
-change of p: it halves a dyadic bracket down to the requested width, then
-makes the decimal cuts of the optional rounding.  Each point is an integer m
-over one denominator q, and its sign is that of the integer Horner value
-q^d p(m/q) (polynomials._horner on _scaled_coeffs, shared with
-scaled_values), so no step builds a rational.  When p(0) < 0 < p(B), _refine
-starts from (0, B); its bracket holds a sign change but not necessarily the
-largest root, so it is kept only when p(hi(1 + t)) has no sign variations,
-the same test as the one for B.  Otherwise _refine narrows the first cell
-with one sign variation that a right-to-left Descartes search finds for the
-squarefree part: the integer Vincent-Collins-Akritas method of Rouillier &
-Zimmermann, "Efficient isolation of polynomial's real roots" (J. Comput.
-Appl. Math. 162, 2004).  x = B*t maps (0, B) onto (0, 1); each node of its
-bisection tree carries a positive integer multiple of p on its interval,
-rescaled to (0, 1), and derives its children with one halving and one
-Taylor shift by 1.  The half of a one-variation cell that holds the root has
-one variation too, so following the sign change ends on the cell a deeper
-Descartes search would return.  Bracket ends are dyadic until the rounding
-moves one to a decimal boundary.
+One loop, _refine, narrows the bracket along that sign change: it halves a
+dyadic bracket down to the requested width, then makes the decimal cuts of
+the optional rounding.  Each point is an integer m over one denominator q,
+and its sign is that of the integer Horner value q^d p(m/q)
+(polynomials._horner on _scaled_coeffs, shared with scaled_values), so no
+step builds a rational.  The bracket holds a sign change but not necessarily
+the largest root, so it is returned only when p(hi(1 + t)) has no sign
+variations, the same test as the one for B; otherwise ArithmeticError is
+raised.  Bracket ends are dyadic until the rounding moves one to a decimal
+boundary.
 
 The power-of-two start keeps the coefficients small: the gap polynomials of
 the root table have their roots below 1, far under their Cauchy bounds (1e11
@@ -42,10 +37,10 @@ No floating point enters any decision.
 
 A second route to the same certificates shares no code with the search:
 variations_in_interval and no_roots_above rest on one integer shift by a
-rational, q^d * p((u + t)/q) for the point u/q, and take the signs they need
-from Poly evaluation.  With the endpoint signs of Poly's integer power sum,
-no_roots_above is the re-check of every emitted bracket.  squarefree_part is
-an integer primitive pseudo-remainder gcd.
+rational, q^d * p((u + t)/q) for the point u/q.  With the endpoint signs of
+Poly's integer power sum, no_roots_above is the re-check of every emitted
+bracket.  squarefree_part is an integer primitive pseudo-remainder gcd;
+neither it nor variations_in_interval is on the search's path.
 """
 
 from __future__ import annotations
@@ -167,45 +162,21 @@ def variations_in_interval(p: Poly, lo, hi) -> int:
     return sign_variations(_integer_shift(scaled[::-1], Fraction(1)))
 
 
-_NO_ROOTS_MAX_DEPTH = 64  # halvings of (c, Cauchy bound) before no_roots_above gives up
-
-
 def no_roots_above(p: Poly, c) -> bool:
-    """Certify that p has no real roots in (c, oo).
+    """Certify that p has no real roots in (c, oo): p(c + t) has no sign variations.
 
-    Tries the direct shift certificate first; if variations remain (complex
-    roots can keep them positive), subdivides (c, cauchy bound) until every
-    piece certifies empty.  Returns False if a piece cannot be certified
-    within _NO_ROOTS_MAX_DEPTH halvings (in particular when a root really is there).
+    True is a certificate.  False means only "not certified": complex roots
+    can leave sign variations where no real root lies above c.
     """
-    c = Fraction(c)
-    if sign_variations(_integer_shift(p.nums, c)) == 0:
-        return True
-    bound = cauchy_root_bound(p)
-    if bound <= c:
-        return True
-
-    def empty(lo: Fraction, hi: Fraction, depth: int) -> bool:
-        if variations_in_interval(p, lo, hi) == 0:
-            return True
-        if depth >= _NO_ROOTS_MAX_DEPTH:
-            return False
-        mid = (lo + hi) / 2
-        if p(mid) == 0:
-            return False
-        return empty(lo, mid, depth + 1) and empty(mid, hi, depth + 1)
-
-    return p(bound) != 0 and empty(c, bound, 0)
+    return sign_variations(_integer_shift(p.nums, Fraction(c))) == 0
 
 
 class RootBracket(NamedTuple):
-    """[lo, hi] containing the largest non-negative real root; has_root is
-    False when the polynomial has no non-negative root at all (bracket pinned
-    at 0)."""
+    """[lo, hi] containing the largest non-negative real root: lo == hi is
+    that root exactly, and otherwise p changes sign in (lo, hi)."""
 
     lo: Fraction
     hi: Fraction
-    has_root: bool
 
 
 def round_half_away(q: Fraction, places: int = 2) -> str:
@@ -231,46 +202,6 @@ def _shift1(coeffs: list[int]) -> list[int]:
     for end in range(len(desc), 1, -1):
         desc[:end] = accumulate(desc[:end])
     return desc[::-1]
-
-
-def _descartes01(q: list[int]) -> int:
-    """Sign variations of (1+t)^deg q(1/(1+t)), q reversed and shifted by 1:
-    the Descartes bound on the roots of q in (0, 1)."""
-    return sign_variations(_shift1(q[::-1]))
-
-
-def _rightmost_cell(unit: list[int]):
-    """Right-first dyadic Descartes search for the largest root of q on (0, 1).
-
-    `unit` is a squarefree integer polynomial with no roots in [1, oo).  A node
-    (k, c) stands for the interval (c/2^k, (c+1)/2^k) and carries a positive
-    multiple of q(c/2^k + t/2^k), so its Descartes bound on (0, 1) is the one
-    of q on the node's interval.  The left child is 2^d q(t/2) and the right
-    child is the left one shifted by 1; the right child's constant term is
-    zero exactly when the midpoint is a root.
-
-    Returns (k, c, False) for the first one-variation interval, which holds
-    the largest root and no other, (k, c, True) when the point c/2^k is the
-    largest root, and None when q has no root in (0, 1).
-    """
-    d = len(unit) - 1
-    stack = [(0, 0, unit)]
-    while stack:
-        k, c, q = stack.pop()
-        if q is None:
-            return k, c, True
-        v = _descartes01(q)
-        if v == 0:
-            continue
-        if v == 1:
-            return k, c, False
-        left = [a << (d - i) for i, a in enumerate(q)]
-        right = _shift1(left)
-        # Popped after the right child's whole subtree: the left half, or the
-        # midpoint itself when it is an exact root.
-        stack.append((k + 1, 2 * c + 1, None) if right[0] == 0 else (k + 1, 2 * c, left))
-        stack.append((k + 1, 2 * c + 1, right))
-    return None
 
 
 def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | None) -> tuple[Fraction, Fraction]:
@@ -374,18 +305,16 @@ def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
 def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     """Bracket the largest non-negative real root of p within the given width.
 
-    Both searches work inside (0, B) for the smallest B = 2^e (e >= 0) for
-    which p(B + t) has no sign variations and p(B) != 0.  When
-    p(0) < 0 < p(B), _refine narrows (0, B) by the exact sign of p, and its
-    bracket is kept if p(hi(1 + t)) has no sign variations.  Otherwise
-    _rightmost_cell finds the dyadic cell of the largest root of the
-    squarefree part, and _refine narrows that cell on the squarefree part.
-    Certificates: the returned hi has no roots of p above it, and either
-    lo == hi is an exact root or the open interval (lo, hi) holds the largest
-    root, where p changes sign (after the fallback, its squarefree part
-    does).  With `places`, _refine goes on until lo and hi round half away
-    from zero to the same `places`-digit decimal.  Requires a nonconstant p;
-    the sign of the leading coefficient is normalized away.
+    Requires a nonconstant p; the sign of the leading coefficient is
+    normalized away, and p = c x^k gives [0, 0].  Otherwise p over its
+    largest power of x must be negative at 0, or ValueError is raised.
+    _refine narrows (0, B) by the exact sign of p, for the smallest B = 2^e
+    (e >= 0) for which p(B + t) has no sign variations and p(B) != 0, so
+    lo == hi is an exact root or p changes sign in (lo, hi).  The bracket is
+    returned only when p(hi(1 + t)) has no sign variations, so no root lies
+    above hi; otherwise ArithmeticError is raised.  With `places`, _refine
+    goes on until lo and hi round half away from zero to the same
+    `places`-digit decimal.
     """
     width = Fraction(width)
     if width <= 0:
@@ -395,30 +324,15 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     nums = list(p.nums)
     if nums[-1] < 0:
         nums = [-c for c in nums]
-    zero_mult = 0
     while nums[0] == 0:
         nums.pop(0)
-        zero_mult += 1
     if len(nums) == 1:
-        return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
+        return RootBracket(Fraction(0), Fraction(0))
+    if nums[0] > 0:
+        raise ValueError("p over its largest power of x is positive at 0; the search needs it negative")
 
-    deflated = Poly(nums, p.den)
-    e = _bound_exponent(nums, cauchy_root_bound(deflated))
-    if nums[0] < 0:
-        lo, hi = _refine(nums, Fraction(0), Fraction(1 << e), width, places)
-        if sign_variations(_scaled_shift(nums, hi)) == 0:
-            return RootBracket(lo, hi, True)
-
-    reduced = squarefree_part(deflated)
-    # A positive integer multiple of reduced(2^e * t), content removed.
-    unit = [c << (e * i) for i, c in enumerate(reduced.nums)]
-    content = math.gcd(*unit)
-    unit = [c // content for c in unit]
-
-    cell = _rightmost_cell(unit)
-    if cell is None:
-        return RootBracket(Fraction(0), Fraction(0), zero_mult > 0)
-    k, c, exact = cell
-    lo = Fraction(c << e, 1 << k)
-    hi = lo if exact else Fraction((c + 1) << e, 1 << k)
-    return RootBracket(*_refine(reduced.nums, lo, hi, width, places), True)
+    e = _bound_exponent(nums, cauchy_root_bound(Poly(nums, p.den)))
+    lo, hi = _refine(nums, Fraction(0), Fraction(1 << e), width, places)
+    if sign_variations(_scaled_shift(nums, hi)) != 0:
+        raise ArithmeticError(f"the bracket [{lo}, {hi}] fails its certificate: p(hi(1 + t)) has sign variations")
+    return RootBracket(lo, hi)

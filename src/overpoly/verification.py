@@ -490,7 +490,7 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]
     by_pair = {}
     for a, b in sorted({(min(a, b), max(a, b)) for a, b in cells}):
         gap = product_gap_poly(a, b)
-        lo, hi, _ = isolate_max_root(gap, width, places=2)
+        lo, hi = isolate_max_root(gap, width, places=2)
         record = RootRecord(a, b, lo, hi, round_half_away(lo))
         if not _certify_bracket(record, gap, width):
             raise ArithmeticError(f"root record for cell ({a}, {b}) failed its re-check")
@@ -511,11 +511,11 @@ def certify_root_record(record: RootRecord, width=DEFAULT_WIDTH) -> bool:
     Checks the bracket width, that both ends round to the printed two-decimal
     value, the endpoint signs (value <= 0 at lo or an exact root inside, > 0 at
     hi unless hi is itself the root), and that no root lies above bracket_hi.
-    The polynomial is product_gap_poly(a, b), built here; the signs come from
-    Poly's integer power sum, a separate path from the Horner signs of the
-    search, and the last check from no_roots_above, whose direct shift
-    certificate runs first.  Neither route uses the root search's power-of-two
-    bound, Taylor shift, bisection or rounding steps.
+    The polynomial is product_gap_poly(a, b), built here.  The re-check is
+    the endpoint signs, from Poly's integer power sum, a separate path from
+    the Horner signs of the search, and one direct shift, no_roots_above at
+    bracket_hi.  Neither uses the root search's power-of-two bound, Taylor
+    shift, bisection or rounding steps.
     """
     return _certify_bracket(record, product_gap_poly(record.a, record.b), width)
 

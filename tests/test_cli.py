@@ -146,6 +146,16 @@ def test_roots_json_round_trip(capsys):
     assert all(r.rounded == "1.00" for r in records)
 
 
+def test_failed_certificate_exits_1(capsys, monkeypatch):
+    import overpoly.rootisolation as rootisolation
+
+    horner = rootisolation._horner
+    monkeypatch.setattr(rootisolation, "_horner", lambda desc, m: -horner(desc, m))
+    code, out, err = run(capsys, "roots", "--amax", "2", "--bmax", "2")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_bounds_single(capsys):
     code, out, _ = run(capsys, "bounds", "4")
     assert code == 0

@@ -21,7 +21,6 @@ from overpoly.rootisolation import (
     squarefree_part,
     variations_in_interval,
 )
-from overpoly.verification import DEFAULT_WIDTH, roots_table
 
 F = Fraction
 WIDTH = F(1, 10**4)
@@ -93,33 +92,35 @@ def test_no_roots_above():
     assert no_roots_above(p, 1)  # root exactly at 1, none beyond
     assert no_roots_above(p, 2)
     assert not no_roots_above(p, F(1, 2))
+    assert no_roots_above(Poly([1, -1, 1]), 0) is False  # no real root, but two sign variations: not certified
 
 
 def test_exact_rational_roots():
     bracket = isolate_max_root(Poly([0, -2, 2]), WIDTH)  # 2x(x-1)
-    assert bracket.has_root and bracket.lo == bracket.hi == 1
+    assert bracket.lo == bracket.hi == 1
     bracket = isolate_max_root(Poly([0, F(-8, 3), 0, F(8, 3)]), WIDTH)  # (8/3)x(x^2-1)
-    assert bracket.has_root and bracket.lo == bracket.hi == 1
+    assert bracket.lo == bracket.hi == 1
 
 
-def test_no_nonnegative_root():
-    bracket = isolate_max_root(Poly([1, 0, 1]), WIDTH)  # x^2 + 1
-    assert not bracket.has_root and bracket.lo == bracket.hi == 0
-    bracket = isolate_max_root(Poly([1, 1]), WIDTH)  # x + 1, root -1
-    assert not bracket.has_root
+@pytest.mark.parametrize(
+    "nums",
+    [[1, 0, 1], [1, 1], [2, -3, 1], [0, 1, 1]],
+    ids=["x^2 + 1", "x + 1", "(x - 1)(x - 2)", "x(x + 1)"],
+)
+def test_positive_constant_term_is_rejected(nums):
+    # p over its largest power of x is positive at 0, with or without a non-negative root.
+    with pytest.raises(ValueError, match="positive at 0"):
+        isolate_max_root(Poly(nums), WIDTH)
 
 
 def test_root_at_zero_only():
     bracket = isolate_max_root(Poly([0, 0, 0, 1]), WIDTH)  # x^3
-    assert bracket.has_root and bracket.lo == bracket.hi == 0
-    bracket = isolate_max_root(Poly([0, 1, 1]), WIDTH)  # x(x+1)
-    assert bracket.has_root and bracket.lo == bracket.hi == 0
+    assert bracket == (0, 0)
 
 
 def test_gap_polynomial_bracket():
     p = product_gap_poly(2, 2)
     bracket = isolate_max_root(p, WIDTH)
-    assert bracket.has_root
     assert bracket.hi - bracket.lo <= WIDTH
     assert p(bracket.lo) < 0 < p(bracket.hi)
     assert no_roots_above(p, bracket.hi)
@@ -136,7 +137,7 @@ def test_constant_rejected():
 
 def test_negative_leading_coefficient_normalized():
     bracket = isolate_max_root(Poly([0, 2, -2]), WIDTH)  # -2x(x-1), largest root 1
-    assert bracket.has_root and bracket.lo <= 1 <= bracket.hi
+    assert bracket.lo <= 1 <= bracket.hi
 
 
 root_lists = st.lists(
@@ -146,18 +147,33 @@ root_lists = st.lists(
 )
 
 
+def _bracket_or_raise(poly, places=None):
+    """isolate_max_root's bracket, or None when it raised: ValueError exactly
+    when p over its largest power of x is positive at 0 (p not c x^k), else
+    only a plain ArithmeticError from a failed certificate."""
+    nonzero = [c for c in poly.nums if c]
+    rejected = len(nonzero) > 1 and (nonzero[0] > 0) == (nonzero[-1] > 0)
+    try:
+        bracket = isolate_max_root(poly, WIDTH, places)
+    except ValueError:
+        assert rejected
+        return None
+    except ArithmeticError as exc:
+        assert type(exc) is ArithmeticError and not rejected
+        return None
+    assert not rejected
+    return bracket
+
+
 @given(root_lists)
 def test_bracket_contains_known_max_root(roots):
     poly = Poly([1])
     for r in roots:
         poly = poly * Poly([-r, 1])
-    bracket = isolate_max_root(poly, WIDTH)
-    nonneg = [r for r in roots if r >= 0]
-    if not nonneg:
-        assert not bracket.has_root
+    bracket = _bracket_or_raise(poly)
+    if bracket is None:
         return
-    top = max(nonneg)
-    assert bracket.has_root
+    top = max(r for r in roots if r >= 0)
     assert bracket.lo <= top <= bracket.hi
     assert bracket.hi - bracket.lo <= WIDTH
 
@@ -197,57 +213,26 @@ def test_integer_sign_agrees_with_poly_and_the_fraction_oracle(nums, point):
     assert (scaled > 0) - (scaled < 0) == (value > 0) - (value < 0) == (oracle > 0) - (oracle < 0)
 
 
-def _count_descartes_searches(monkeypatch) -> list:
-    calls, search = [], rootisolation._rightmost_cell
-    monkeypatch.setattr(rootisolation, "_rightmost_cell", lambda *args: calls.append(args) or search(*args))
-    return calls
+def test_bisection_bracket_kept_without_the_descartes_search():
+    lo, hi = isolate_max_root(_linear(F(86, 100)) * Poly([1, 1]), WIDTH)  # p(0) < 0
+    assert lo < F(86, 100) < hi and hi - lo <= WIDTH
 
 
-def test_bisection_bracket_kept_without_the_descartes_search(monkeypatch):
-    calls = _count_descartes_searches(monkeypatch)
-    lo, hi, has_root = isolate_max_root(_linear(F(86, 100)) * Poly([1, 1]), WIDTH)  # p(0) < 0
-    assert has_root and lo < F(86, 100) < hi and hi - lo <= WIDTH
-    assert calls == []
-
-
-def test_search_falls_back_past_a_smaller_sign_change(monkeypatch):
+# The two tests below keep the names from when a Descartes search took over
+# where the bisection bracket failed its certificate; now the search raises.
+def test_search_falls_back_past_a_smaller_sign_change():
     # p(0) < 0 < p(1/2): bisection pins 3/10, whose bracket fails the test above hi.
-    calls = _count_descartes_searches(monkeypatch)
     p = _linear(F(3, 10)) * _linear(F(84, 100)) * _linear(F(86, 100))
-    lo, hi, has_root = isolate_max_root(p, WIDTH)
-    assert has_root and lo < F(86, 100) < hi and hi - lo <= WIDTH
-    assert len(calls) == 1
-
-
-def test_search_falls_back_when_p_is_positive_at_zero():
-    assert isolate_max_root(Poly([2, -3, 1]), WIDTH) == (F(2), F(2), True)  # (x - 1)(x - 2)
+    with pytest.raises(ArithmeticError, match="fails its certificate"):
+        isolate_max_root(p, WIDTH)
 
 
 def test_search_falls_back_past_a_double_root():
     # The double root 3/4 has no sign change; bisection finds only 3/10.
     p = _linear(F(3, 4)) * _linear(F(3, 4)) * _linear(F(3, 10))
-    assert isolate_max_root(p, WIDTH) == (F(3, 4), F(3, 4), True)
-    assert isolate_max_root(p, WIDTH, places=2) == (F(3, 4), F(3, 4), True)
-
-
-def test_descartes_fallback_gives_the_bisection_brackets(monkeypatch):
-    # The factor 8x - 1 makes p(0) > 0, so every cell takes the fallback; its
-    # Descartes cell, narrowed by the same refinement, ends on the same bracket.
-    table = {(r.a, r.b): (r.bracket_lo, r.bracket_hi, True) for r in roots_table(12, 12)}
-    calls = _count_descartes_searches(monkeypatch)
-    for a in range(1, 13):
-        for b in range(a, 13):
-            p = product_gap_poly(a, b) * Poly([-1, 8])
-            assert isolate_max_root(p, DEFAULT_WIDTH, places=2) == table[a, b], (a, b)
-    assert len(calls) == 78
-
-
-def test_root_table_needs_no_descartes_search(monkeypatch):
-    def unused(*args):
-        raise AssertionError("the Descartes search ran")
-
-    monkeypatch.setattr(rootisolation, "_rightmost_cell", unused)
-    assert len(roots_table(10, 10)) == 100
+    for places in (None, 2):
+        with pytest.raises(ArithmeticError, match="fails its certificate"):
+            isolate_max_root(p, WIDTH, places)
 
 
 @pytest.mark.parametrize(
@@ -268,8 +253,8 @@ def test_rounding_settled_near_a_tie(square, rounded):
         assert raw.lo == F(9, 8)
     else:
         assert round_half_away(raw.lo) != round_half_away(raw.hi)  # the search alone straddles
-    lo, hi, has_root = isolate_max_root(p, WIDTH, places=2)
-    assert has_root and 0 < hi - lo <= WIDTH
+    lo, hi = isolate_max_root(p, WIDTH, places=2)
+    assert 0 < hi - lo <= WIDTH
     assert round_half_away(lo) == round_half_away(hi) == rounded
     assert p(lo) < 0 < p(hi)
     assert variations_in_interval(p, lo, hi) == 1
@@ -279,12 +264,12 @@ def test_rounding_settled_near_a_tie(square, rounded):
 def test_rounding_settled_on_an_exact_tie():
     p = Poly([-9, -1, 8])  # (8x - 9)(x + 1): the root 9/8 is the tie 1.125
     # 9/8 is dyadic, so the search in the frame (0, 2) hits it as an exact midpoint.
-    assert isolate_max_root(p, WIDTH) == (F(9, 8), F(9, 8), True)
-    assert isolate_max_root(p, WIDTH, places=2) == (F(9, 8), F(9, 8), True)
+    assert isolate_max_root(p, WIDTH) == (F(9, 8), F(9, 8))
+    assert isolate_max_root(p, WIDTH, places=2) == (F(9, 8), F(9, 8))
     q = Poly([-223, -23, 200])  # (200x - 223)(x + 1): the tie 1.115 is not dyadic
     raw = isolate_max_root(q, WIDTH)
     assert raw.lo < F(223, 200) < raw.hi  # the search alone straddles; the rounding cut finds it
-    assert isolate_max_root(q, WIDTH, places=2) == (F(223, 200), F(223, 200), True)
+    assert isolate_max_root(q, WIDTH, places=2) == (F(223, 200), F(223, 200))
 
 
 def test_rounding_raises_without_a_sign_change():
@@ -327,11 +312,11 @@ def test_bracket_certified_with_repeated_factors(factored):
             poly = poly * factor
     for factor in {f for f, _ in factored}:
         distinct = distinct * factor
-    lo, hi, has_root = isolate_max_root(poly, WIDTH, places=2)
-    assert no_roots_above(poly, hi)
-    if not has_root:
-        assert lo == hi == 0
+    bracket = _bracket_or_raise(poly, places=2)
+    if bracket is None:
         return
+    lo, hi = bracket
+    assert no_roots_above(poly, hi)
     assert round_half_away(lo) == round_half_away(hi)
     if lo == hi:
         assert poly(lo) == 0
@@ -399,6 +384,5 @@ def _sympy_max_root_interval(poly):
 def test_max_root_agrees_with_sympy(a, b):
     poly = product_gap_poly(a, b)
     s_lo, s_hi = _sympy_max_root_interval(poly)
-    lo, hi, has_root = isolate_max_root(poly, WIDTH)
-    assert has_root
+    lo, hi = isolate_max_root(poly, WIDTH)
     assert s_lo <= hi and lo <= s_hi  # the two isolating intervals overlap

@@ -486,8 +486,8 @@ def test_roots_table_rejects_a_bad_bracket(monkeypatch):
     isolate = verification.isolate_max_root
 
     def shifted(poly, width, places=None):
-        lo, hi, has_root = isolate(poly, width, places)
-        return lo + F(1, 10), hi + F(1, 10), has_root
+        lo, hi = isolate(poly, width, places)
+        return lo + F(1, 10), hi + F(1, 10)
 
     monkeypatch.setattr(verification, "isolate_max_root", shifted)
     with pytest.raises(ArithmeticError):
@@ -536,14 +536,14 @@ def test_recheck_rejects_a_real_bracket_moved_down():
 def test_recheck_catches_a_negated_search_sign(monkeypatch):
     horner = rootisolation._horner
     monkeypatch.setattr(rootisolation, "_horner", lambda desc, m: -horner(desc, m))
-    # The bisection and the Descartes fallback narrow with the same signs, so
-    # the table stops at its first cell whose bracket misses the root.
-    with pytest.raises(ArithmeticError, match=r"\(1, 3\)"):
+    # Cell (1, 3) is the first whose root is not the exact midpoint 1: its
+    # negated bisection ends on (0, 2^-14), which fails the search's own test above hi.
+    with pytest.raises(ArithmeticError, match=r"\[0, 1/16384\] fails its certificate"):
         roots_table(4, 4)
     # Cell (3, 6) has its root near 0.48: the negated bisection runs up to
     # (1 - 2^-14, 1), which passes the search's own test above hi, so only the
     # re-check's own endpoint signs can reject it.
-    lo, hi, _ = rootisolation.isolate_max_root(product_gap_poly(3, 6), DEFAULT_WIDTH, places=2)
+    lo, hi = rootisolation.isolate_max_root(product_gap_poly(3, 6), DEFAULT_WIDTH, places=2)
     assert (lo, hi) == (F(16383, 16384), 1)
     assert not certify_root_record(RootRecord(3, 6, lo, hi, round_half_away(lo)))
 
