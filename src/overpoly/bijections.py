@@ -395,16 +395,16 @@ class AuditReport(NamedTuple):
     unhit_witness: tuple | None
 
 
-def audit(map_name: str, a: int, b: int | None = None, k: int = 1, caps=None) -> AuditReport:
+def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | None = None) -> AuditReport:
     """Exhaustively test one map: well-definedness, injectivity, surjectivity, witnesses."""
     entry, b_weight = _require_cell(map_name, a, b, k)
     if b is not None and a < b:
         raise ValueError(f"map {map_name} needs a >= b; got a={a}, b={b}")
     apply_map = globals()[entry.apply]
     map_args = (a, *(() if entry.fixed_b is not None else (b,)), *((k,) if entry.colored else ()))
-    domain = enumerate_ops(a + b_weight, k, entry.domain, caps=caps)
-    left_cod = enumerate_ops(a, k, entry.left, caps=caps)
-    right_cod = enumerate_ops(b_weight, k, entry.right, caps=caps)
+    domain = enumerate_ops(a + b_weight, k, entry.domain, cap=cap)
+    left_cod = enumerate_ops(a, k, entry.left, cap=cap)
+    right_cod = enumerate_ops(b_weight, k, entry.right, cap=cap)
     codomain_size = len(left_cod) * len(right_cod)
 
     images = [apply_map(lam, *map_args) for lam in domain]

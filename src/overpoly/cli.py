@@ -7,9 +7,10 @@ certificate failed (one error: line, no traceback), 2 for usage, parse, and
 resource-cap errors.
 
 Rationals cross the boundary as exact "p/q" strings (plain integers and exact
-decimals also parse); output is deterministic for fixed arguments.  A JSON
---config file may override caps, the root-bracket width and the evaluation
-grid.
+decimals also parse); output is deterministic for fixed arguments.  The
+enumeration cap, the root-bracket width and the evaluation grid have
+defaults; --cap, --width and --xs override them on the command that reads
+them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .bijections import MAP_NAMES, audit, expected_verdict
 from .enumeration import (
     CapExceededError,
     Constraint,
-    DEFAULT_CAPS,
     NO_CONSTRAINT,
     enumerate_ops,
     format_parts,
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="overpoly",
         description="Exact arithmetic and verification for overpartition polynomials.",
     )
-    parser.add_argument("--config", help="JSON file overriding caps/width/xs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="overpartition polynomial for one n")
@@ -127,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_roots)
     p.add_argument("--amax", type=_int, default=10)
     p.add_argument("--bmax", type=_int, default=10)
-    p.add_argument("--width", type=_rational, help=f"bracket width (default {DEFAULT_WIDTH})")
+    p.add_argument("--width", type=_rational, default=DEFAULT_WIDTH, help=f"bracket width (default {DEFAULT_WIDTH})")
     p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
     p = sub.add_parser("bounds", help="analytic sandwich and truncated-series data")
@@ -139,61 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_caps(raw) -> dict[int, int]:
-    caps = {_int(count): cap for count, cap in raw.items()}
-    if any(count < 1 or not isinstance(cap, int) or isinstance(cap, bool) for count, cap in caps.items()):
-        raise TypeError("not a cap table")
-    return caps
-
-
-def _parse_width(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise TypeError("not a rational")
-    width = Fraction(raw)  # OverflowError for an infinite float, ValueError for NaN
-    if width <= 0:
-        raise ValueError("not positive")
-    return width
-
-
-def _parse_xs(raw) -> tuple[Fraction, ...]:
-    if not isinstance(raw, list):
-        raise TypeError("not a list")
-    return tuple(Fraction(str(x)) for x in raw)
-
-
-# config key -> (parser, what the value must be)
-_CONFIG_VALUES = {
-    "caps": (_parse_caps, 'an object from color counts to integer caps, such as {"1": 26}'),
-    "width": (_parse_width, 'a positive rational, such as "1/100"'),
-    "xs": (_parse_xs, 'a list of rationals, such as ["1", "3/2"]'),
-}
-
-
-def _load_config(path: str | None) -> dict:
-    """The config file as a dict, with every value checked and parsed."""
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
-    if not isinstance(config, dict):
-        raise ValueError("config must be a JSON object")
-    unknown = sorted(set(config) - set(_CONFIG_VALUES))
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; known keys are {list(_CONFIG_VALUES)}")
-    for key, (parse, rule) in _CONFIG_VALUES.items():
-        if key in config:
-            try:
-                config[key] = parse(config[key])
-            except (argparse.ArgumentTypeError, ArithmeticError, AttributeError, TypeError, ValueError):
-                raise ValueError(f"config key {key} must be {rule}; got {json.dumps(config[key])}") from None
-    return config
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _cmd_poly(args, config: dict) -> int:
+def _cmd_poly(args) -> int:
     poly = pbar_derivative(args.n) if args.derivative else pbar_poly(args.n)
     if args.point is not None:
         value = poly(args.point)
@@ -210,7 +159,7 @@ def _cmd_poly(args, config: dict) -> int:
     return 0
 
 
-def _cmd_series(args, config: dict) -> int:
+def _cmd_series(args) -> int:
     table = series_expand(args.order)
     if args.format == "json":
         _emit_json(
@@ -222,13 +171,12 @@ def _cmd_series(args, config: dict) -> int:
     return 0
 
 
-def _cmd_enumerate(args, config: dict) -> int:
+def _cmd_enumerate(args) -> int:
     constraint = Constraint.parse(args.forbid) if args.forbid else NO_CONSTRAINT
     for size, color in sorted(constraint.forbidden):
         if color > args.colors >= 1:  # a color count below 1 is enumerate_ops's error
             raise ValueError(f"ban '{size}_{color}' has color {color}, above --colors {args.colors}")
-    caps = _caps_from(config, args.colors, args.cap)
-    items = enumerate_ops(args.n, args.colors, constraint, caps=caps)
+    items = enumerate_ops(args.n, args.colors, constraint, cap=args.cap)
     if args.format == "json":
         payload = {"n": args.n, "colors": args.colors, "count": len(items)}
         if not args.count:
@@ -242,9 +190,8 @@ def _cmd_enumerate(args, config: dict) -> int:
     return 0
 
 
-def _cmd_bijection(args, config: dict) -> int:
-    caps = _caps_from(config, args.colors, args.cap)
-    report = audit(args.map, args.a, args.b, args.colors, caps=caps)
+def _cmd_bijection(args) -> int:
+    report = audit(args.map, args.a, args.b, args.colors, cap=args.cap)
     if args.format == "json":
         _emit_json(encode(report))
     else:
@@ -265,7 +212,7 @@ def _cmd_bijection(args, config: dict) -> int:
     return 0 if expected_verdict(report) else 1
 
 
-def _cmd_verify(args, config: dict) -> int:
+def _cmd_verify(args) -> int:
     takes = CLAIMS[args.claim][1]
     ranges = {}
     for flag, (param, _, _) in _RANGE_FLAGS.items():
@@ -276,8 +223,6 @@ def _cmd_verify(args, config: dict) -> int:
             known = [f for f, (name, _, _) in _RANGE_FLAGS.items() if name in takes]
             raise ValueError(f"verify {args.claim} does not take {flag}; it takes {', '.join(known)}")
         ranges[param] = value
-    if "xs" in takes and "xs" not in ranges and "xs" in config:
-        ranges["xs"] = config["xs"]
     report = run_claim(args.claim, **ranges)
     if args.format == "json":
         _emit_json(encode(report))
@@ -294,11 +239,8 @@ def _cmd_verify(args, config: dict) -> int:
     return 0 if report.holds else 1
 
 
-def _cmd_roots(args, config: dict) -> int:
-    width = args.width
-    if width is None:
-        width = config.get("width", DEFAULT_WIDTH)
-    records = roots_table(args.amax, args.bmax, width)
+def _cmd_roots(args) -> int:
+    records = roots_table(args.amax, args.bmax, args.width)
     if args.format == "csv":
         sys.stdout.write(roots_csv(records))
     elif args.format == "json":
@@ -310,7 +252,7 @@ def _cmd_roots(args, config: dict) -> int:
     return 0
 
 
-def _cmd_bounds(args, config: dict) -> int:
+def _cmd_bounds(args) -> int:
     if (args.n is None) == (args.nmax is None):
         raise ValueError("bounds takes exactly one of n and --nmax")
     if args.nmax is not None and args.nmax < 1:
@@ -332,14 +274,6 @@ def _cmd_bounds(args, config: dict) -> int:
     return 0 if all_ok else 1
 
 
-def _caps_from(config: dict, colors: int, cap: int | None) -> dict[int, int]:
-    """DEFAULT_CAPS, overridden by the config's caps and then by --cap for this color count."""
-    caps = {**DEFAULT_CAPS, **config.get("caps", {})}
-    if cap is not None:
-        caps[colors] = cap
-    return caps
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -347,12 +281,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config = _load_config(args.config)
-        return args.handler(args, config)
+        return args.handler(args)
     except CapExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: stdout closed early, as by `| head -1`
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

@@ -14,8 +14,8 @@ by construction, duplicate-free, and deterministic.
 
 This module exists to be dumb and trustworthy: it is the independent oracle
 against which the polynomial counts are checked.  Enumeration is capped per
-color count (weights beyond the cap raise CapExceededError); the caps are
-configuration, not constants.
+color count (weights beyond the cap raise CapExceededError); a caller may
+pass its own cap in place of the default for that count.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "forbid",
     "CapExceededError",
     "DEFAULT_CAPS",
-    "cap_for",
     "weight",
     "canonicalize",
     "is_canonical",
@@ -90,19 +89,14 @@ def forbid(*pairs: tuple[int, int]) -> Constraint:
 
 
 # Worst-case set sizes stay under ~1e7 objects with these weights; callers can
-# pass their own mapping.  Color counts beyond 3 are only ever enumerated at
+# pass their own cap.  Color counts beyond 3 are only ever enumerated at
 # tiny weights (closed-form spot checks), hence the conservative fallback.
 DEFAULT_CAPS: Mapping[int, int] = {1: 25, 2: 12, 3: 8}
 DEFAULT_CAP_OTHER = 4
 
 
 class CapExceededError(Exception):
-    """Enumeration weight exceeds the configured cap."""
-
-
-def cap_for(k: int, caps: Mapping[int, int] | None = None) -> int:
-    caps = DEFAULT_CAPS if caps is None else caps
-    return caps.get(k, DEFAULT_CAP_OTHER)
+    """Enumeration weight exceeds the cap for its color count."""
 
 
 def weight(parts) -> int:
@@ -142,7 +136,7 @@ def iter_ops(
     n: int,
     k: int = 1,
     constraint: Constraint = NO_CONSTRAINT,
-    caps: Mapping[int, int] | None = None,
+    cap: int | None = None,
 ) -> Iterator[tuple[Part, ...]]:
     """Every k-colored overpartition of weight n satisfying the constraint.
 
@@ -152,14 +146,16 @@ def iter_ops(
     overline.  Only pairs that receive at least one copy are recursed into,
     and the next used pair is tried last to first: a later one leaves more
     leading pairs empty, so that descent lists it sooner.  Pairs larger than
-    the remaining weight are never tried.  Caps and domain are validated
-    eagerly; the returned iterator is lazy.
+    the remaining weight are never tried.  A cap of None is the default cap
+    for k.  The cap and domain are validated eagerly; the returned iterator
+    is lazy.
     """
     if n < 0:
         raise ValueError(f"weight must be >= 0, got {n}")
     if k < 1:
         raise ValueError(f"color count must be >= 1, got {k}")
-    cap = cap_for(k, caps)
+    if cap is None:
+        cap = DEFAULT_CAPS.get(k, DEFAULT_CAP_OTHER)
     if n > cap:
         raise CapExceededError(
             f"enumeration of weight {n} with {k} colors exceeds the cap {cap}"
@@ -199,20 +195,20 @@ def enumerate_ops(
     n: int,
     k: int = 1,
     constraint: Constraint = NO_CONSTRAINT,
-    caps: Mapping[int, int] | None = None,
+    cap: int | None = None,
 ) -> list[tuple[Part, ...]]:
     """All k-colored overpartitions of n satisfying the constraint, as a list."""
-    return list(iter_ops(n, k, constraint, caps))
+    return list(iter_ops(n, k, constraint, cap))
 
 
 def count_ops(
     n: int,
     k: int = 1,
     constraint: Constraint = NO_CONSTRAINT,
-    caps: Mapping[int, int] | None = None,
+    cap: int | None = None,
 ) -> int:
     """Number of k-colored overpartitions of n satisfying the constraint."""
-    return sum(1 for _ in iter_ops(n, k, constraint, caps))
+    return sum(1 for _ in iter_ops(n, k, constraint, cap))
 
 
 def format_parts(parts) -> str:

@@ -480,8 +480,8 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]
     The gap polynomial is symmetric in (a, b), so only cells with a <= b are
     isolated, one after another, and each result is copied to (b, a).  Each
     distinct cell builds its gap polynomial once; the search and the re-check
-    of certify_root_record both read it, and a failed re-check raises
-    ArithmeticError before the record is mirrored.
+    of certify_root_record both read it.  A failed search certificate or
+    re-check raises ArithmeticError naming the cell.
     """
     _need_range("a_max", a_max, 1)
     _need_range("b_max", b_max, 1)
@@ -490,7 +490,10 @@ def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]
     by_pair = {}
     for a, b in sorted({(min(a, b), max(a, b)) for a, b in cells}):
         gap = product_gap_poly(a, b)
-        lo, hi = isolate_max_root(gap, width, places=2)
+        try:
+            lo, hi = isolate_max_root(gap, width, places=2)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"cell ({a}, {b}): {exc}") from None
         record = RootRecord(a, b, lo, hi, round_half_away(lo))
         if not _certify_bracket(record, gap, width):
             raise ArithmeticError(f"root record for cell ({a}, {b}) failed its re-check")

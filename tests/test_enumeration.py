@@ -165,8 +165,8 @@ def test_cap_enforcement():
         count_ops(13, 2)
     with pytest.raises(CapExceededError):
         count_ops(5, 7)
-    # caps are configuration, not constants
-    assert count_ops(26, 1, NO_CONSTRAINT, caps={1: 26}) > 0
+    # a caller's cap replaces the default cap for its color count
+    assert count_ops(26, 1, NO_CONSTRAINT, cap=26) > 0
 
 
 def test_constraint_parsing():
@@ -231,7 +231,7 @@ MAP_CASES = [(1, ban) for ban in UNCOLORED_BANS] + [(k, ban) for k in (2, 3) for
 def test_iter_ops_keeps_the_full_descent_order(k, ban):
     constraint = (UNCOLORED_BANS if k == 1 else COLORED_BANS)[ban]
     for n in range(13):
-        fast = iter_ops(n, k, constraint, caps={k: 12})
+        fast = iter_ops(n, k, constraint, cap=12)
         first = next(fast)
         assert all(type(part) is Part for part in first)
         pairs = zip_longest(chain([first], fast), _reference_iter_ops(n, k, constraint))

@@ -165,8 +165,14 @@ def _bracket_or_raise(poly, places=None):
     return bracket
 
 
-@given(root_lists)
-def test_bracket_contains_known_max_root(roots):
+positive_roots = st.fractions(max_denominator=4, min_value=F(1, 4), max_value=F(3))
+
+
+@given(root_lists, positive_roots)
+def test_bracket_contains_known_max_root(roots, extra):
+    # An odd count of positive roots makes the deflated constant term negative, as the search needs.
+    if sum(r > 0 for r in roots) % 2 == 0:
+        roots = [*roots, extra]
     poly = Poly([1])
     for r in roots:
         poly = poly * Poly([-r, 1])
@@ -304,8 +310,12 @@ factors = st.one_of(
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=4))
-def test_bracket_certified_with_repeated_factors(factored):
+@given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=4), positive_roots)
+def test_bracket_certified_with_repeated_factors(factored, extra):
+    # A factor f has one positive root when f(0) < 0 and none otherwise: the
+    # extra root makes their count odd, so the deflated constant term is negative.
+    if sum(multiplicity for factor, multiplicity in factored if factor(0) < 0) % 2 == 0:
+        factored = [*factored, (_linear(extra), 1)]
     poly, distinct = Poly([1]), Poly([1])
     for factor, multiplicity in factored:
         for _ in range(multiplicity):

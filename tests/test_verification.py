@@ -538,7 +538,7 @@ def test_recheck_catches_a_negated_search_sign(monkeypatch):
     monkeypatch.setattr(rootisolation, "_horner", lambda desc, m: -horner(desc, m))
     # Cell (1, 3) is the first whose root is not the exact midpoint 1: its
     # negated bisection ends on (0, 2^-14), which fails the search's own test above hi.
-    with pytest.raises(ArithmeticError, match=r"\[0, 1/16384\] fails its certificate"):
+    with pytest.raises(ArithmeticError, match=r"^cell \(1, 3\): the bracket \[0, 1/16384\] fails its certificate"):
         roots_table(4, 4)
     # Cell (3, 6) has its root near 0.48: the negated bisection runs up to
     # (1 - 2^-14, 1), which passes the search's own test above hi, so only the
