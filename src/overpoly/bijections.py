@@ -20,14 +20,19 @@ rearrangements the case formulas would otherwise need.
 MAPS is the one registry of the five maps; dispatch_case, audit and the
 maps' own parameter checks all read their entry there.
 
-audit() enumerates the exact domain, applies the map everywhere, and reports
-well-definedness (every image lands in the enumerated codomain), injectivity
-(pairwise distinct images), surjectivity (image covers the codomain), and
-witnesses.  Images are compared as canonical values, never as strings.
+audit() streams the exact domain from iter_ops, applies the public map once
+per element, and reports well-definedness (every image lands in the
+enumerated codomain), injectivity (pairwise distinct images), surjectivity
+(image covers the codomain), and witnesses.  It keeps one dict from each
+image to the position of its first preimage, not the domain: the collision
+witness, the first repeated image in domain order with its first preimage,
+is fetched by enumerating again.  Images are compared as canonical values,
+never as strings.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 from . import serial
@@ -38,6 +43,7 @@ from .enumeration import (
     canonicalize,
     enumerate_ops,
     forbid,
+    iter_ops,
     weight,
 )
 
@@ -64,6 +70,11 @@ NO_TWOS = forbid((2, 1))
 NO_ONES_NO_TWOS = forbid((1, 1), (2, 1))
 NO_ONES_C2 = forbid((1, 2))
 NO_ONES_C1_C2 = forbid((1, 1), (1, 2))
+
+# The small parts the maps emit, built once and shared by every image.
+ONE, ONE_BAR = Part(1, 1, False), Part(1, 1, True)
+TWO, TWO_BAR = Part(2, 1, False), Part(2, 1, True)
+ONE_C2 = Part(1, 2, False)
 
 
 class MapEntry(NamedTuple):
@@ -190,7 +201,7 @@ def split_pair(parts, a: int, b: int) -> ImagePair:
     _require_input("f", parts, a, b)
     i, take, keep = split_point(parts, b)
     case = _split_case(parts, b)
-    ones = (Part(1, 1, False),) * take
+    ones = (ONE,) * take
     if case == 0:
         left, right = parts[: i - 1], parts[i - 1 :]
     elif case == 1:
@@ -218,13 +229,12 @@ def peel_one(parts, a: int) -> ImagePair:
     _require_input("g1", parts, a)
     case = _peel_one_case(parts)
     last = parts[-1]
-    one, one_bar = Part(1, 1, False), Part(1, 1, True)
     if case == 0:
-        left, right = parts[:-1] + (Part(last.size - 1, 1, True),), (one,)
+        left, right = parts[:-1] + (Part(last.size - 1, 1, True),), (ONE,)
     elif case == 1:
-        left, right = parts[:-1] + (Part(last.size - 1, 1, False),), (one,)
+        left, right = parts[:-1] + (Part(last.size - 1, 1, False),), (ONE,)
     elif case == 2:
-        left, right = parts[:-1] + (one_bar,), (one_bar,)
+        left, right = parts[:-1] + (ONE_BAR,), (ONE_BAR,)
     else:
         left, right = parts[:-1], (last,)
     return ImagePair(canonicalize(left), canonicalize(right))
@@ -254,24 +264,22 @@ def peel_two(parts, a: int) -> ImagePair:
     case = _peel_two_case(parts)
     last = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
-    one, one_bar = Part(1, 1, False), Part(1, 1, True)
-    two, two_bar = Part(2, 1, False), Part(2, 1, True)
     if case == 0:
-        left, right = parts[:-1] + (Part(last.size - 2, 1, True),), (two,)
+        left, right = parts[:-1] + (Part(last.size - 2, 1, True),), (TWO,)
     elif case == 1:
-        left, right = parts[:-1] + (Part(last.size - 2, 1, False),), (two,)
+        left, right = parts[:-1] + (Part(last.size - 2, 1, False),), (TWO,)
     elif case == 2:
-        left, right = parts[:-1] + (one_bar,), (two_bar,)
+        left, right = parts[:-1] + (ONE_BAR,), (TWO_BAR,)
     elif case == 3:
-        left, right = parts[:-1], (one, one)
+        left, right = parts[:-1], (ONE, ONE)
     elif case == 4:
-        left, right = parts[:-1], (two_bar,)
+        left, right = parts[:-1], (TWO_BAR,)
     elif case == 5:
-        left, right = parts[:-2] + (Part(prev.size - 1, 1, True),), (one, one_bar)
+        left, right = parts[:-2] + (Part(prev.size - 1, 1, True),), (ONE, ONE_BAR)
     elif case == 6:
-        left, right = parts[:-2] + (one_bar,), (one, one)
+        left, right = parts[:-2] + (ONE_BAR,), (ONE, ONE)
     else:
-        left, right = parts[:-2] + (Part(prev.size - 1, 1, False),), (one, one_bar)
+        left, right = parts[:-2] + (Part(prev.size - 1, 1, False),), (ONE, ONE_BAR)
     return ImagePair(canonicalize(left), canonicalize(right))
 
 
@@ -302,8 +310,7 @@ def split_pair_colored(parts, a: int, b: int, k: int) -> ImagePair:
     case = _split_colored_case(parts, b)
     part = parts[i - 1]
     prev = parts[i - 2] if i >= 2 else None
-    ones1 = (Part(1, 1, False),) * take
-    one2 = Part(1, 2, False)
+    ones1 = (ONE,) * take
     if case == 0:
         left, right = parts[: i - 1], parts[i - 1 :]
     elif case == 1:
@@ -313,13 +320,13 @@ def split_pair_colored(parts, a: int, b: int, k: int) -> ImagePair:
     elif case == 3:
         left, right = parts[: i - 1] + (Part(1, part.color, False),), parts[i:] + ones1
     elif case == 4:
-        left = parts[: i - 2] + (one2, one2, Part(1, 1, True))
+        left = parts[: i - 2] + (ONE_C2, ONE_C2, ONE_BAR)
         right = parts[i:] + ones1
     elif case == 5:
-        left = parts[: i - 2] + (Part(prev.size - 1, prev.color, False), one2, one2)
+        left = parts[: i - 2] + (Part(prev.size - 1, prev.color, False), ONE_C2, ONE_C2)
         right = parts[i:] + ones1
     else:
-        left = parts[: i - 2] + (Part(prev.size - 1, prev.color, True), one2, one2)
+        left = parts[: i - 2] + (Part(prev.size - 1, prev.color, True), ONE_C2, ONE_C2)
         right = parts[i:] + ones1
     return ImagePair(canonicalize(left, k), canonicalize(right, k))
 
@@ -348,20 +355,18 @@ def peel_one_colored(parts, a: int, k: int) -> ImagePair:
     case = _peel_one_colored_case(parts)
     last = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
-    one1 = Part(1, 1, False)
-    one2 = Part(1, 2, False)
     if case == 0:
-        left, right = parts[:-1] + (Part(last.size - 1, last.color, True),), (one1,)
+        left, right = parts[:-1] + (Part(last.size - 1, last.color, True),), (ONE,)
     elif case == 1:
-        left, right = parts[:-1] + (Part(last.size - 1, last.color, False),), (one1,)
+        left, right = parts[:-1] + (Part(last.size - 1, last.color, False),), (ONE,)
     elif case == 2:
-        left = parts[:-2] + (Part(prev.size - 1, prev.color, True), one2, one2)
-        right = (one1,)
+        left = parts[:-2] + (Part(prev.size - 1, prev.color, True), ONE_C2, ONE_C2)
+        right = (ONE,)
     elif case == 3:
-        left = parts[:-2] + (Part(prev.size - 1, prev.color, False), one2, one2)
-        right = (one1,)
+        left = parts[:-2] + (Part(prev.size - 1, prev.color, False), ONE_C2, ONE_C2)
+        right = (ONE,)
     elif case == 4:
-        left, right = parts[:-2] + (one2, one2, Part(1, 1, True)), (one1,)
+        left, right = parts[:-2] + (ONE_C2, ONE_C2, ONE_BAR), (ONE,)
     else:
         left, right = parts[:-1], (last,)
     return ImagePair(canonicalize(left, k), canonicalize(right, k))
@@ -402,33 +407,37 @@ def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | No
         raise ValueError(f"map {map_name} needs a >= b; got a={a}, b={b}")
     apply_map = globals()[entry.apply]
     map_args = (a, *(() if entry.fixed_b is not None else (b,)), *((k,) if entry.colored else ()))
-    domain = enumerate_ops(a + b_weight, k, entry.domain, cap=cap)
+    domain = iter_ops(a + b_weight, k, entry.domain, cap=cap)
     left_cod = enumerate_ops(a, k, entry.left, cap=cap)
     right_cod = enumerate_ops(b_weight, k, entry.right, cap=cap)
     codomain_size = len(left_cod) * len(right_cod)
 
-    images = [apply_map(lam, *map_args) for lam in domain]
-    image_set = set(images)
+    # Each image maps to the 1-based position of its first preimage in domain
+    # order; repeat holds the positions of the first repeated image, if any.
+    first_preimage: dict[ImagePair, int] = {}
+    repeat = None
+    domain_size = 0
+    for domain_size, lam in enumerate(domain, 1):
+        first = first_preimage.setdefault(apply_map(lam, *map_args), domain_size)
+        if first != domain_size and repeat is None:
+            repeat = (first, domain_size)
 
     left_set, right_set = set(left_cod), set(right_cod)
-    well_defined = all(l in left_set and r in right_set for (l, r) in images)
+    well_defined = all(l in left_set and r in right_set for (l, r) in first_preimage)
 
-    injective = len(image_set) == len(images)
+    injective = repeat is None
     collision = None
     if not injective:
-        seen: dict[tuple, int] = {}
-        for idx, im in enumerate(images):
-            if im in seen:
-                collision = (domain[seen[im]], domain[idx])
-                break
-            seen[im] = idx
+        # The stream has moved past both preimages; fetch them from a fresh one.
+        again = enumerate(islice(iter_ops(a + b_weight, k, entry.domain, cap=cap), repeat[1]), 1)
+        collision = tuple(lam for position, lam in again if position in repeat)
 
-    surjective = len(image_set) == codomain_size and well_defined
+    surjective = len(first_preimage) == codomain_size and well_defined
     unhit = None
     if not surjective:
         for l in left_cod:
             for r in right_cod:
-                if (l, r) not in image_set:
+                if (l, r) not in first_preimage:
                     unhit = (l, r)
                     break
             if unhit is not None:
@@ -439,8 +448,8 @@ def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | No
         a=a,
         b=b,
         k=k,
-        domain_size=len(domain),
-        image_size=len(image_set),
+        domain_size=domain_size,
+        image_size=len(first_preimage),
         codomain_size=codomain_size,
         well_defined=well_defined,
         injective=injective,

@@ -3,7 +3,8 @@
 Subcommands expose every operation with machine-readable output and stable
 exit codes: 0 when the computation succeeded and every claim checked held,
 1 when a check found a counterexample or an unexpected exception set, or a
-certificate failed (one error: line, no traceback), 2 for usage, parse, and
+certificate failed (one error: line, no traceback), or a reader closed
+stdout early, as `| head -1` does (nothing printed), 2 for usage, parse, and
 resource-cap errors.
 
 Rationals cross the boundary as exact "p/q" strings (plain integers and exact
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -281,11 +283,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader gone before the last buffered write shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head -1` does.  Point the
+        # descriptor at devnull so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # OSError: stdout closed early, as by `| head -1`
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

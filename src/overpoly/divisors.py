@@ -75,8 +75,8 @@ def sigma_bar(n: int) -> int:
 _pbar_memo: list[int] = [1]
 
 
-def pbar_prefix(n: int) -> list[int]:
-    """The list [pbar(0), ..., pbar(n)] from Gauss's theta recursion."""
+def _grow_pbar_memo(n: int) -> None:
+    """Extend _pbar_memo through pbar(n) by Gauss's theta recursion."""
     if n < 0:
         raise ValueError(f"pbar undefined for n={n}; need n >= 0")
     while len(_pbar_memo) <= n:
@@ -85,9 +85,15 @@ def pbar_prefix(n: int) -> list[int]:
         odd = sum(_pbar_memo[m - k * k] for k in range(1, r + 1, 2))
         even = sum(_pbar_memo[m - k * k] for k in range(2, r + 1, 2))
         _pbar_memo.append(2 * (odd - even))
+
+
+def pbar_prefix(n: int) -> list[int]:
+    """The list [pbar(0), ..., pbar(n)] from Gauss's theta recursion."""
+    _grow_pbar_memo(n)
     return _pbar_memo[: n + 1]
 
 
 def pbar_exact(n: int) -> int:
     """Number of overpartitions of n, exact."""
-    return pbar_prefix(n)[n]
+    _grow_pbar_memo(n)
+    return _pbar_memo[n]

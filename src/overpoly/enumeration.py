@@ -10,7 +10,9 @@ A Constraint bans chosen (size, color) pairs for NON-overlined parts only:
 "no 1's" still admits one overlined 1.  Generation walks the (size, color)
 pairs in canonical descending order, choosing the multiplicity of
 non-overlined copies and then the optional overline, so output is canonical
-by construction, duplicate-free, and deterministic.
+by construction, duplicate-free, and deterministic.  iter_ops is one lazy
+generator; it builds each light suffix (weight at most n // 2) once and
+shares it across every prefix that ends at the same pair and weight.
 
 This module exists to be dumb and trustworthy: it is the independent oracle
 against which the polynomial counts are checked.  Enumeration is capped per
@@ -114,18 +116,21 @@ def canonicalize(parts, k: int | None = None) -> tuple[Part, ...]:
     Raises ValueError on a non-positive size, a color outside 1..k (when k is
     given), or two overlined parts sharing a (size, color) pair.
     """
-    seen_overlines = set()
-    for p in parts:
+    ordered = sorted(parts, key=_canonical_key)
+    all_parts = True
+    prev = None
+    for p in ordered:
         size, color, overlined = p
         if size < 1:
             raise ValueError(f"part size must be >= 1, got {size}")
         if color < 1 or (k is not None and color > k):
             raise ValueError(f"part color {color} outside 1..{k}")
-        if overlined:
-            if (size, color) in seen_overlines:
-                raise ValueError(f"duplicate overline for (size={size}, color={color})")
-            seen_overlines.add((size, color))
-    return tuple(p if type(p) is Part else Part(*p) for p in sorted(parts, key=_canonical_key))
+        # Equal parts sort next to each other, so a repeated overline meets its twin.
+        if overlined and p == prev:
+            raise ValueError(f"duplicate overline for (size={size}, color={color})")
+        all_parts = all_parts and type(p) is Part
+        prev = p
+    return tuple(ordered) if all_parts else tuple(p if type(p) is Part else Part(*p) for p in ordered)
 
 
 def is_canonical(parts) -> bool:
@@ -149,6 +154,14 @@ def iter_ops(
     the remaining weight are never tried.  A cap of None is the default cap
     for k.  The cap and domain are validated eagerly; the returned iterator
     is lazy.
+
+    The suffixes of each weight w <= n // 2 are built once per first pair
+    that fits w and kept for the life of the iterator; heavier levels
+    recurse.  There are at most k w + 1 such pairs and each list holds
+    distinct overpartitions of w, so the memo holds at most the sum over
+    w <= n // 2 of (k w + 1) pbar_k(w) tuples.  With nothing banned it holds
+    4,946 next to the 31,066 yielded at n = 25, and 46,316 next to 398,640
+    at n = 35.
     """
     if n < 0:
         raise ValueError(f"weight must be >= 0, got {n}")
@@ -163,32 +176,53 @@ def iter_ops(
     pairs = [(s, c) for s in range(n, 0, -1) for c in range(k, 0, -1)]
     plain_parts = [Part(s, c, False) for s, c in pairs]
     bar_parts = [Part(s, c, True) for s, c in pairs]
-    plain_allowed = [pair not in constraint.forbidden for pair in pairs]
+    plain_allowed = [constraint.allows(s, c, False) for s, c in pairs]
+    light = n // 2
+    memo: dict[tuple[int, int], list[tuple[Part, ...]]] = {}
 
-    def descend(first: int, remaining: int, acc: list[Part]):
-        # (n - remaining) * k is the first pair whose size fits the remaining weight.
-        for j in range(len(pairs) - 1, max(first, (n - remaining) * k) - 1, -1):
+    def choices(first: int, remaining: int):
+        """(j, head, left) for each way to fill the next used pair j: its copies, then the weight left.
+
+        Pairs too large for the remaining weight yield nothing; callers start at the first that fits.
+        """
+        for j in range(len(pairs) - 1, first - 1, -1):
             size = pairs[j][0]
-            most = remaining // size if plain_allowed[j] else 0
-            for plain in range(most + 1):
+            bar = bar_parts[j]
+            head = ()
+            for plain in range(remaining // size + 1 if plain_allowed[j] else 1):
                 left = remaining - plain * size
                 if plain:
-                    acc.append(plain_parts[j])
-                    if left:
-                        yield from descend(j + 1, left, acc)
-                    else:
-                        yield tuple(acc)
-                if left > size:
-                    acc.append(bar_parts[j])
-                    yield from descend(j + 1, left - size, acc)
-                    acc.pop()
-                elif left == size:
-                    yield (*acc, bar_parts[j])
-            del acc[len(acc) - most :]
+                    head += (plain_parts[j],)
+                    yield j, head, left
+                if left >= size:
+                    yield j, head + (bar,), left - size
+
+    def suffixes(first: int, remaining: int) -> list[tuple[Part, ...]]:
+        """Every suffix of weight `remaining` <= n // 2 from pair `first` on, built once."""
+        # (n - remaining) * k is the first pair whose size fits the remaining weight.
+        key = (max(first, (n - remaining) * k), remaining)
+        if key not in memo:
+            out = memo[key] = []
+            for j, head, left in choices(*key):
+                if left:
+                    out += map(head.__add__, suffixes(j + 1, left))
+                else:
+                    out.append(head)
+        return memo[key]
+
+    def descend(first: int, remaining: int, prefix: tuple[Part, ...]):
+        for j, head, left in choices(max(first, (n - remaining) * k), remaining):
+            head = prefix + head
+            if not left:
+                yield head
+            elif left <= light:
+                yield from map(head.__add__, suffixes(j + 1, left))
+            else:
+                yield from descend(j + 1, left, head)
 
     if n == 0:
         return iter([()])
-    return descend(0, n, [])
+    return descend(0, n, ())
 
 
 def enumerate_ops(

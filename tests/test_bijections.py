@@ -260,6 +260,42 @@ def test_audit_applies_the_map_bound_on_the_module(monkeypatch, map_name, a, b, 
     assert len(calls) == report.domain_size > 0
 
 
+def _brute_force_witnesses(apply_map, map_name, a, b, k):
+    """The audit's two witnesses from whole lists, in enumerate_ops order."""
+    entry = MAPS[map_name]
+    weight_b = entry.fixed_b or b
+    map_args = (a, *(() if b is None else (b,)), *((k,) if entry.colored else ()))
+    domain = enumerate_ops(a + weight_b, k, entry.domain)
+    images = [apply_map(lam, *map_args) for lam in domain]
+    repeats = [(images.index(image), j) for j, image in enumerate(images) if images.index(image) != j]
+    collision = (domain[repeats[0][0]], domain[repeats[0][1]]) if repeats else None
+    codomain = [(l, r) for l in enumerate_ops(a, k, entry.left) for r in enumerate_ops(weight_b, k, entry.right)]
+    unhit = next((pair for pair in codomain if pair not in images), None)
+    return collision, unhit, len(set(images))
+
+
+@pytest.mark.parametrize("map_name, a, b, k", CELLS)
+def test_audit_witnesses_of_a_collapsed_case_match_a_brute_force_pass(monkeypatch, map_name, a, b, k):
+    original, collapsed_to = getattr(bijections, MAPS[map_name].apply), []
+
+    def collapsed(lam, *args):
+        # Every input of case 1 goes to the image of the first one the map saw.
+        image = original(lam, *args)
+        if dispatch_case(map_name, lam, a, b, k) != 1:
+            return image
+        if not collapsed_to:
+            collapsed_to.append(image)
+        return collapsed_to[0]
+
+    monkeypatch.setattr(bijections, MAPS[map_name].apply, collapsed)
+    report = audit(map_name, a, b, k)
+    collision, unhit, image_size = _brute_force_witnesses(collapsed, map_name, a, b, k)
+    assert collision is not None and not report.injective and not report.surjective
+    assert report.collision_witness == collision
+    assert report.unhit_witness == unhit
+    assert report.image_size == image_size < report.domain_size
+
+
 @pytest.mark.parametrize("map_name, k", [("g1", 1), ("g2", 1), ("gk", 2)])
 def test_audit_rejects_a_b_for_a_peel(map_name, k):
     # Each peel shears off a fixed b; a given b used to be echoed in the report.
@@ -276,6 +312,7 @@ def test_audit_rejects_a_bad_cell_before_enumerating(monkeypatch, cell):
     with pytest.raises(ValueError):  # (f, 30, 1): not the cap error of weight 31
         audit(*cell)
     monkeypatch.setattr(bijections, "enumerate_ops", lambda *args, **kwargs: pytest.fail("enumerated"))
+    monkeypatch.setattr(bijections, "iter_ops", lambda *args, **kwargs: pytest.fail("enumerated"))
     with pytest.raises(ValueError):
         audit(*cell)
 

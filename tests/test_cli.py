@@ -421,3 +421,26 @@ def test_verify_usage_names_flags(capsys):
     assert code == 0
     assert "--nmax NMAX" in out and "--kset KSET" in out and "N_MAX" not in out
     assert "{th1,th3,th4,th5,le3,ie7,ie8,ie11,logconcave,descent}" in out
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [(["enumerate", "3"], 0), (["enumerate", "12", "--colors", "2"], 1)],
+)
+def test_stdout_closed_early_exits_1_quietly(argv, lines_read):
+    # Nothing read: the last flush fails.  One line read from about 400 kB:
+    # a write inside the command fails.  Neither is a usage error.
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    if not lines_read:
+        reader.close()
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "overpoly.cli", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env
+    )
+    os.close(write_end)
+    for _ in range(lines_read):
+        reader.readline()
+    reader.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1 and err == b""

@@ -1,5 +1,6 @@
 """The brute-force overpartition oracle."""
 
+import hashlib
 import re
 from fractions import Fraction
 from itertools import chain, zip_longest
@@ -236,3 +237,39 @@ def test_iter_ops_keeps_the_full_descent_order(k, ban):
         assert all(type(part) is Part for part in first)
         pairs = zip_longest(chain([first], fast), _reference_iter_ops(n, k, constraint))
         assert all(got == want for got, want in pairs)
+
+
+# sha256 of repr(enumerate_ops(...)) for the domain, left and right codomain of
+# the four benchmark audits, recorded before the light-suffix memo went in.
+AUDIT_ORDER_HASHES = {
+    ("g1", 24, None, 1): (
+        "4661085c1dbd2ff85f181ea9ebfb94e28b37f7d912e9d6f856cd010f7841e927",
+        "e25b9abea21d33aeb46dd1641c665e09b65e95ef972e9baf7350765b36edf76a",
+        "8e0f34dd7fbf088d03f5d3364e056c7110f9b5a60bfbc2f5620a9108109a4298",
+    ),
+    ("g2", 23, None, 1): (
+        "4661085c1dbd2ff85f181ea9ebfb94e28b37f7d912e9d6f856cd010f7841e927",
+        "c5f8eacd77d808cd9d618f723700e3ab27553bb63d3769c6614682e39a86d522",
+        "eb7929a4548c2e7099f6a2aed7ae5154e27a9c7b99426cef7bb85ce848d25c30",
+    ),
+    ("fk", 7, 5, 2): (
+        "a59288cb04972d8ad638e061f63683b57271543c485d42a20b1e2bd2df35279e",
+        "7e0d20ce3d8692e0be2eace062b963c4758621d779093b57316073ffe93ff277",
+        "de5bc5f76fbb4ef7eed4e2ecd61a6537b6997e2a6c4b6d153fe39ef3dbdfa1c2",
+    ),
+    ("gk", 7, None, 3): (
+        "bd2e6539614338d079c8af9261b61aa69c0a693e5d298a45edd90a0f00c00b4c",
+        "da1bf562dbb4ade9af957bce06b2857669e019398604c6e42b8507a54f3de1cc",
+        "e79692d623888103c4bdb3493f97a31c0cb8c6d45c269edd4c6bee0a9776c985",
+    ),
+}
+
+
+@pytest.mark.parametrize("cell", AUDIT_ORDER_HASHES)
+def test_enumeration_order_is_pinned_at_the_audit_weights(cell):
+    map_name, a, b, k = cell
+    entry = bijections.MAPS[map_name]
+    weight_b = entry.fixed_b or b
+    triples = [(a + weight_b, entry.domain), (a, entry.left), (weight_b, entry.right)]
+    hashes = tuple(hashlib.sha256(repr(enumerate_ops(n, k, c)).encode()).hexdigest() for n, c in triples)
+    assert hashes == AUDIT_ORDER_HASHES[cell]
