@@ -373,13 +373,30 @@ def peel_one_colored(parts, a: int, k: int) -> ImagePair:
 
 
 def _require_domain(parts, total: int, k: int, constraint: Constraint, label: str):
-    if weight(parts) != total:
-        raise ValueError(f"{label}: input weight {weight(parts)} != {total}")
-    for size, color, overlined in parts:
-        if color > k:
+    """One pass over parts: sizes >= 1, colors in 1..k, the bans, canonical
+    order and at most one overline per (size, color), then the weight.  The
+    ValueError names the first bad part."""
+    seen, prev_key = 0, None
+    for part in parts:
+        size, color, overlined = part
+        key = (-size, -color, overlined)
+        if size < 1:
+            fault = "has size below 1"
+        elif not 1 <= color <= k:
             raise ValueError(f"{label}: color {color} outside 1..{k}")
-        if not constraint.allows(size, color, overlined):
-            raise ValueError(f"{label}: part {Part(size, color, overlined)} violates the domain constraint")
+        elif not constraint.allows(size, color, overlined):
+            fault = "violates the domain constraint"
+        elif prev_key is not None and key < prev_key:
+            fault = "is out of canonical order"
+        elif overlined and key == prev_key:
+            fault = "repeats an overlined (size, color)"
+        else:
+            seen += size
+            prev_key = key
+            continue
+        raise ValueError(f"{label}: part {Part(*part)} {fault}")
+    if seen != total:
+        raise ValueError(f"{label}: input weight {seen} != {total}")
 
 
 @serial.record

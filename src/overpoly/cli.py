@@ -22,6 +22,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from math import factorial
 
 from .bijections import MAP_NAMES, audit, expected_verdict
 from .enumeration import (
@@ -31,7 +32,7 @@ from .enumeration import (
     enumerate_ops,
     format_parts,
 )
-from .polynomials import pbar_derivative, pbar_poly, series_expand
+from .polynomials import pbar_derivative, pbar_poly, scaled_values, series_expand
 from .serial import encode
 from .verification import (
     CLAIMS,
@@ -145,14 +146,19 @@ def _emit_json(obj) -> None:
 
 
 def _cmd_poly(args) -> int:
-    poly = pbar_derivative(args.n) if args.derivative else pbar_poly(args.n)
     if args.point is not None:
-        value = poly(args.point)
+        # The n-th of scaled_values, over its scale: no polynomial is built.
+        name, least = ("pbar_derivative", 1) if args.derivative else ("pbar_poly", 0)
+        if args.n < least:
+            raise ValueError(f"{name} undefined for n={args.n}; need n >= {least}")
+        scale = args.point.denominator ** (args.n - 1 if args.derivative else args.n) * factorial(args.n)
+        value = Fraction(scaled_values(args.n, args.point, args.derivative)[args.n], scale)
         if args.format == "json":
             _emit_json({"n": args.n, "x": encode(args.point), "value": encode(value)})
         else:
             print(value)
         return 0
+    poly = pbar_derivative(args.n) if args.derivative else pbar_poly(args.n)
     if args.format == "json":
         _emit_json({"n": args.n, "derivative": args.derivative, "coeffs": encode(poly.coeffs)})
     else:

@@ -81,10 +81,10 @@ def _grow_pbar_memo(n: int) -> None:
         raise ValueError(f"pbar undefined for n={n}; need n >= 0")
     while len(_pbar_memo) <= n:
         m = len(_pbar_memo)
-        r = isqrt(m)
-        odd = sum(_pbar_memo[m - k * k] for k in range(1, r + 1, 2))
-        even = sum(_pbar_memo[m - k * k] for k in range(2, r + 1, 2))
-        _pbar_memo.append(2 * (odd - even))
+        alternating = 0  # sum_k (-1)^(k+1) pbar(m - k^2), nested from the largest k down
+        for k in range(isqrt(m), 0, -1):
+            alternating = _pbar_memo[m - k * k] - alternating
+        _pbar_memo.append(2 * alternating)
 
 
 def pbar_prefix(n: int) -> list[int]:

@@ -114,23 +114,27 @@ def canonicalize(parts, k: int | None = None) -> tuple[Part, ...]:
     """Arrange parts in the unique canonical order, validating them.
 
     Raises ValueError on a non-positive size, a color outside 1..k (when k is
-    given), or two overlined parts sharing a (size, color) pair.
+    given), or two overlined parts sharing a (size, color) pair.  Parts
+    already in canonical order are validated in one pass and not sorted.
     """
-    ordered = sorted(parts, key=_canonical_key)
-    all_parts = True
-    prev = None
-    for p in ordered:
+    in_order, all_parts, prev_key = True, True, None
+    for p in parts:
         size, color, overlined = p
         if size < 1:
             raise ValueError(f"part size must be >= 1, got {size}")
         if color < 1 or (k is not None and color > k):
             raise ValueError(f"part color {color} outside 1..{k}")
-        # Equal parts sort next to each other, so a repeated overline meets its twin.
-        if overlined and p == prev:
+        key = (-size, -color, overlined)
+        if prev_key is not None and key < prev_key:
+            in_order = False
+        # In canonical order equal parts are neighbours, so a repeated overline meets its twin.
+        elif overlined and key == prev_key:
             raise ValueError(f"duplicate overline for (size={size}, color={color})")
         all_parts = all_parts and type(p) is Part
-        prev = p
-    return tuple(ordered) if all_parts else tuple(p if type(p) is Part else Part(*p) for p in ordered)
+        prev_key = key
+    if not in_order:
+        return canonicalize(sorted(parts, key=_canonical_key), k)
+    return tuple(parts) if all_parts else tuple(p if type(p) is Part else Part(*p) for p in parts)
 
 
 def is_canonical(parts) -> bool:

@@ -23,7 +23,7 @@ One loop, _refine, narrows the bracket along that sign change: it halves a
 dyadic bracket down to the requested width, then makes the decimal cuts of
 the optional rounding.  Each point is an integer m over one denominator q,
 and its sign is that of the integer Horner value q^d p(m/q)
-(polynomials._horner on _scaled_coeffs, shared with scaled_values), so no
+(polynomials._horner on _scaled_coeffs), so no
 step builds a rational.  The bracket holds a sign change but not necessarily
 the largest root, so it is returned only when p(hi(1 + t)) has no sign
 variations, the same test as the one for B; otherwise ArithmeticError is

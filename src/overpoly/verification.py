@@ -349,10 +349,11 @@ def sandwich(n: int) -> BoundTriple:
     upper = scale * (1 + 1 / n)
     with mp.workdps(50):
         mu_hp = mp.pi * mp.sqrt(n)
-        main = (mp.pi * mp.sqrt(n) * mp.cosh(mu_hp) - mp.sinh(mu_hp)) / (
-            4 * mp.pi * mp.power(n, mp.mpf(3) / 2)
-        )
-        bound = mp.power(2, mp.mpf(5) / 2) * mp.sinh(mu_hp / 2) / (n * mu_hp)
+        half = mp.exp(mu_hp / 2)  # cosh mu, sinh mu and sinh(mu/2) all from one exponential
+        full = half * half
+        cosh_mu, sinh_mu = (full + 1 / full) / 2, (full - 1 / full) / 2
+        main = (mu_hp * cosh_mu - sinh_mu) / (4 * mp.pi * mp.power(n, mp.mpf(3) / 2))
+        bound = mp.power(2, mp.mpf(5) / 2) * (half - 1 / half) / 2 / (n * mu_hp)
         remainder_ok = abs(exact - main) <= bound
         main_f, bound_f = float(main), float(bound)
     return BoundTriple(

@@ -121,6 +121,28 @@ def test_domain_preconditions():
         dispatch_case("g1", parts((3, 1, False)), 2, 7)  # a peel takes no b
 
 
+@pytest.mark.parametrize(
+    "given, match",
+    [
+        ((Part(2), Part(3)), "part 3_1 is out of canonical order"),  # used to map to ((2,2),(1))
+        ((Part(2, 1, True), Part(2, 1, True)), "part 2~_1 repeats an overlined"),  # used to map
+        ((Part(4), Part(0)), "part 0_1 has size below 1"),  # used to raise RuntimeError
+    ],
+    ids=["unordered", "two overlines", "size 0"],
+)
+def test_maps_reject_inputs_that_are_not_overpartitions(given, match):
+    a = weight(given) - 1
+    with pytest.raises(ValueError, match=match):
+        peel_one(given, a)
+    with pytest.raises(ValueError, match=match):
+        dispatch_case("g1", given, a)
+
+
+def test_domain_check_names_colors_below_1():
+    with pytest.raises(ValueError, match="^map gk: color 0 outside 1..2$"):
+        peel_one_colored(parts((3, 0, False)), 2, 2)
+
+
 def _domain(map_name, a, b, k):
     if map_name == "f":
         return enumerate_ops(a + b, 1, forbid((1, 1), (2, 1)))

@@ -220,6 +220,21 @@ def test_malformed_rational_exits_2(capsys):
     assert "rational" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("poly", "-1", "--eval", "1"), "pbar_poly undefined for n=-1; need n >= 0"),
+        (("poly", "0", "--eval", "1", "--derivative"), "pbar_derivative undefined for n=0; need n >= 1"),
+    ],
+    ids=["value n=-1", "derivative n=0"],
+)
+def test_poly_eval_out_of_range_keeps_the_polynomial_error(capsys, argv, message):
+    # --eval builds no polynomial, but names the one it evaluates.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2

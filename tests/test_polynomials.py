@@ -255,19 +255,21 @@ def test_monotonicity_on_grid():
             assert 2 <= derivs[n](x) < derivs[n + 1](x)
 
 
-grid_points = st.integers(min_value=1, max_value=6).flatmap(
-    lambda q: st.integers(min_value=q, max_value=6 * q).map(lambda p: F(p, q))
-)
+any_points = st.fractions(max_denominator=9, min_value=F(-5), max_value=F(5))
 
 
-@given(st.integers(min_value=0, max_value=40), grid_points)
+@given(st.integers(min_value=0, max_value=60), any_points)
 def test_scaled_values_match_fraction_evaluation(n, x):
-    # The Fraction Poly route is the oracle for the integer Horner route.
+    # The scalar theta recursion against the coefficient memo, read two ways:
+    # integer Horner on its scaled coefficients, and Poly's power sum.
     p, q = x.numerator, x.denominator
     values = scaled_values(n, x)
     derivs = scaled_values(n, x, derivative=True)
     assert len(values) == len(derivs) == n + 1
-    for m in range(n + 1):
+    for m, coeffs in enumerate(polynomials._q_prefix(n)):
+        slopes = [i * c for i, c in enumerate(coeffs)][1:]
+        assert values[m] == polynomials._horner(polynomials._scaled_coeffs(coeffs, q), p)
+        assert derivs[m] == polynomials._horner(polynomials._scaled_coeffs(slopes, q), p)
         poly = pbar_poly(m)
         assert values[m] == q**m * factorial(m) * poly(x)
         assert derivs[m] == (q ** (m - 1) * factorial(m) * poly.derivative()(x) if m else 0)
@@ -276,6 +278,26 @@ def test_scaled_values_match_fraction_evaluation(n, x):
 def test_scaled_values_rejects_negative_n():
     with pytest.raises(ValueError):
         scaled_values(-1, 2)
+
+
+def test_scaled_values_build_no_coefficient_memo():
+    with _memos_restored() as (q_memo, _):
+        del q_memo[1:]
+        scaled_values(80, F(3, 2), derivative=True)
+        scaled_values(80, 1)
+        assert len(q_memo) == 1
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_scaled_values_at_1_check_every_value_against_pbar(derivative):
+    n = 30
+    scaled_values(n, 1)
+    with _memos_restored() as (_, pbar_memo):
+        pbar_memo[n - 1] += 1  # a wrong value from the pbar recursion
+        with pytest.raises(ArithmeticError, match=f"P_{n - 1}\\(1\\) disagrees with pbar"):
+            scaled_values(n, 1, derivative)
+        scaled_values(n, 2, derivative)  # only x = 1 reads pbar
+    assert scaled_values(n, 1)[n] == factorial(n) * pbar_exact(n)
 
 
 def _q(n):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import fraction_shift
 
-from overpoly import polynomials, rootisolation, verification
+from overpoly import rootisolation, verification
 from overpoly.bijections import AuditReport
 from overpoly.divisors import pbar_exact, pbar_prefix
 from overpoly.polynomials import Poly, pbar_poly, product_gap_poly, scaled_values
@@ -121,13 +121,13 @@ def test_descent_certificates():
 @pytest.mark.parametrize("wrong", ["point", "search arithmetic"])
 def test_descent_recheck_rejects_a_wrong_point(monkeypatch, wrong):
     # P_4 - P_3 = (2x^4 + 8x^3 + 10x^2 - 2x)/3 is 21/8 > 0 at x = 1/2, so 1/2 is
-    # no descent point for n = 3.  The search's integer Horner, negated, accepts
+    # no descent point for n = 3.  The search's scaled values, negated, accept
     # it; the re-check through Poly evaluation must not share that arithmetic.
     if wrong == "point":
         monkeypatch.setattr(verification, "find_descent_x", lambda n: F(1, 2))
     else:
-        horner = polynomials._horner
-        monkeypatch.setattr(polynomials, "_horner", lambda desc, m: -horner(desc, m))
+        values = verification.scaled_values
+        monkeypatch.setattr(verification, "scaled_values", lambda *args: [-v for v in values(*args)])
         assert verification.find_descent_x(3) == F(1, 2)
     report = check_descent((3,))
     assert not report.holds and report.counterexample == 3
