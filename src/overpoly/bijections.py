@@ -32,6 +32,7 @@ never as strings.
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import NamedTuple
 
@@ -374,26 +375,27 @@ def peel_one_colored(parts, a: int, k: int) -> ImagePair:
 
 def _require_domain(parts, total: int, k: int, constraint: Constraint, label: str):
     """One pass over parts: sizes >= 1, colors in 1..k, the bans, canonical
-    order and at most one overline per (size, color), then the weight.  The
+    order and at most one overline per (size, color), then the weight.  Each
+    part is compared with the previous part's size, color and overline.  The
     ValueError names the first bad part."""
-    seen, prev_key = 0, None
+    forbidden = constraint.forbidden
+    seen, last_size, last_color, last_over = 0, math.inf, 0, False
     for part in parts:
         size, color, overlined = part
-        key = (-size, -color, overlined)
         if size < 1:
             fault = "has size below 1"
         elif not 1 <= color <= k:
             raise ValueError(f"{label}: color {color} outside 1..{k}")
-        elif not constraint.allows(size, color, overlined):
+        elif not overlined and (size, color) in forbidden:
             fault = "violates the domain constraint"
-        elif prev_key is not None and key < prev_key:
-            fault = "is out of canonical order"
-        elif overlined and key == prev_key:
+        elif size < last_size or size == last_size and (color < last_color or color == last_color and not last_over):
+            seen += size
+            last_size, last_color, last_over = size, color, overlined
+            continue
+        elif overlined and size == last_size and color == last_color:
             fault = "repeats an overlined (size, color)"
         else:
-            seen += size
-            prev_key = key
-            continue
+            fault = "is out of canonical order"
         raise ValueError(f"{label}: part {Part(*part)} {fault}")
     if seen != total:
         raise ValueError(f"{label}: input weight {seen} != {total}")

@@ -37,6 +37,7 @@ from .serial import encode
 from .verification import (
     CLAIMS,
     DEFAULT_WIDTH,
+    SANDWICH_N_MAX,
     roots_csv,
     roots_table,
     run_claim,
@@ -48,10 +49,13 @@ __all__ = ["main", "build_parser"]
 
 
 def _rational(text: str) -> Fraction:
+    """What Fraction() reads, in ASCII and without '_'; Fraction() alone also reads '1_0' and non-ASCII digits."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+        if text.isascii() and "_" not in text:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
 def _rational_list(text: str) -> tuple[Fraction, ...]:
@@ -265,6 +269,8 @@ def _cmd_bounds(args) -> int:
         raise ValueError("bounds takes exactly one of n and --nmax")
     if args.nmax is not None and args.nmax < 1:
         raise ValueError(f"need nmax >= 1, got {args.nmax}")
+    if args.nmax is not None and args.nmax > SANDWICH_N_MAX:
+        raise ValueError(f"need nmax <= {SANDWICH_N_MAX}, got {args.nmax}")
     ns = [args.n] if args.nmax is None else range(1, args.nmax + 1)
     all_ok = True
     for n in ns:

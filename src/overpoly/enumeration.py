@@ -22,6 +22,7 @@ pass its own cap in place of the default for that count.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator, Mapping, NamedTuple
 
@@ -117,21 +118,22 @@ def canonicalize(parts, k: int | None = None) -> tuple[Part, ...]:
     given), or two overlined parts sharing a (size, color) pair.  Parts
     already in canonical order are validated in one pass and not sorted.
     """
-    in_order, all_parts, prev_key = True, True, None
+    in_order, all_parts = True, True
+    last_size, last_color, last_over = math.inf, 0, False
     for p in parts:
         size, color, overlined = p
         if size < 1:
             raise ValueError(f"part size must be >= 1, got {size}")
         if color < 1 or (k is not None and color > k):
             raise ValueError(f"part color {color} outside 1..{k}")
-        key = (-size, -color, overlined)
-        if prev_key is not None and key < prev_key:
+        # In canonical order a (size, color) pair follows only larger pairs or
+        # its own non-overlined copies, so a repeated overline meets its twin.
+        if size > last_size or size == last_size and (color > last_color or color == last_color and last_over):
+            if overlined and size == last_size and color == last_color:
+                raise ValueError(f"duplicate overline for (size={size}, color={color})")
             in_order = False
-        # In canonical order equal parts are neighbours, so a repeated overline meets its twin.
-        elif overlined and key == prev_key:
-            raise ValueError(f"duplicate overline for (size={size}, color={color})")
         all_parts = all_parts and type(p) is Part
-        prev_key = key
+        last_size, last_color, last_over = size, color, overlined
     if not in_order:
         return canonicalize(sorted(parts, key=_canonical_key), k)
     return tuple(parts) if all_parts else tuple(p if type(p) is Part else Part(*p) for p in parts)

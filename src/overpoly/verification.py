@@ -27,15 +27,25 @@ counted as pass or fail.  The single exception is the truncation-remainder
 check, where the bound sits below double-precision resolution of the
 compared quantities for large n (the bound over the count shrinks like
 2^(9/2) e^(-mu/2)/mu, which drops under 2^-52 before n reaches 400); that one
-comparison is evaluated with mpmath at 50 significant digits and reported
-alongside double-precision display values.
+comparison is evaluated in the standard library's decimal arithmetic, whose
+exp and sqrt are correctly rounded, at 20 significant digits more than
+pbar(n) has and at least 50, and reported alongside double-precision display
+values.  The bound is at least 1 from n = 2 on, so the rounding error of the
+main term stays far below it.
+
+Double precision also caps the ranges: e^(pi sqrt n) is a finite double up
+to SANDWICH_N_MAX, e^(pi sqrt(a)/3) up to IE11_A_MAX, and float(pbar(n)) up
+to n = 52925.  A range past its cap raises ValueError naming the cap.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from . import serial
@@ -50,6 +60,8 @@ __all__ = [
     "TH1_EXCEPTIONS",
     "TH4_EXCEPTIONS",
     "IE11_THRESHOLD",
+    "IE11_A_MAX",
+    "SANDWICH_N_MAX",
     "VerifyReport",
     "BoundTriple",
     "RootRecord",
@@ -87,6 +99,10 @@ TH4_EXCEPTIONS = frozenset(
 )
 
 IE11_THRESHOLD = 94  # ie11 is claimed for every a >= 94; below it, only reported
+
+SANDWICH_N_MAX = 51044  # the largest n with e^(pi sqrt n) a finite double
+IE11_A_MAX = 459402  # the largest a with e^(pi sqrt(a)/3) a finite double
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() rejects
 
 
 @serial.record
@@ -151,9 +167,24 @@ def _need_distinct(name: str, values: tuple) -> None:
         raise ValueError(f"{name} must be distinct; {', '.join(map(str, repeated))} repeated")
 
 
-def _need_range(name: str, value: int, least: int) -> None:
+def _need_range(name: str, value: int, least: int, most: int | None = None) -> None:
     if value < least:
         raise ValueError(f"need {name} >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"need {name} <= {most}, got {value}")
+
+
+def _float_prefix(name: str, value: int, n: int, largest) -> list[float]:
+    """[float(pbar(0)), ..., float(pbar(n))] for the range value of parameter name.
+
+    When pbar(n) is past the largest finite double, raises ValueError with
+    largest(m), the largest accepted value of the parameter, where m is the
+    largest n with float(pbar(n)) finite.
+    """
+    pb = pbar_prefix(n)
+    if pb[n] >= _FLOAT_OVERFLOW:
+        raise ValueError(f"need {name} <= {largest(bisect_left(pb, _FLOAT_OVERFLOW) - 1)}, got {value}")
+    return [float(v) for v in pb]
 
 
 def check_th1(n_max: int) -> VerifyReport:
@@ -263,8 +294,8 @@ def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
 def check_le3(n_max: int) -> VerifyReport:
     """pbar(n) > 1 + ln(2n), double precision, with minimum-slack reporting."""
     _need_range("n_max", n_max, 1)
-    pb = pbar_prefix(n_max)
-    slacks = [(n, _rel_slack(float(pb[n]), 1 + math.log(2 * n))) for n in range(1, n_max + 1)]
+    pb = _float_prefix("n_max", n_max, n_max, lambda m: m)
+    slacks = [(n, _rel_slack(pb[n], 1 + math.log(2 * n))) for n in range(1, n_max + 1)]
     argmin, min_slack = min(slacks, key=lambda pair: pair[1])
     return _decide("le3", f"1 <= n <= {n_max}", *_band(slacks), min_rel_slack=min_slack, argmin=argmin)
 
@@ -330,40 +361,61 @@ class BoundTriple(NamedTuple):
     remainder_ok: bool
 
 
+@lru_cache(maxsize=None)
+def _pi(digits: int) -> Decimal:
+    """pi to the given number of significant digits, by the series of the
+    decimal module's documentation, with two guard digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        ctx.prec = digits
+        return +s
+
+
 def sandwich(n: int) -> BoundTriple:
     """e^mu (1 - 1/sqrt(n)) / 8n  <  pbar(n)  <  e^mu (1 + 1/n) / 8n, mu = pi sqrt(n).
 
     Also evaluates the truncated-series main term
     M(n) = (pi sqrt(n) cosh(mu) - sinh(mu)) / (4 pi n^{3/2}) and the remainder
     bound 2^{5/2} sinh(mu/2) / (n mu); remainder_ok is their comparison,
-    computed at 50 significant digits (see the module note on precision).
+    computed in decimal arithmetic at 20 significant digits more than pbar(n)
+    has and at least 50 (see the module note on precision).  n runs from 1
+    to SANDWICH_N_MAX, where e^mu is still a finite double.
     """
-    import mpmath as mp  # imported here: no other command needs it
-
     if n < 1:
         raise ValueError(f"sandwich needs n >= 1, got {n}")
+    if n > SANDWICH_N_MAX:
+        raise ValueError(f"sandwich needs n <= {SANDWICH_N_MAX}, got {n}")
     exact = pbar_exact(n)
     mu = math.pi * math.sqrt(n)
     scale = math.exp(mu) / (8 * n)
     lower = scale * (1 - 1 / math.sqrt(n))
     upper = scale * (1 + 1 / n)
-    with mp.workdps(50):
-        mu_hp = mp.pi * mp.sqrt(n)
-        half = mp.exp(mu_hp / 2)  # cosh mu, sinh mu and sinh(mu/2) all from one exponential
+    digits = max(50, len(str(exact)) + 20)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pi, root = _pi(digits), Decimal(n).sqrt()
+        mu_hp = pi * root
+        half = (mu_hp / 2).exp()  # cosh mu, sinh mu and sinh(mu/2) all from one exponential
         full = half * half
         cosh_mu, sinh_mu = (full + 1 / full) / 2, (full - 1 / full) / 2
-        main = (mu_hp * cosh_mu - sinh_mu) / (4 * mp.pi * mp.power(n, mp.mpf(3) / 2))
-        bound = mp.power(2, mp.mpf(5) / 2) * (half - 1 / half) / 2 / (n * mu_hp)
+        main = (mu_hp * cosh_mu - sinh_mu) / (4 * pi * n * root)
+        bound = Decimal(32).sqrt() * (half - 1 / half) / 2 / (n * mu_hp)
         remainder_ok = abs(exact - main) <= bound
-        main_f, bound_f = float(main), float(bound)
     return BoundTriple(
         n=n,
         lower=lower,
         upper=upper,
         exact=exact,
         mu=mu,
-        main_term=main_f,
-        remainder_bound=bound_f,
+        main_term=float(main),
+        remainder_bound=float(bound),
         remainder_ok=remainder_ok,
     )
 
@@ -385,7 +437,7 @@ def sandwich_verdict(t: BoundTriple) -> tuple[dict, list, list]:
 def check_ie7(n_max: int, n_min: int = 1) -> VerifyReport:
     """Sandwich strict for n_min..n_max; remainder bound holds for n >= 2."""
     _need_range("n_min", n_min, 1)
-    _need_range("n_max", n_max, n_min)
+    _need_range("n_max", n_max, n_min, SANDWICH_N_MAX)
     pbar_prefix(n_max)
     failed, inconclusive = [], []
     min_lower_slack = min_upper_slack = math.inf
@@ -414,7 +466,7 @@ def check_ie8(a_max: int) -> VerifyReport:
     is the first triple with that j in the scan order (a, then b, then k).
     """
     _need_range("a_max", a_max, 2)
-    pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
+    pb = _float_prefix("a_max", a_max, 2 * a_max - 1, lambda m: (m + 1) // 2)
     near = []  # slacks from the band up pass; the rest go to _band, with no call per triple
     min_slack, argmin = math.inf, None
     for a in range(1, a_max + 1):
@@ -450,7 +502,7 @@ def check_ie11(a_lo: int, a_hi: int) -> VerifyReport:
     confirms it holds for every a >= IE11_THRESHOLD in range.
     """
     _need_range("a_lo", a_lo, 2)
-    _need_range("a_hi", a_hi, a_lo)
+    _need_range("a_hi", a_hi, a_lo, IE11_A_MAX)
     slacks = [(a, _rel_slack(*_ie11_sides(a))) for a in range(a_lo, a_hi + 1)]
     failed, inconclusive = _band(slacks)
     not_passing = {*failed, *inconclusive}

@@ -1,10 +1,12 @@
 """Reference routines that the tests compare the package against.
 
 They work on plain lists of coefficients, ascending by degree, Fraction or
-int, and share no code with overpoly.
+int, or on plain numbers, and share no code with overpoly.
 """
 
 from fractions import Fraction
+
+import mpmath as mp
 
 
 def fraction_shift(coeffs, c) -> list[Fraction]:
@@ -44,3 +46,20 @@ def sigma_bar_memo(n_max) -> list[list[int]]:
             falling *= m - k
         qs.append(acc)
     return qs
+
+
+def mpmath_sandwich_terms(n, exact, dps=50) -> tuple[float, float, bool]:
+    """(main term, remainder bound, |exact - main| <= bound) of the truncated
+    series for pbar(n) = exact, in mpmath at dps significant digits: the main
+    term M(n) = (mu cosh mu - sinh mu) / (4 pi n^(3/2)) and the bound
+    2^(5/2) sinh(mu/2) / (n mu), mu = pi sqrt(n), both as doubles.  At
+    dps = 50 this is how the package computed them before it moved to the
+    decimal module."""
+    with mp.workdps(dps):
+        mu = mp.pi * mp.sqrt(n)
+        half = mp.exp(mu / 2)
+        full = half * half
+        cosh_mu, sinh_mu = (full + 1 / full) / 2, (full - 1 / full) / 2
+        main = (mu * cosh_mu - sinh_mu) / (4 * mp.pi * mp.power(n, mp.mpf(3) / 2))
+        bound = mp.power(2, mp.mpf(5) / 2) * (half - 1 / half) / 2 / (n * mu)
+        return float(main), float(bound), abs(exact - main) <= bound

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -141,6 +142,44 @@ def test_maps_reject_inputs_that_are_not_overpartitions(given, match):
 def test_domain_check_names_colors_below_1():
     with pytest.raises(ValueError, match="^map gk: color 0 outside 1..2$"):
         peel_one_colored(parts((3, 0, False)), 2, 2)
+
+
+def _key_order_fault(given, total, k, forbidden, label):
+    """The domain check's error text, or None, from (-size, -color, overlined) key order."""
+    seen, prev = 0, None
+    for part in given:
+        size, color, overlined = part
+        key = (-size, -color, overlined)
+        if size < 1:
+            fault = "has size below 1"
+        elif not 1 <= color <= k:
+            return f"{label}: color {color} outside 1..{k}"
+        elif not overlined and (size, color) in forbidden:
+            fault = "violates the domain constraint"
+        elif prev is not None and key < prev:
+            fault = "is out of canonical order"
+        elif overlined and key == prev:
+            fault = "repeats an overlined (size, color)"
+        else:
+            seen, prev = seen + size, key
+            continue
+        return f"{label}: part {Part(*part)} {fault}"
+    return None if seen == total else f"{label}: input weight {seen} != {total}"
+
+
+def test_domain_check_agrees_with_the_key_order():
+    # Every sequence of up to three parts with size 0..2, color 0..3 and either overline.
+    pool = list(product(range(3), range(4), (False, True)))
+    ban = forbid((1, 1))
+    for length in range(4):
+        for given in product(pool, repeat=length):
+            for total in (weight(given), weight(given) + 1):
+                try:
+                    bijections._require_domain(given, total, 2, ban, "map x")
+                    got = None
+                except ValueError as exc:
+                    got = str(exc)
+                assert got == _key_order_fault(given, total, 2, ban.forbidden, "map x"), given
 
 
 def _domain(map_name, a, b, k):

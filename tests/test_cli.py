@@ -330,6 +330,63 @@ def test_integer_arguments_take_only_ascii_digits(capsys, argv):
 
 @pytest.mark.parametrize(
     "argv",
+    [
+        ["poly", "3", "--eval", "1_0/3"],
+        ["poly", "3", "--eval", "\u0661"],
+        ["roots", "--width", "\u0661/\u0661\u0660\u0660"],
+        ["verify", "th4", "--amax", "3", "--xs", "1,\u0662"],
+    ],
+)
+def test_rational_arguments_take_only_ascii(capsys, argv):
+    # Fraction() reads '1_0/3' as 10/3 and Arabic-Indic digits as their values;
+    # each of these used to run and exit 0.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [err.splitlines()[-1]]
+    assert ": not an exact rational: " in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("bounds", "51045"), "sandwich needs n <= 51044, got 51045"),
+        (("bounds", "--nmax", "51045"), "need nmax <= 51044, got 51045"),
+        (("verify", "ie7", "--nmax", "60000"), "need n_max <= 51044, got 60000"),
+        (("verify", "ie11", "--ahi", "460000"), "need a_hi <= 459402, got 460000"),
+        (("verify", "le3", "--nmax", "52926"), "need n_max <= 52925, got 52926"),
+        (("verify", "ie8", "--amax", "26464"), "need a_max <= 26463, got 26464"),
+    ],
+    ids=["bounds n", "bounds --nmax", "ie7", "ie11", "le3", "ie8"],
+)
+def test_ranges_past_double_precision_exit_2(capsys, argv, message):
+    # Each used to end in OverflowError, exit 1, the code of a failed check.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("bounds", "51044"), ("verify", "ie11", "--alo", "459400", "--ahi", "459402"), ("verify", "le3", "--nmax", "52925")],
+    ids=" ".join,
+)
+def test_largest_ranges_in_double_precision_run(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "remainder_ok=True" in out or "holds=True" in out
+
+
+def test_bounds_scan_to_3000_is_pinned(capsys):
+    # Recorded while the remainder check ran in mpmath at 50 digits.
+    code, out, _ = run(capsys, "bounds", "--nmax", "3000", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "34dc693bc09325f33f59b9b7939b6f412567b93ce7679f2c45188fec77ec9e4c"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
     [["th4", "--amax", "4", "--xs", "1,1,2"], ["th3", "--nmax", "4", "--xs", "2,4/2"],
      ["th5", "--amax", "4", "--kset", "2,3,2"], ["descent", "--ns", "3,3"]],
 )
@@ -339,19 +396,30 @@ def test_verify_rejects_repeated_values(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ") and "repeated" in err
 
 
-def _modules_loaded_by_cli_import(*modules):
+def _modules_loaded_by_cli_import(*modules, runs=()):
+    """Those of modules loaded after importing overpoly.cli and running main on each argv in runs."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = f"import sys, overpoly.cli; print([m for m in {modules!r} if m in sys.modules])"
+    code = (
+        "import sys, overpoly.cli\n"
+        f"if any(overpoly.cli.main(argv) for argv in {runs!r}): sys.exit(1)\n"
+        f"print([m for m in {modules!r} if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip()
+    return result.stdout.splitlines()[-1]
 
 
 def test_cli_import_leaves_mpmath_unloaded():
     assert _modules_loaded_by_cli_import("mpmath") == "[]"
+
+
+def test_sandwich_runs_leave_mpmath_unloaded():
+    # The remainder check runs in the decimal module, which fractions already loads.
+    runs = (["verify", "ie7", "--nmax", "5"], ["bounds", "3"])
+    assert _modules_loaded_by_cli_import("mpmath", runs=runs) == "[]"
 
 
 def test_cli_import_leaves_process_pool_unloaded():

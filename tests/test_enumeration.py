@@ -3,7 +3,7 @@
 import hashlib
 import re
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import chain, product, zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
@@ -117,6 +117,19 @@ def test_canonicalize_returns_parts_and_keeps_given_ones():
     assert canon[0] is given and all(type(part) is Part for part in canon)
     with pytest.raises(ValueError):
         canonicalize([(2, 1, True), Part(2, 1, True)])  # validation sees plain tuples too
+
+
+def test_canonicalize_sorts_by_the_key_order():
+    # Every sequence of up to three parts with size 1..2, color 1..2 and either overline.
+    pool = [Part(*p) for p in product((1, 2), (1, 2), (False, True))]
+    for length in range(4):
+        for given in product(pool, repeat=length):
+            overlined = [p[:2] for p in given if p.overlined]
+            if len(set(overlined)) < len(overlined):
+                with pytest.raises(ValueError, match="^duplicate overline"):
+                    canonicalize(given, 2)
+            else:
+                assert canonicalize(given, 2) == tuple(sorted(given, key=lambda p: (-p.size, -p.color, p.overlined)))
 
 
 def test_canonicalize_rejects_duplicate_overline():

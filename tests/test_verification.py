@@ -6,9 +6,10 @@ import math
 from fractions import Fraction
 from unittest.mock import patch
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import fraction_shift
+from oracles import fraction_shift, mpmath_sandwich_terms
 
 from overpoly import rootisolation, verification
 from overpoly.bijections import AuditReport
@@ -20,7 +21,9 @@ from overpoly.verification import (
     CLAIMS,
     DEFAULT_GRID_XS,
     DEFAULT_WIDTH,
+    IE11_A_MAX,
     RootRecord,
+    SANDWICH_N_MAX,
     TH1_EXCEPTIONS,
     TH4_EXCEPTIONS,
     VerifyReport,
@@ -163,6 +166,55 @@ def test_sandwich_examples():
     assert t100.lower < t100.exact < t100.upper and t100.remainder_ok
     with pytest.raises(ValueError):
         sandwich(0)
+
+
+def test_sandwich_matches_the_mpmath_oracle():
+    # The decimal evaluation gives the same doubles and verdicts as mpmath at 50 digits.
+    pb = pbar_prefix(3000)
+    for n in [*range(1, 601), *range(601, 3001, 29)]:
+        t = sandwich(n)
+        assert (t.main_term, t.remainder_bound, t.remainder_ok) == mpmath_sandwich_terms(n, pb[n]), n
+
+
+def test_pi_has_every_digit_of_the_working_precision():
+    # A fixed-length constant gives false remainder verdicts once pbar(n) outgrows it.
+    for digits in (50, 140, 400):
+        with mp.workdps(digits):
+            assert str(verification._pi(digits)) == mp.nstr(mp.pi, digits, strip_zeros=False)
+
+
+@pytest.mark.parametrize("n", [4834, 5000, 6500, 8000, 20000])
+def test_remainder_holds_where_50_digits_are_too_few(n):
+    # pbar(4834) has 91 digits: at a fixed 50 digits the main term's rounding
+    # error exceeds the bound, and ie7 reported a false counterexample there.
+    # At 20000, an 80-digit pi is too short as well.
+    exact = pbar_exact(n)
+    assert not mpmath_sandwich_terms(n, exact)[2]
+    assert mpmath_sandwich_terms(n, exact, dps=400)[2]
+    assert sandwich(n).remainder_ok
+
+
+def test_double_precision_caps_are_the_last_finite_values():
+    assert math.isfinite(math.exp(math.pi * math.sqrt(SANDWICH_N_MAX)))
+    with pytest.raises(OverflowError):
+        math.exp(math.pi * math.sqrt(SANDWICH_N_MAX + 1))
+    assert all(map(math.isfinite, verification._ie11_sides(IE11_A_MAX)))
+    with pytest.raises(OverflowError):
+        verification._ie11_sides(IE11_A_MAX + 1)
+
+
+def test_ranges_stop_at_the_double_precision_caps(monkeypatch):
+    # The CLI tests run each cap and the value past it; this one runs ie7 at its cap.
+    assert check_ie7(SANDWICH_N_MAX, n_min=SANDWICH_N_MAX - 3).holds
+    # The caps with a closed form are checked before any pbar work.
+    monkeypatch.setattr(verification, "pbar_prefix", None)
+    monkeypatch.setattr(verification, "pbar_exact", None)
+    with pytest.raises(ValueError, match=f"^sandwich needs n <= {SANDWICH_N_MAX}, got {SANDWICH_N_MAX + 1}$"):
+        sandwich(SANDWICH_N_MAX + 1)
+    with pytest.raises(ValueError, match=f"^need n_max <= {SANDWICH_N_MAX}, got {SANDWICH_N_MAX + 1}$"):
+        check_ie7(SANDWICH_N_MAX + 1)
+    with pytest.raises(ValueError, match=f"^need a_hi <= {IE11_A_MAX}, got {IE11_A_MAX + 1}$"):
+        check_ie11(2, IE11_A_MAX + 1)
 
 
 def test_main_term_closed_form_matches_finite_differences():
