@@ -22,7 +22,6 @@ from .enumeration import (
 )
 from .polynomials import (
     Poly,
-    SeriesTable,
     colored_count_via_product,
     pbar_derivative,
     pbar_poly,

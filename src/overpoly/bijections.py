@@ -12,13 +12,17 @@ smaller constrained overpartitions:
     "gk"  the k-colored single-unit peel.
 
 "plain" means non-overlined: a ban on (size, color) never excludes the
-overlined copy.  Every map is a finite union of mutually exclusive cases;
-dispatch evaluates all guards and insists exactly one fires.  Outputs are
-rebuilt as part multisets and canonicalized, which absorbs the ad-hoc
-rearrangements the case formulas would otherwise need.
+overlined copy.  Every map is a finite union of mutually exclusive cases.
+Each map is written once, as one private function (parts, b) -> (case,
+left, right): it reads its context once, evaluates all the guards, insists
+that exactly one fires, and builds that case's image.  The public maps
+rebuild both sides as part multisets and canonicalize them, which absorbs
+the ad-hoc rearrangements the case formulas would otherwise need.
 
-MAPS is the one registry of the five maps; dispatch_case, audit and the
-maps' own parameter checks all read their entry there.
+MAPS is the one registry of the five maps.  The public maps and
+dispatch_case go through one runner that checks the cell and then the
+domain against the map's entry before it calls the entry's function; audit
+reads the same entry.
 
 audit() streams the exact domain from iter_ops, applies the public map once
 per element, and reports well-definedness (every image lands in the
@@ -82,7 +86,7 @@ class MapEntry(NamedTuple):
     """One injection: its functions and the cells (a, b, k) it is defined on."""
 
     apply: str  # the public map in this module
-    case: str  # its case function
+    case: str  # its case-and-image function, (parts, b) -> (case, left, right)
     colored: bool  # k >= 2 when colored, else k = 1
     fixed_b: int | None  # the b a peel shears off; None for a split, which takes b
     least_a: int
@@ -95,11 +99,11 @@ class MapEntry(NamedTuple):
 # Names, not functions, are stored so that a map rebound on the module (by a
 # test or a tracer) is the one that audit applies.
 MAPS = {
-    "f": MapEntry("split_pair", "_split_case", False, None, 2, 2, NO_ONES_NO_TWOS, NO_ONES, NO_TWOS),
-    "g1": MapEntry("peel_one", "_peel_one_case", False, 1, 1, 1, NO_ONES, NO_ONES, NO_CONSTRAINT),
-    "g2": MapEntry("peel_two", "_peel_two_case", False, 2, 2, 2, NO_ONES, NO_ONES, NO_CONSTRAINT),
-    "fk": MapEntry("split_pair_colored", "_split_colored_case", True, None, 2, 1, NO_ONES_C1_C2, NO_ONES, NO_ONES_C2),
-    "gk": MapEntry("peel_one_colored", "_peel_one_colored_case", True, 1, 2, 1, NO_ONES, NO_ONES, NO_CONSTRAINT),
+    "f": MapEntry("split_pair", "_split", False, None, 2, 2, NO_ONES_NO_TWOS, NO_ONES, NO_TWOS),
+    "g1": MapEntry("peel_one", "_peel_one", False, 1, 1, 1, NO_ONES, NO_ONES, NO_CONSTRAINT),
+    "g2": MapEntry("peel_two", "_peel_two", False, 2, 2, 2, NO_ONES, NO_ONES, NO_CONSTRAINT),
+    "fk": MapEntry("split_pair_colored", "_split_colored", True, None, 2, 1, NO_ONES_C1_C2, NO_ONES, NO_ONES_C2),
+    "gk": MapEntry("peel_one_colored", "_peel_one_colored", True, 1, 2, 1, NO_ONES, NO_ONES, NO_CONSTRAINT),
 }
 MAP_NAMES = tuple(MAPS)
 
@@ -149,20 +153,14 @@ def _one_case(guards, context) -> int:
 
 def dispatch_case(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> int:
     """0-based index of the unique case a map applies to the given input."""
-    _require_input(map_name, parts, a, b, k)
-    entry = _entry(map_name)
-    return globals()[entry.case](parts, *(() if entry.fixed_b is not None else (b,)))
-
-
-def _entry(map_name: str) -> MapEntry:
-    if map_name not in MAPS:
-        raise ValueError(f"unknown map {map_name!r}")
-    return MAPS[map_name]
+    return _run(map_name, parts, a, b, k)[0]
 
 
 def _require_cell(map_name: str, a: int, b: int | None, k: int) -> tuple[MapEntry, int]:
     """The map's entry and the weight b (a peel's own), once the cell is checked against the entry."""
-    entry = _entry(map_name)
+    if map_name not in MAPS:
+        raise ValueError(f"unknown map {map_name!r}")
+    entry = MAPS[map_name]
     if (b is None) == (entry.fixed_b is None):
         takes = "needs b" if b is None else f"peels b = {entry.fixed_b} and takes no b"
         raise ValueError(f"map {map_name} {takes}; got b={b}")
@@ -173,78 +171,68 @@ def _require_cell(map_name: str, a: int, b: int | None, k: int) -> tuple[MapEntr
     return entry, b
 
 
-def _require_input(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> None:
-    """Check one application of a map against its entry: the cell, then the domain."""
+def _run(map_name: str, parts, a: int, b: int | None, k: int) -> tuple[int, tuple, tuple]:
+    """One application of a map: the cell, then the domain, then (case, left, right), sides not yet canonical."""
     entry, b = _require_cell(map_name, a, b, k)
     _require_domain(parts, a + b, k, entry.domain, f"map {map_name}")
+    return globals()[entry.case](parts, b)
 
 
-def _split_case(parts, b: int) -> int:
-    i, _, keep = split_point(parts, b)
-    part = parts[i - 1]
+def _split(parts, b: int):
+    i, take, keep = split_point(parts, b)
+    over = parts[i - 1][2]
     prev_over = parts[i - 2][2] if i >= 2 else None
-    return _one_case(
+    case = _one_case(
         [
             keep == 0,
-            keep >= 1 and part[2],
-            keep >= 2 and not part[2],
-            keep == 1 and not part[2] and prev_over is False,
-            keep == 1 and not part[2] and prev_over is True,
+            keep >= 1 and over,
+            keep >= 2 and not over,
+            keep == 1 and not over and prev_over is False,
+            keep == 1 and not over and prev_over is True,
         ],
         parts,
     )
+    if case == 0:
+        return case, parts[: i - 1], parts[i - 1 :]
+    right = parts[i:] + (ONE,) * take
+    if case <= 2:
+        return case, parts[: i - 1] + (Part(keep, 1, case == 1),), right
+    prev_size = parts[i - 2][0]
+    high, low = (prev_size + 2) // 2, (prev_size + 1) // 2
+    return case, parts[: i - 2] + (Part(high, 1, case == 4), Part(low, 1, False)), right
 
 
 def split_pair(parts, a: int, b: int) -> ImagePair:
     """The uncolored split map: weight a+b, no plain 1's or 2's, into (a, b)."""
     if a < b:
         raise ValueError(f"split map needs a >= b; got a={a}, b={b}")
-    _require_input("f", parts, a, b)
-    i, take, keep = split_point(parts, b)
-    case = _split_case(parts, b)
-    ones = (ONE,) * take
-    if case == 0:
-        left, right = parts[: i - 1], parts[i - 1 :]
-    elif case == 1:
-        left, right = parts[: i - 1] + (Part(keep, 1, True),), parts[i:] + ones
-    elif case == 2:
-        left, right = parts[: i - 1] + (Part(keep, 1, False),), parts[i:] + ones
-    else:
-        prev_size = parts[i - 2][0]
-        high, low = (prev_size + 2) // 2, (prev_size + 1) // 2
-        left = parts[: i - 2] + (Part(high, 1, case == 4), Part(low, 1, False))
-        right = parts[i:] + ones
+    _, left, right = _run("f", parts, a, b, 1)
     return ImagePair(canonicalize(left), canonicalize(right))
 
 
-def _peel_one_case(parts) -> int:
+def _peel_one(parts, b: int):
     size, _, over = parts[-1]
-    return _one_case(
+    case = _one_case(
         [size >= 2 and over, size >= 3 and not over, size == 2 and not over, size == 1],
         parts,
     )
+    if case <= 1:
+        return case, parts[:-1] + (Part(size - b, 1, case == 0),), (ONE,)
+    if case == 2:
+        return case, parts[:-1] + (ONE_BAR,), (ONE_BAR,)
+    return case, parts[:-1], parts[-1:]
 
 
 def peel_one(parts, a: int) -> ImagePair:
     """The uncolored single-unit peel: weight a+1, no plain 1's, into (a, 1)."""
-    _require_input("g1", parts, a)
-    case = _peel_one_case(parts)
-    last = parts[-1]
-    if case == 0:
-        left, right = parts[:-1] + (Part(last.size - 1, 1, True),), (ONE,)
-    elif case == 1:
-        left, right = parts[:-1] + (Part(last.size - 1, 1, False),), (ONE,)
-    elif case == 2:
-        left, right = parts[:-1] + (ONE_BAR,), (ONE_BAR,)
-    else:
-        left, right = parts[:-1], (last,)
+    _, left, right = _run("g1", parts, a, None, 1)
     return ImagePair(canonicalize(left), canonicalize(right))
 
 
-def _peel_two_case(parts) -> int:
+def _peel_two(parts, b: int):
     size, _, over = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
-    return _one_case(
+    case = _one_case(
         [
             size >= 3 and over,
             size >= 4 and not over,
@@ -257,40 +245,31 @@ def _peel_two_case(parts) -> int:
         ],
         parts,
     )
+    if case <= 1:
+        return case, parts[:-1] + (Part(size - b, 1, case == 0),), (TWO,)
+    if case == 2:
+        return case, parts[:-1] + (ONE_BAR,), (TWO_BAR,)
+    if case == 3:
+        return case, parts[:-1], (ONE, ONE)
+    if case == 4:
+        return case, parts[:-1], (TWO_BAR,)
+    if case == 6:
+        return case, parts[:-2] + (ONE_BAR,), (ONE, ONE)
+    return case, parts[:-2] + (Part(prev[0] - 1, 1, case == 5),), (ONE, ONE_BAR)
 
 
 def peel_two(parts, a: int) -> ImagePair:
     """The uncolored two-unit peel: weight a+2, no plain 1's, into (a, 2)."""
-    _require_input("g2", parts, a)
-    case = _peel_two_case(parts)
-    last = parts[-1]
-    prev = parts[-2] if len(parts) >= 2 else None
-    if case == 0:
-        left, right = parts[:-1] + (Part(last.size - 2, 1, True),), (TWO,)
-    elif case == 1:
-        left, right = parts[:-1] + (Part(last.size - 2, 1, False),), (TWO,)
-    elif case == 2:
-        left, right = parts[:-1] + (ONE_BAR,), (TWO_BAR,)
-    elif case == 3:
-        left, right = parts[:-1], (ONE, ONE)
-    elif case == 4:
-        left, right = parts[:-1], (TWO_BAR,)
-    elif case == 5:
-        left, right = parts[:-2] + (Part(prev.size - 1, 1, True),), (ONE, ONE_BAR)
-    elif case == 6:
-        left, right = parts[:-2] + (ONE_BAR,), (ONE, ONE)
-    else:
-        left, right = parts[:-2] + (Part(prev.size - 1, 1, False),), (ONE, ONE_BAR)
+    _, left, right = _run("g2", parts, a, None, 1)
     return ImagePair(canonicalize(left), canonicalize(right))
 
 
-def _split_colored_case(parts, b: int) -> int:
-    i, _, keep = split_point(parts, b)
-    part = parts[i - 1]
-    color, over = part[1], part[2]
+def _split_colored(parts, b: int):
+    i, take, keep = split_point(parts, b)
+    _, color, over = parts[i - 1]
     prev = parts[i - 2] if i >= 2 else None
     keep_one_plain_c1 = keep == 1 and not over and color == 1
-    return _one_case(
+    case = _one_case(
         [
             keep == 0,
             keep >= 1 and over,
@@ -302,42 +281,27 @@ def _split_colored_case(parts, b: int) -> int:
         ],
         parts,
     )
+    if case == 0:
+        return case, parts[: i - 1], parts[i - 1 :]
+    right = parts[i:] + (ONE,) * take
+    if case <= 3:
+        return case, parts[: i - 1] + (Part(keep, color, case == 1),), right
+    if case == 4:
+        return case, parts[: i - 2] + (ONE_C2, ONE_C2, ONE_BAR), right
+    return case, parts[: i - 2] + (Part(prev[0] - 1, prev[1], case == 6), ONE_C2, ONE_C2), right
 
 
 def split_pair_colored(parts, a: int, b: int, k: int) -> ImagePair:
     """The k-colored split map: weight a+b, no plain 1_1's or 1_2's, into (a, b)."""
-    _require_input("fk", parts, a, b, k)
-    i, take, keep = split_point(parts, b)
-    case = _split_colored_case(parts, b)
-    part = parts[i - 1]
-    prev = parts[i - 2] if i >= 2 else None
-    ones1 = (ONE,) * take
-    if case == 0:
-        left, right = parts[: i - 1], parts[i - 1 :]
-    elif case == 1:
-        left, right = parts[: i - 1] + (Part(keep, part.color, True),), parts[i:] + ones1
-    elif case == 2:
-        left, right = parts[: i - 1] + (Part(keep, part.color, False),), parts[i:] + ones1
-    elif case == 3:
-        left, right = parts[: i - 1] + (Part(1, part.color, False),), parts[i:] + ones1
-    elif case == 4:
-        left = parts[: i - 2] + (ONE_C2, ONE_C2, ONE_BAR)
-        right = parts[i:] + ones1
-    elif case == 5:
-        left = parts[: i - 2] + (Part(prev.size - 1, prev.color, False), ONE_C2, ONE_C2)
-        right = parts[i:] + ones1
-    else:
-        left = parts[: i - 2] + (Part(prev.size - 1, prev.color, True), ONE_C2, ONE_C2)
-        right = parts[i:] + ones1
+    _, left, right = _run("fk", parts, a, b, k)
     return ImagePair(canonicalize(left, k), canonicalize(right, k))
 
 
-def _peel_one_colored_case(parts) -> int:
-    last = parts[-1]
-    size, over = last[0], last[2]
+def _peel_one_colored(parts, b: int):
+    size, color, over = parts[-1]
     prev = parts[-2] if len(parts) >= 2 else None
-    is_two_c1 = last[:] == (2, 1, False)
-    return _one_case(
+    is_two_c1 = (size, color, over) == (2, 1, False)
+    case = _one_case(
         [
             size >= 2 and over,
             size >= 2 and not over and not is_two_c1,
@@ -348,28 +312,18 @@ def _peel_one_colored_case(parts) -> int:
         ],
         parts,
     )
+    if case <= 1:
+        return case, parts[:-1] + (Part(size - b, color, case == 0),), (ONE,)
+    if case == 4:
+        return case, parts[:-2] + (ONE_C2, ONE_C2, ONE_BAR), (ONE,)
+    if case == 5:
+        return case, parts[:-1], parts[-1:]
+    return case, parts[:-2] + (Part(prev[0] - 1, prev[1], case == 2), ONE_C2, ONE_C2), (ONE,)
 
 
 def peel_one_colored(parts, a: int, k: int) -> ImagePair:
     """The k-colored single-unit peel: weight a+1, no plain 1_1's, into (a, 1)."""
-    _require_input("gk", parts, a, k=k)
-    case = _peel_one_colored_case(parts)
-    last = parts[-1]
-    prev = parts[-2] if len(parts) >= 2 else None
-    if case == 0:
-        left, right = parts[:-1] + (Part(last.size - 1, last.color, True),), (ONE,)
-    elif case == 1:
-        left, right = parts[:-1] + (Part(last.size - 1, last.color, False),), (ONE,)
-    elif case == 2:
-        left = parts[:-2] + (Part(prev.size - 1, prev.color, True), ONE_C2, ONE_C2)
-        right = (ONE,)
-    elif case == 3:
-        left = parts[:-2] + (Part(prev.size - 1, prev.color, False), ONE_C2, ONE_C2)
-        right = (ONE,)
-    elif case == 4:
-        left, right = parts[:-2] + (ONE_C2, ONE_C2, ONE_BAR), (ONE,)
-    else:
-        left, right = parts[:-1], (last,)
+    _, left, right = _run("gk", parts, a, None, k)
     return ImagePair(canonicalize(left, k), canonicalize(right, k))
 
 
@@ -452,15 +406,9 @@ def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | No
         collision = tuple(lam for position, lam in again if position in repeat)
 
     surjective = len(first_preimage) == codomain_size and well_defined
-    unhit = None
-    if not surjective:
-        for l in left_cod:
-            for r in right_cod:
-                if (l, r) not in first_preimage:
-                    unhit = (l, r)
-                    break
-            if unhit is not None:
-                break
+    unhit = None if surjective else next(
+        ((l, r) for l in left_cod for r in right_cod if (l, r) not in first_preimage), None
+    )
 
     return AuditReport(
         map_name=map_name,

@@ -172,13 +172,11 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    table = series_expand(args.order)
+    coeff_polys = series_expand(args.order)
     if args.format == "json":
-        _emit_json(
-            {"order": table.order, "coeffs": [encode(p.coeffs) for p in table.coeff_polys]}
-        )
+        _emit_json({"order": args.order, "coeffs": [encode(p.coeffs) for p in coeff_polys]})
     else:
-        for n, poly in enumerate(table.coeff_polys):
+        for n, poly in enumerate(coeff_polys):
             print(f"q^{n}: {poly}")
     return 0
 

@@ -158,8 +158,8 @@ def iter_ops(
     and the next used pair is tried last to first: a later one leaves more
     leading pairs empty, so that descent lists it sooner.  Pairs larger than
     the remaining weight are never tried.  A cap of None is the default cap
-    for k.  The cap and domain are validated eagerly; the returned iterator
-    is lazy.
+    for k, and a negative cap is a ValueError.  The cap and domain are
+    validated eagerly; the returned iterator is lazy.
 
     The suffixes of each weight w <= n // 2 are built once per first pair
     that fits w and kept for the life of the iterator; heavier levels
@@ -169,6 +169,8 @@ def iter_ops(
     4,946 next to the 31,066 yielded at n = 25, and 46,316 next to 398,640
     at n = 35.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"need cap >= 0, got {cap}")
     if n < 0:
         raise ValueError(f"weight must be >= 0, got {n}")
     if k < 1:

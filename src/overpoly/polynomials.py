@@ -44,9 +44,9 @@ The module also provides:
     point need no Fraction and no coefficient vector: about n^1.5 integer
     products instead of the memo's n^2.5; at x = 1 every value is checked
     against m! pbar(m);
-  * series_expand(N): the truncated formal exponential of
-    x * sum_{n<=N} sigma_bar(n) q^n / n, whose q^n coefficient must reproduce
-    pbar_poly(n) exactly;
+  * series_expand(N): the tuple of the q^0..q^N coefficients of the formal
+    exponential of x * sum_{n<=N} sigma_bar(n) q^n / n, whose entry n must
+    reproduce pbar_poly(n) exactly;
   * colored_count_via_product(n, k): the coefficient of q^n in the integer
     q-series prod_m ((1+q^m)/(1-q^m))^k, an expansion route independent of
     the recursion.
@@ -67,7 +67,6 @@ from fractions import Fraction
 from itertools import accumulate, repeat, zip_longest
 from math import comb, factorial, gcd, isqrt, lcm, prod
 from operator import mul
-from typing import NamedTuple
 
 from .divisors import pbar_prefix, sigma_bar
 
@@ -77,7 +76,6 @@ __all__ = [
     "pbar_derivative",
     "product_gap_poly",
     "scaled_values",
-    "SeriesTable",
     "series_exp",
     "series_expand",
     "colored_count_via_product",
@@ -326,32 +324,6 @@ def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
     return slopes if derivative else values
 
 
-class _SeriesFields(NamedTuple):
-    order: int
-    coeff_polys: tuple[Poly, ...]
-
-
-class SeriesTable(_SeriesFields):
-    """Truncated q-series whose coefficients are polynomials in x.
-
-    coeff_polys[n] is the coefficient of q^n, for 0 <= n <= order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, order: int, coeff_polys: tuple[Poly, ...]):
-        if len(coeff_polys) != order + 1:
-            raise ValueError("coeff_polys must have length order + 1")
-        if coeff_polys[0] != Poly([1]):
-            raise ValueError("constant coefficient of the series must be 1")
-        return super().__new__(cls, order, coeff_polys)
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would otherwise skip __new__.
-        return cls(*iterable)
-
-
 def series_exp(linear_coeffs, order: int) -> list[Poly]:
     """exp of a q-series with zero constant term, truncated at q^order.
 
@@ -370,16 +342,16 @@ def series_exp(linear_coeffs, order: int) -> list[Poly]:
     return es
 
 
-def series_expand(order: int) -> SeriesTable:
-    """Truncated exp(x * sum_{n<=order} sigma_bar(n) q^n / n).
+def series_expand(order: int) -> tuple[Poly, ...]:
+    """The coefficients of q^0..q^order in exp(x * sum_{n<=order} sigma_bar(n) q^n / n).
 
-    The coefficient of q^n must equal pbar_poly(n) exactly for all n <= order;
+    Entry n must equal pbar_poly(n) exactly for all n <= order;
     the generating-function equivalence tests enforce it.
     """
     if order < 0:
         raise ValueError(f"series_expand needs order >= 0; got {order}")
     exponent = [Poly([0, Fraction(sigma_bar(k), k)]) for k in range(1, order + 1)]
-    return SeriesTable(order, tuple(series_exp(exponent, order)))
+    return tuple(series_exp(exponent, order))
 
 
 def colored_count_via_product(n: int, k: int) -> int:

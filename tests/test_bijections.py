@@ -1,5 +1,6 @@
 """The five injections and their exhaustive audits."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
@@ -206,6 +207,41 @@ def test_exactly_one_case_fires_and_all_cases_occur(map_name, a, b, k):
         assert 0 <= case < CASE_COUNTS[map_name]
         seen.add(case)
     assert seen == set(range(CASE_COUNTS[map_name]))
+
+
+# sha256 of repr([(dispatch_case(...), map(...)) for each domain element in enumerate_ops order]).
+# The golden audits pin only counts; these pin every case number and image.
+IMAGE_HASHES = {
+    ("f", 9, 6, 1): "7b10804159df21dd0757e141e593a4cf646bffdcba805300621b58802ee6b959",
+    ("f", 12, 3, 1): "5f79bbd36cea90b0be632248f8978f382f30f3150d57d528991a930d05cde13d",
+    ("g1", 12, None, 1): "7a27fddfa457223fb1cdc1941594381a15abb7e7e02c7cbc98a1395fc1adf62f",
+    ("g1", 3, None, 1): "61c43f80228c4a238622210bc8ea58b98c49a4d6a3f7e845b216d33af8d33430",
+    ("g2", 14, None, 1): "581ebbe39859b4a2b772b93a006ab6b0612f7ed8e84c35a2d182fa435f702b34",
+    ("g2", 5, None, 1): "9129d72401fca83e3ed373e6da60f9ed45250ebb0f6b25d0f06b87f2f8c1a166",
+    ("fk", 6, 4, 2): "e31b615f0b1ed6ebcb3e681970efb504bd258b4700978c819a676e1cfee24a5b",
+    ("fk", 4, 4, 3): "85fea6d5c00fb43542a4b4156fa34b7f1e1e8ebeb70d363d9a3ac30e79094cfd",
+    ("gk", 6, None, 3): "de433ce66d8a0a2cb52a039abfb5a483814f3f924f261e913c7122230cdc1972",
+    ("gk", 9, None, 2): "527f43354ae5c82e9308bee05ef88e6261ef2155742decddc9b6a6f16f96d108",
+}
+
+
+@pytest.mark.parametrize("cell", IMAGE_HASHES)
+def test_case_and_image_of_every_domain_element_are_pinned(cell):
+    map_name, a, b, k = cell
+    entry = MAPS[map_name]
+    apply_map = getattr(bijections, entry.apply)
+    map_args = (a, *(() if b is None else (b,)), *((k,) if entry.colored else ()))
+    pairs = [(dispatch_case(map_name, lam, a, b, k), apply_map(lam, *map_args)) for lam in _domain(*cell)]
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest() == IMAGE_HASHES[cell]
+
+
+@pytest.mark.parametrize("map_name, a, b, k", CELLS)
+def test_maps_take_parts_as_plain_tuples(map_name, a, b, k):
+    # The domain check reads plain (size, color, overlined) tuples; the maps used to read .size and .color.
+    apply_map = getattr(bijections, MAPS[map_name].apply)
+    map_args = (a, *(() if b is None else (b,)), *((k,) if MAPS[map_name].colored else ()))
+    for lam in _domain(map_name, a, b, k):
+        assert apply_map(tuple(map(tuple, lam)), *map_args) == apply_map(lam, *map_args)
 
 
 def test_weight_conservation():

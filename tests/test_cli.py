@@ -83,6 +83,15 @@ def test_enumerate_cap_exceeded(capsys):
     assert err.startswith("resource error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["enumerate", "0", "--cap", "-1", "--count"], ["bijection", "g1", "--a", "3", "--cap", "-1"]]
+)
+def test_negative_cap_is_a_usage_error(capsys, argv):
+    # A negative cap used to be reported as a resource limit that weight 0 exceeds.
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: need cap >= 0, got -1\n")
+
+
 def test_enumerate_cap_flag(capsys):
     code, out, _ = run(capsys, "enumerate", "26", "--cap", "26", "--count")
     assert code == 0 and out.startswith("count = ")

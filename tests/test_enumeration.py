@@ -183,6 +183,15 @@ def test_cap_enforcement():
     assert count_ops(26, 1, NO_CONSTRAINT, cap=26) > 0
 
 
+def test_negative_cap_is_a_value_error_not_a_cap_excess():
+    # -1 used to be read as a cap that weight 0 exceeds.
+    for n in (0, 3):
+        with pytest.raises(ValueError, match=r"^need cap >= 0, got -1$"):
+            iter_ops(n, 1, cap=-1)
+    with pytest.raises(ValueError, match=r"^need cap >= 0, got -1$"):
+        enumerate_ops(-2, 0, cap=-1)  # the cap is checked before n and k
+
+
 def test_constraint_parsing():
     assert Constraint.parse("1_1,2_1") == forbid((1, 1), (2, 1))
     assert Constraint.parse("3") == forbid((3, 1))

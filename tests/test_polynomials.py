@@ -14,7 +14,6 @@ from overpoly import polynomials
 from overpoly.divisors import pbar_exact, sigma_bar
 from overpoly.polynomials import (
     Poly,
-    SeriesTable,
     colored_count_via_product,
     pbar_derivative,
     pbar_poly,
@@ -205,32 +204,12 @@ def test_series_exp_of_plain_exponential():
 
 
 def test_series_expand_examples():
-    assert series_expand(0).coeff_polys == (Poly([1]),)
-    table = series_expand(2)
-    assert table.coeff_polys == (Poly([1]), Poly([0, 2]), Poly([0, 2, 2]))
-
-
-@pytest.mark.parametrize("order, coeff_polys", [(1, (Poly([1]),)), (0, (Poly([2]),))])
-def test_series_table_checks_its_fields(order, coeff_polys):
-    with pytest.raises(ValueError):
-        SeriesTable(order, coeff_polys)
-
-
-def test_series_table_replace_checks_its_fields():
-    with pytest.raises(ValueError):
-        series_expand(2)._replace(order=5)
-    assert series_expand(2)._replace(order=2) == series_expand(2)
-
-
-def test_series_table_survives_pickle():
-    table = series_expand(6)
-    rebuilt = pickle.loads(pickle.dumps(table))
-    assert rebuilt == table and type(rebuilt) is SeriesTable
+    assert series_expand(0) == (Poly([1]),)
+    assert series_expand(2) == (Poly([1]), Poly([0, 2]), Poly([0, 2, 2]))
 
 
 def test_series_expand_matches_recursion():
-    table = series_expand(12)
-    for n, coeff in enumerate(table.coeff_polys):
+    for n, coeff in enumerate(series_expand(12)):
         assert coeff == pbar_poly(n)
 
 
@@ -306,8 +285,7 @@ def _q(n):
 
 
 def test_integer_memo_matches_series_expand():
-    table = series_expand(16)
-    for n, coeff in enumerate(table.coeff_polys):
+    for n, coeff in enumerate(series_expand(16)):
         assert list(_q(n)) == [c * factorial(n) for c in coeff.coeffs]
 
 
