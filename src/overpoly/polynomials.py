@@ -48,8 +48,9 @@ The module also provides:
     exponential of x * sum_{n<=N} sigma_bar(n) q^n / n, whose entry n must
     reproduce pbar_poly(n) exactly;
   * colored_count_via_product(n, k): the coefficient of q^n in the integer
-    q-series prod_m ((1+q^m)/(1-q^m))^k, an expansion route independent of
-    the recursion.
+    q-series prod_m ((1+q^m)/(1-q^m))^k, one in-place multiplication by 1+q^m
+    and division by 1-q^m per part size and color, a counting route
+    independent of the recursion.
 
 A Poly is its integer numerators over one positive denominator, normalized
 by construction; polynomial equality is structural and Poly values are
@@ -357,33 +358,20 @@ def series_expand(order: int) -> tuple[Poly, ...]:
 def colored_count_via_product(n: int, k: int) -> int:
     """Coefficient of q^n in prod_{m=1..n} ((1+q^m)/(1-q^m))^k, all-integer.
 
-    (1+q^m)^k expands by binomial coefficients and 1/(1-q^m)^k by
-    stars-and-bars coefficients; every factor is truncated at q^n.  Must equal
-    pbar_poly(n)(k).
+    One series truncated at q^n is updated in place: for each m and each of
+    the k colors, it is multiplied by 1+q^m from the top down (an overlined
+    part m) and divided by 1-q^m from the bottom up (any number of plain
+    parts m), integer additions only.  Must equal pbar_poly(n)(k).
     """
     if n < 0:
         raise ValueError(f"colored_count_via_product needs n >= 0; got {n}")
     if k < 1:
         raise ValueError(f"colored_count_via_product needs k >= 1; got {k}")
-    series = [0] * (n + 1)
-    series[0] = 1
+    series = [1] + [0] * n
     for m in range(1, n + 1):
-        plus = [0] * (n + 1)
-        for j in range(n // m + 1):
-            plus[m * j] = comb(k, j)
-        inv = [0] * (n + 1)
-        for j in range(n // m + 1):
-            inv[m * j] = comb(k + j - 1, j)
-        series = _mul_trunc(series, plus, n)
-        series = _mul_trunc(series, inv, n)
+        for _ in range(k):
+            for i in range(n, m - 1, -1):
+                series[i] += series[i - m]
+            for i in range(m, n + 1):
+                series[i] += series[i - m]
     return series[n]
-
-
-def _mul_trunc(a: list[int], b: list[int], n: int) -> list[int]:
-    out = [0] * (n + 1)
-    for i, x in enumerate(a):
-        if x:
-            for j in range(min(len(b), n - i + 1)):
-                if b[j]:
-                    out[i + j] += x * b[j]
-    return out

@@ -35,13 +35,13 @@ main term stays far below it.
 
 Double precision also caps the ranges: e^(pi sqrt n) is a finite double up
 to SANDWICH_N_MAX, e^(pi sqrt(a)/3) up to IE11_A_MAX, and float(pbar(n)) up
-to n = 52925.  A range past its cap raises ValueError naming the cap.
+to PBAR_FLOAT_N_MAX.  A range past its cap raises ValueError naming the cap,
+before any pbar is computed.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -62,6 +62,7 @@ __all__ = [
     "IE11_THRESHOLD",
     "IE11_A_MAX",
     "SANDWICH_N_MAX",
+    "PBAR_FLOAT_N_MAX",
     "VerifyReport",
     "BoundTriple",
     "RootRecord",
@@ -102,7 +103,7 @@ IE11_THRESHOLD = 94  # ie11 is claimed for every a >= 94; below it, only reporte
 
 SANDWICH_N_MAX = 51044  # the largest n with e^(pi sqrt n) a finite double
 IE11_A_MAX = 459402  # the largest a with e^(pi sqrt(a)/3) a finite double
-_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least integer that float() rejects
+PBAR_FLOAT_N_MAX = 52925  # the largest n with float(pbar(n)) finite
 
 
 @serial.record
@@ -172,19 +173,6 @@ def _need_range(name: str, value: int, least: int, most: int | None = None) -> N
         raise ValueError(f"need {name} >= {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"need {name} <= {most}, got {value}")
-
-
-def _float_prefix(name: str, value: int, n: int, largest) -> list[float]:
-    """[float(pbar(0)), ..., float(pbar(n))] for the range value of parameter name.
-
-    When pbar(n) is past the largest finite double, raises ValueError with
-    largest(m), the largest accepted value of the parameter, where m is the
-    largest n with float(pbar(n)) finite.
-    """
-    pb = pbar_prefix(n)
-    if pb[n] >= _FLOAT_OVERFLOW:
-        raise ValueError(f"need {name} <= {largest(bisect_left(pb, _FLOAT_OVERFLOW) - 1)}, got {value}")
-    return [float(v) for v in pb]
 
 
 def check_th1(n_max: int) -> VerifyReport:
@@ -293,8 +281,8 @@ def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
 
 def check_le3(n_max: int) -> VerifyReport:
     """pbar(n) > 1 + ln(2n), double precision, with minimum-slack reporting."""
-    _need_range("n_max", n_max, 1)
-    pb = _float_prefix("n_max", n_max, n_max, lambda m: m)
+    _need_range("n_max", n_max, 1, PBAR_FLOAT_N_MAX)
+    pb = [float(v) for v in pbar_prefix(n_max)]
     slacks = [(n, _rel_slack(pb[n], 1 + math.log(2 * n))) for n in range(1, n_max + 1)]
     argmin, min_slack = min(slacks, key=lambda pair: pair[1])
     return _decide("le3", f"1 <= n <= {n_max}", *_band(slacks), min_rel_slack=min_slack, argmin=argmin)
@@ -461,12 +449,13 @@ def check_ie8(a_max: int) -> VerifyReport:
     """pbar(a+b-k) > (1 + ln(2a)) pbar(b-k) for all 1 <= k < b <= a <= a_max.
 
     Exact pbar values, double-precision logarithm, minimum slack reported.
-    The full machine-check range is a_max = 93.  The slack of (a, b, k)
+    The machine check runs a_max = IE11_THRESHOLD - 1: ie11 is claimed for
+    every a from IE11_THRESHOLD on, so ie8 is checked below it.  The slack of (a, b, k)
     depends on j = b - k only, so each (a, j) is computed once; (a, j + 1, 1)
     is the first triple with that j in the scan order (a, then b, then k).
     """
-    _need_range("a_max", a_max, 2)
-    pb = _float_prefix("a_max", a_max, 2 * a_max - 1, lambda m: (m + 1) // 2)
+    _need_range("a_max", a_max, 2, (PBAR_FLOAT_N_MAX + 1) // 2)
+    pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
     near = []  # slacks from the band up pass; the rest go to _band, with no call per triple
     min_slack, argmin = math.inf, None
     for a in range(1, a_max + 1):
@@ -600,7 +589,7 @@ CLAIMS = {
     "th5": ("check_colored", {"a_max": 40, "k_set": (2, 3)}),
     "le3": ("check_le3", {"n_max": 500}),
     "ie7": ("check_ie7", {"n_max": 500}),
-    "ie8": ("check_ie8", {"a_max": 93}),
+    "ie8": ("check_ie8", {"a_max": IE11_THRESHOLD - 1}),
     "ie11": ("check_ie11", {"a_lo": 2, "a_hi": 500}),
     "logconcave": ("check_logconcave", {"n_max": 500}),
     "descent": ("check_descent", {"ns": (3, 7, 15, 31)}),

@@ -13,6 +13,7 @@ from overpoly.divisors import pbar_exact
 from overpoly.enumeration import (
     CapExceededError,
     Constraint,
+    DEFAULT_CAPS,
     NO_CONSTRAINT,
     Part,
     canonicalize,
@@ -23,7 +24,7 @@ from overpoly.enumeration import (
     iter_ops,
     weight,
 )
-from overpoly.polynomials import pbar_poly
+from overpoly.polynomials import colored_count_via_product, pbar_poly
 
 NO_ONES = forbid((1, 1))
 
@@ -77,6 +78,9 @@ def test_oracle_equivalence_small():
         assert count_ops(n, 2) == pbar_poly(n)(2)
     for n in range(0, 7):
         assert count_ops(n, 3) == pbar_poly(n)(3)
+    for k, cap in DEFAULT_CAPS.items():
+        for n in range(cap + 1):
+            assert count_ops(n, k) == colored_count_via_product(n, k)
 
 
 def test_removal_identity():

@@ -22,6 +22,7 @@ from overpoly.verification import (
     DEFAULT_GRID_XS,
     DEFAULT_WIDTH,
     IE11_A_MAX,
+    PBAR_FLOAT_N_MAX,
     RootRecord,
     SANDWICH_N_MAX,
     TH1_EXCEPTIONS,
@@ -201,12 +202,15 @@ def test_double_precision_caps_are_the_last_finite_values():
     assert all(map(math.isfinite, verification._ie11_sides(IE11_A_MAX)))
     with pytest.raises(OverflowError):
         verification._ie11_sides(IE11_A_MAX + 1)
+    assert math.isfinite(float(pbar_exact(PBAR_FLOAT_N_MAX)))
+    with pytest.raises(OverflowError):
+        float(pbar_exact(PBAR_FLOAT_N_MAX + 1))
 
 
 def test_ranges_stop_at_the_double_precision_caps(monkeypatch):
     # The CLI tests run each cap and the value past it; this one runs ie7 at its cap.
     assert check_ie7(SANDWICH_N_MAX, n_min=SANDWICH_N_MAX - 3).holds
-    # The caps with a closed form are checked before any pbar work.
+    # Every cap is checked before any pbar work.
     monkeypatch.setattr(verification, "pbar_prefix", None)
     monkeypatch.setattr(verification, "pbar_exact", None)
     with pytest.raises(ValueError, match=f"^sandwich needs n <= {SANDWICH_N_MAX}, got {SANDWICH_N_MAX + 1}$"):
@@ -215,6 +219,10 @@ def test_ranges_stop_at_the_double_precision_caps(monkeypatch):
         check_ie7(SANDWICH_N_MAX + 1)
     with pytest.raises(ValueError, match=f"^need a_hi <= {IE11_A_MAX}, got {IE11_A_MAX + 1}$"):
         check_ie11(2, IE11_A_MAX + 1)
+    with pytest.raises(ValueError, match=f"^need n_max <= {PBAR_FLOAT_N_MAX}, got {PBAR_FLOAT_N_MAX + 1}$"):
+        check_le3(PBAR_FLOAT_N_MAX + 1)
+    with pytest.raises(ValueError, match="^need a_max <= 26463, got 26464$"):
+        check_ie8(26464)
 
 
 def test_main_term_closed_form_matches_finite_differences():
@@ -417,6 +425,7 @@ def test_run_claim_rejects_unknown_claims_and_ranges():
 def test_run_claim_fills_defaults():
     assert run_claim("th1", n_max=None) == check_th1(120)
     assert run_claim("ie11").range_checked == "2 <= a <= 500, claim from a >= 94"
+    assert run_claim("ie8").range_checked == "1 <= k < b <= a <= 93"
 
 
 @pytest.mark.parametrize("claim", list(CLAIMS))
