@@ -29,6 +29,7 @@ from .enumeration import (
     CapExceededError,
     Constraint,
     NO_CONSTRAINT,
+    count_ops,
     enumerate_ops,
     format_parts,
 )
@@ -184,19 +185,19 @@ def _cmd_series(args) -> int:
 def _cmd_enumerate(args) -> int:
     constraint = Constraint.parse(args.forbid) if args.forbid else NO_CONSTRAINT
     for size, color in sorted(constraint.forbidden):
-        if color > args.colors >= 1:  # a color count below 1 is enumerate_ops's error
+        if color > args.colors >= 1:  # a color count below 1 is iter_ops's error
             raise ValueError(f"ban '{size}_{color}' has color {color}, above --colors {args.colors}")
-    items = enumerate_ops(args.n, args.colors, constraint, cap=args.cap)
+    items = () if args.count else enumerate_ops(args.n, args.colors, constraint, cap=args.cap)
+    count = count_ops(args.n, args.colors, constraint, cap=args.cap) if args.count else len(items)
     if args.format == "json":
-        payload = {"n": args.n, "colors": args.colors, "count": len(items)}
+        payload = {"n": args.n, "colors": args.colors, "count": count}
         if not args.count:
             payload["overpartitions"] = encode(items)
         _emit_json(payload)
     else:
-        print(f"count = {len(items)}")
-        if not args.count:
-            for parts in items:
-                print(format_parts(parts))
+        print(f"count = {count}")
+        for parts in items:
+            print(format_parts(parts))
     return 0
 
 

@@ -44,9 +44,9 @@ The module also provides:
     point need no Fraction and no coefficient vector: about n^1.5 integer
     products instead of the memo's n^2.5; at x = 1 every value is checked
     against m! pbar(m);
-  * series_expand(N): the tuple of the q^0..q^N coefficients of the formal
-    exponential of x * sum_{n<=N} sigma_bar(n) q^n / n, whose entry n must
-    reproduce pbar_poly(n) exactly;
+  * series_expand(N): the q^0..q^N coefficients of the formal exponential of
+    x * sum_{n<=N} sigma_bar(n) q^n / n, from their own integer sigma_bar
+    recursion, not the memo; entry n must reproduce pbar_poly(n) exactly;
   * colored_count_via_product(n, k): the coefficient of q^n in the integer
     q-series prod_m ((1+q^m)/(1-q^m))^k, one in-place multiplication by 1+q^m
     and division by 1-q^m per part size and color, a counting route
@@ -77,7 +77,6 @@ __all__ = [
     "pbar_derivative",
     "product_gap_poly",
     "scaled_values",
-    "series_exp",
     "series_expand",
     "colored_count_via_product",
 ]
@@ -90,7 +89,8 @@ class Poly:
     over one denominator den > 0 with gcd(den, *nums) = 1, so equal
     polynomials have equal fields.  Poly(rationals) takes the coefficients
     themselves; Poly(integers, den) takes numerators over den >= 1.  The zero
-    polynomial has nums == (), den == 1 and degree -1.
+    polynomial has nums == (), den == 1 and degree -1.  The ring operators
+    serve the tests' Fraction reference; no library route uses them.
     """
 
     __slots__ = ("nums", "den")
@@ -325,34 +325,25 @@ def scaled_values(n_max: int, x, derivative: bool = False) -> list[int]:
     return slopes if derivative else values
 
 
-def series_exp(linear_coeffs, order: int) -> list[Poly]:
-    """exp of a q-series with zero constant term, truncated at q^order.
-
-    linear_coeffs[k] (1-indexed via linear_coeffs[k-1]) is the Poly-in-x
-    coefficient of q^k of the exponent B.  Uses the standard recurrence for
-    E = exp(B):  n * e_n = sum_{k=1..n} k * b_k * e_{n-k},  e_0 = 1.
-    """
-    es = [Poly([1])]
-    for n in range(1, order + 1):
-        acc = Poly()
-        for k in range(1, n + 1):
-            bk = linear_coeffs[k - 1]
-            if bk:
-                acc = acc + (k * bk) * es[n - k]
-        es.append(acc * Fraction(1, n))
-    return es
-
-
 def series_expand(order: int) -> tuple[Poly, ...]:
     """The coefficients of q^0..q^order in exp(x * sum_{n<=order} sigma_bar(n) q^n / n).
 
-    Entry n must equal pbar_poly(n) exactly for all n <= order;
-    the generating-function equivalence tests enforce it.
+    The integers E_n = n! e_n obey E_n = x sum_{k=1..n} sigma_bar(k)
+    (n-1)!/(n-k)! E_{n-k}, E_0 = 1, without the memo.  Entry n is Poly(E_n, n!)
+    and must equal pbar_poly(n) exactly; the equivalence tests enforce it.
     """
     if order < 0:
         raise ValueError(f"series_expand needs order >= 0; got {order}")
-    exponent = [Poly([0, Fraction(sigma_bar(k), k)]) for k in range(1, order + 1)]
-    return tuple(series_exp(exponent, order))
+    es = [[1]]
+    for n in range(1, order + 1):
+        acc = [0] * (n + 1)
+        falling = 1  # (n-1)! / (n-k)!
+        for k in range(1, n + 1):
+            c = sigma_bar(k) * falling
+            acc[1 : n - k + 2] = [u + c * v for u, v in zip(acc[1:], es[n - k])]
+            falling *= n - k
+        es.append(acc)
+    return tuple(Poly(e, factorial(n)) for n, e in enumerate(es))
 
 
 def colored_count_via_product(n: int, k: int) -> int:

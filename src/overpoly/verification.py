@@ -56,6 +56,8 @@ from .rootisolation import isolate_max_root, no_roots_above, round_half_away
 __all__ = [
     "INCONCLUSIVE_BAND",
     "DEFAULT_GRID_XS",
+    "DEFAULT_COLOR_COUNTS",
+    "DEFAULT_DESCENT_NS",
     "DEFAULT_WIDTH",
     "TH1_EXCEPTIONS",
     "TH4_EXCEPTIONS",
@@ -90,6 +92,8 @@ __all__ = [
 INCONCLUSIVE_BAND = 1e-9
 
 DEFAULT_GRID_XS = (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
+DEFAULT_COLOR_COUNTS = (2, 3)
+DEFAULT_DESCENT_NS = (3, 7, 15, 31)
 
 DEFAULT_WIDTH = Fraction(1, 10**4)  # root-bracket width
 
@@ -258,7 +262,7 @@ def check_th4_grid(a_max: int, xs=DEFAULT_GRID_XS) -> VerifyReport:
     )
 
 
-def check_colored(a_max: int, k_set=(2, 3)) -> VerifyReport:
+def check_colored(a_max: int, k_set=DEFAULT_COLOR_COUNTS) -> VerifyReport:
     """P_a(k) P_b(k) > P_{a+b}(k) strictly, exact, for every k >= 2 in k_set.
 
     Scaled by (a+b)!, the comparison is C(a+b, a) N_a N_b > N_{a+b}.
@@ -320,7 +324,7 @@ def find_descent_x(n: int) -> Fraction:
     raise RuntimeError(f"descent search exhausted below 2**-40 for n={n}")
 
 
-def check_descent(ns=(3, 7, 15, 31)) -> VerifyReport:
+def check_descent(ns=DEFAULT_DESCENT_NS) -> VerifyReport:
     """Descent certificates for each n in ns, re-verified by Poly evaluation."""
     ns = tuple(ns)
     if not ns:
@@ -586,13 +590,13 @@ CLAIMS = {
     "th1": ("check_th1", {"n_max": 120}),
     "th3": ("check_th3_grid", {"n_max": 40, "xs": DEFAULT_GRID_XS}),
     "th4": ("check_th4_grid", {"a_max": 40, "xs": DEFAULT_GRID_XS}),
-    "th5": ("check_colored", {"a_max": 40, "k_set": (2, 3)}),
+    "th5": ("check_colored", {"a_max": 40, "k_set": DEFAULT_COLOR_COUNTS}),
     "le3": ("check_le3", {"n_max": 500}),
     "ie7": ("check_ie7", {"n_max": 500}),
     "ie8": ("check_ie8", {"a_max": IE11_THRESHOLD - 1}),
     "ie11": ("check_ie11", {"a_lo": 2, "a_hi": 500}),
     "logconcave": ("check_logconcave", {"n_max": 500}),
-    "descent": ("check_descent", {"ns": (3, 7, 15, 31)}),
+    "descent": ("check_descent", {"ns": DEFAULT_DESCENT_NS}),
 }
 
 

@@ -12,6 +12,7 @@ import pytest
 
 from overpoly.bijections import AuditReport
 from overpoly.cli import main
+from overpoly.enumeration import count_ops
 from overpoly.serial import load
 from overpoly.verification import BoundTriple, RootRecord, VerifyReport
 
@@ -51,11 +52,33 @@ def test_series(capsys):
     code, out, _ = run(capsys, "series", "2")
     assert code == 0
     assert out.splitlines() == ["q^0: 1", "q^1: 2*x", "q^2: 2*x^2 + 2*x"]
+    # Recorded while the series was a generic exponential on Poly values.
+    code, out, _ = run(capsys, "series", "80", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "562ba02c317182f5e0abf2eff817accee431d0c62bc45e1f863a6df8b2229a5e"
+    )
 
 
 def test_enumerate_count(capsys):
     code, out, _ = run(capsys, "enumerate", "2", "--colors", "2", "--count")
     assert code == 0 and out == "count = 12\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_enumerate_count_streams(capsys, monkeypatch, fmt):
+    # --count must not build the list of overpartitions.
+    def no_list(*args, **kwargs):
+        raise AssertionError("enumerate --count built the full list")
+
+    monkeypatch.setattr("overpoly.cli.enumerate_ops", no_list)
+    code, out, _ = run(capsys, "enumerate", "12", "--colors", "2", "--count", "--format", fmt)
+    count = count_ops(12, 2)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out) == {"n": 12, "colors": 2, "count": count}
+    else:
+        assert out == f"count = {count}\n"
 
 
 def test_enumerate_forbid(capsys):

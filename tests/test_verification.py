@@ -435,6 +435,10 @@ def test_claim_registry_matches_checker_signature(claim):
     assert set(defaults) <= set(params)
     required = {name for name, p in params.items() if p.default is inspect.Parameter.empty}
     assert required <= set(defaults)
+    # A default kept in both places must be the same value, or they drift apart.
+    for name, default in defaults.items():
+        if name not in required:
+            assert params[name].default == default, (claim, name)
 
 
 def test_run_claim_looks_checker_up_by_name(monkeypatch):
