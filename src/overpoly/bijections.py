@@ -37,7 +37,7 @@ never as strings.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import compress, count, islice
 from typing import NamedTuple
 
 from . import serial
@@ -145,10 +145,15 @@ def split_point(parts, b: int) -> SplitPoint:
 
 
 def _one_case(guards, context) -> int:
-    hits = [i for i, g in enumerate(guards) if g]
-    if len(hits) != 1:
+    """Index of the one truthy guard.  compress stops at a second truthy
+    guard, so the list of hits is built only for the RuntimeError that names
+    them when there are none or several."""
+    hits = compress(count(), guards)
+    case = next(hits, None)
+    if case is None or next(hits, None) is not None:
+        hits = [i for i, g in enumerate(guards) if g]
         raise RuntimeError(f"case dispatch not exclusive/exhaustive for {context}: {hits}")
-    return hits[0]
+    return case
 
 
 def dispatch_case(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> int:

@@ -54,12 +54,13 @@ The module also provides:
 
 A Poly is its integer numerators over one positive denominator, normalized
 by construction; polynomial equality is structural and Poly values are
-immutable.  Poly evaluates by an integer power sum.  The root search takes
-its signs from the one integer Horner loop here, _horner on _scaled_coeffs.
-A value at a point thus has three routes that share no evaluation code:
-scaled_values, and Horner or Poly's power sum on the memo's coefficients.
-The tests compare all three, and the descent points that verification finds
-through scaled_values are re-checked by Poly.
+immutable.  Poly evaluates by an integer power sum, _power_sum, which the
+root table's re-check also reads for its endpoint signs.  The root search
+takes its signs from the one integer Horner loop here, _horner on
+_scaled_coeffs.  A value at a point thus has three routes that share no
+evaluation code: scaled_values, and Horner or Poly's power sum on the memo's
+coefficients.  The tests compare all three, and the descent points that
+verification finds through scaled_values are re-checked by Poly.
 """
 
 from __future__ import annotations
@@ -172,11 +173,10 @@ class Poly:
 
     def __call__(self, x) -> Fraction:
         """Exact value at a rational point x = p/q: the integer power sum
-        sum_i nums[i] p^i q^(d-i) over den * q^d, for the degree d."""
+        _power_sum(nums, p, q) over den * q^d, for the degree d."""
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        d = max(self.degree, 0)
-        return Fraction(sum(c * p**i * q ** (d - i) for i, c in enumerate(self.nums)), self.den * q**d)
+        q = x.denominator
+        return Fraction(_power_sum(self.nums, x.numerator, q), self.den * q ** max(self.degree, 0))
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
@@ -194,6 +194,15 @@ class Poly:
                 terms.append(("- " if c < 0 else "+ ") + body)
         text = " ".join(terms) or "+ 0"
         return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _power_sum(nums, p: int, q: int) -> int:
+    """sum_i nums[i] p^i q^(d-i) for d = len(nums) - 1: q^d times the value at
+    p/q of the polynomial with ascending coefficients nums, so for q > 0 it
+    has that value's sign.  Poly's evaluator and the root table's re-check."""
+    p_pows = accumulate(repeat(p, len(nums) - 1), mul, initial=1)
+    q_pows = list(accumulate(repeat(q, len(nums) - 1), mul, initial=1))
+    return sum(map(mul, map(mul, nums, p_pows), reversed(q_pows)))
 
 
 _q_memo: list[tuple[int, ...]] = [(1,)]

@@ -37,17 +37,21 @@ No floating point enters any decision.
 
 A second route to the same certificates shares no code with the search:
 variations_in_interval and no_roots_above rest on one integer shift by a
-rational, q^d * p((u + t)/q) for the point u/q.  With the endpoint signs of
-Poly's integer power sum, no_roots_above is the re-check of every emitted
-bracket.  squarefree_part is an integer primitive pseudo-remainder gcd;
-neither it nor variations_in_interval is on the search's path.
+rational, q^d * p((u + t)/q) for the point u/q, which _integer_shift runs as
+its own shift by 1 of the coefficients scaled by powers of q and u, then an
+exact division by powers of u.  With the endpoint signs of the integer power
+sum that Poly evaluates by (polynomials._power_sum) and the integer rounding
+of round_half_away, no_roots_above is the re-check of every emitted bracket.
+squarefree_part is an integer primitive pseudo-remainder gcd; neither it nor
+variations_in_interval is on the search's path.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import NamedTuple
 
 from .polynomials import Poly, _horner, _scaled_coeffs
@@ -82,22 +86,31 @@ def _integer_shift(nums, x: Fraction) -> list[int]:
     """Ascending integer coefficients of q^d * p((u + t)/q), for x = u/q and p of degree d.
 
     The i-th one is q^(d-i) times that of p(x + t), so zero sign variations
-    certify that p has no root in (x, oo).  Each synthetic-division pass of the
-    shift by u, acc -> acc * u + c from the top coefficient down, is one accumulate.
+    certify that p has no root in (x, oo).  For u != 0 and s = t/u the value is
+    sum_j nums[j] q^(d-j) u^j (1 + s)^j: descending coefficient i is scaled by
+    q^i u^(d-i), the shift by 1 is d running sums from the top coefficient
+    down, one plain accumulate each, and ascending coefficient i of the result
+    is divided exactly by u^i.  At u = 0 the coefficients scaled by q^i are
+    the answer.
     """
-    u, q = x.numerator, x.denominator
-    desc = [c * q**i for i, c in enumerate(reversed(nums))]
-    if u:
-        for end in range(len(desc), 1, -1):
-            desc[:end] = accumulate(desc[:end], lambda acc, c: acc * u + c)
-    return desc[::-1]
+    u, q = x.as_integer_ratio()
+    d = len(nums) - 1
+    q_pows = accumulate(repeat(q, d), mul, initial=1)
+    if not u:
+        return [c * q_pow for c, q_pow in zip(reversed(nums), q_pows)][::-1]
+    u_pows = list(accumulate(repeat(u, d), mul, initial=1))
+    desc = [c * q_pow * u_pow for c, q_pow, u_pow in zip(reversed(nums), q_pows, reversed(u_pows))]
+    for end in range(len(desc), 1, -1):
+        desc[:end] = accumulate(desc[:end])
+    return [c // u_pow for c, u_pow in zip(reversed(desc), u_pows)]
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
     """1 + max |a_i| / |lead|: strictly exceeds the modulus of every root."""
     if p.degree < 1:
         raise ValueError("root bound needs a nonconstant polynomial")
-    return 1 + Fraction(max(abs(c) for c in p.nums[:-1]), abs(p.nums[-1]))
+    lead = abs(p.nums[-1])
+    return Fraction(lead + max(abs(c) for c in p.nums[:-1]), lead)
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -168,7 +181,9 @@ def no_roots_above(p: Poly, c) -> bool:
     True is a certificate.  False means only "not certified": complex roots
     can leave sign variations where no real root lies above c.
     """
-    return sign_variations(_integer_shift(p.nums, Fraction(c))) == 0
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return sign_variations(_integer_shift(p.nums, c)) == 0
 
 
 class RootBracket(NamedTuple):
@@ -180,15 +195,16 @@ class RootBracket(NamedTuple):
 
 
 def round_half_away(q: Fraction, places: int = 2) -> str:
-    """Decimal string with `places` digits, ties away from zero."""
-    sign = -1 if q < 0 else 1
-    scaled = abs(q) * 10**places
-    units = scaled.numerator // scaled.denominator
-    if scaled - units >= Fraction(1, 2):
-        units += 1
-    units *= sign
-    head, tail = divmod(abs(units), 10**places)
-    prefix = "-" if units < 0 else ""
+    """Decimal string with `places` digits, ties away from zero.
+
+    For q = n/d, |q| rounds to floor(|q| 10^places + 1/2) units of
+    10^-places, which is (2|n| 10^places + d) // (2d).  A value that rounds
+    to zero prints without a sign.
+    """
+    n, d = q.as_integer_ratio()
+    units = (2 * abs(n) * 10**places + d) // (2 * d)
+    head, tail = divmod(units, 10**places)
+    prefix = "-" if n < 0 and units else ""
     return f"{prefix}{head}.{tail:0{places}d}"
 
 
@@ -204,7 +220,7 @@ def _shift1(coeffs: list[int]) -> list[int]:
     return desc[::-1]
 
 
-def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | None) -> tuple[Fraction, Fraction]:
+def _refine(nums, lo: Fraction | int, hi: Fraction | int, width: Fraction, places: int | None) -> tuple[Fraction, Fraction]:
     """Narrow the dyadic bracket (lo, hi) of the one sign change of p in it.
 
     p has the integer coefficients nums and is < 0 on (lo, x) and > 0 on
@@ -219,14 +235,18 @@ def _refine(nums, lo: Fraction, hi: Fraction, width: Fraction, places: int | Non
     and ArithmeticError is raised.
     """
     # The smallest n >= 0 with hi - lo <= 2^n width, and the smallest power of
-    # two over which lo, hi and the midpoints of all n halvings are integers.
-    span = (hi - lo) / width
-    halvings = max(0, (span.numerator - 1) // span.denominator).bit_length()
-    den = max(lo.denominator, hi.denominator, ((hi - lo) / (1 << halvings)).denominator)
-    lo, hi = lo.numerator * den // lo.denominator, hi.numerator * den // hi.denominator
+    # two over which lo, hi and the midpoints of all n halvings are integers,
+    # from hi - lo = diff / base in integers.
+    (lo_num, lo_den), (hi_num, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    width_num, width_den = width.as_integer_ratio()
+    diff, base = hi_num * lo_den - lo_num * hi_den, lo_den * hi_den
+    halvings = max(0, (diff * width_den - 1) // (base * width_num)).bit_length()
+    base <<= halvings
+    den = max(lo_den, hi_den, base // math.gcd(diff, base))
+    lo, hi = lo_num * den // lo_den, hi_num * den // hi_den
     desc = halvings_left = None
     while True:
-        if (hi - lo) * width.denominator > width.numerator * den:
+        if (hi - lo) * width_den > width_num * den:
             cut = (lo + hi) >> 1
         elif places is None:
             break
@@ -282,22 +302,24 @@ def _scaled_shift(ints: list[int], x: Fraction) -> list[int]:
     (x, oo); the constant term is q^d p(x).  _scaled_coeffs by q, read back
     as ascending and scaled by u, gives the ascending ints[i] u^i q^(d-i).
     """
-    return _shift1(_scaled_coeffs(_scaled_coeffs(ints, x.denominator), x.numerator))
+    u, q = x.as_integer_ratio()
+    return _shift1(_scaled_coeffs(_scaled_coeffs(ints, q), u))
 
 
 def _bound_exponent(ints: list[int], cauchy: Fraction) -> int:
     """Smallest e >= 0 such that no root of the integer polynomial lies in [2^e, oo).
 
     The certificate: p(2^e + t) has no sign variations and a nonzero constant
-    term p(2^e).  It holds at the first e with 2^e >= the Cauchy bound, so a
+    term p(2^e), read from p(2^e (1 + t)), the shift by 1 of the ascending
+    coefficients ints[i] 2^(e*i).  It holds at the first e with 2^e >= the Cauchy bound, so a
     search that gets past that e has a broken certificate.
     """
     e = 0
     while True:
-        shifted = _scaled_shift(ints, Fraction(2**e))
+        shifted = _shift1([c << (e * i) for i, c in enumerate(ints)])
         if shifted[0] != 0 and sign_variations(shifted) == 0:
             return e
-        if 2**e >= cauchy:
+        if 1 << e >= cauchy:
             raise AssertionError("power-of-two bound failed past the Cauchy bound")
         e += 1
 
@@ -316,7 +338,8 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     goes on until lo and hi round half away from zero to the same
     `places`-digit decimal.
     """
-    width = Fraction(width)
+    if not isinstance(width, Fraction):
+        width = Fraction(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     if p.degree < 1:
@@ -331,8 +354,10 @@ def isolate_max_root(p: Poly, width, places: int | None = None) -> RootBracket:
     if nums[0] > 0:
         raise ValueError("p over its largest power of x is positive at 0; the search needs it negative")
 
-    e = _bound_exponent(nums, cauchy_root_bound(Poly(nums, p.den)))
-    lo, hi = _refine(nums, Fraction(0), Fraction(1 << e), width, places)
+    # The Cauchy bound of p is that of nums: the sign flip, the deflation and
+    # the common denominator leave max |a_i| / |lead| as it is.
+    e = _bound_exponent(nums, cauchy_root_bound(p))
+    lo, hi = _refine(nums, 0, 1 << e, width, places)
     if sign_variations(_scaled_shift(nums, hi)) != 0:
         raise ArithmeticError(f"the bracket [{lo}, {hi}] fails its certificate: p(hi(1 + t)) has sign variations")
     return RootBracket(lo, hi)

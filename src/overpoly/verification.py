@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from . import serial
 from .divisors import pbar_exact, pbar_prefix
-from .polynomials import pbar_poly, product_gap_poly, scaled_values
+from .polynomials import _power_sum, pbar_poly, product_gap_poly, scaled_values
 from .rootisolation import isolate_max_root, no_roots_above, round_half_away
 
 __all__ = [
@@ -561,24 +561,32 @@ def certify_root_record(record: RootRecord, width=DEFAULT_WIDTH) -> bool:
     value, the endpoint signs (value <= 0 at lo or an exact root inside, > 0 at
     hi unless hi is itself the root), and that no root lies above bracket_hi.
     The polynomial is product_gap_poly(a, b), built here.  The re-check is
-    the endpoint signs, from Poly's integer power sum, a separate path from
-    the Horner signs of the search, and one direct shift, no_roots_above at
-    bracket_hi.  Neither uses the root search's power-of-two bound, Taylor
-    shift, bisection or rounding steps.
+    the endpoint signs, from the integer power sum that Poly evaluates by
+    (polynomials._power_sum), a separate path from the Horner signs of the
+    search, and one direct shift, no_roots_above at bracket_hi.  Neither uses
+    the root search's power-of-two bound, Taylor shift, bisection or rounding
+    steps.
     """
-    return _certify_bracket(record, product_gap_poly(record.a, record.b), width)
+    return _certify_bracket(record, product_gap_poly(record.a, record.b), Fraction(width))
 
 
-def _certify_bracket(record: RootRecord, gap, width) -> bool:
-    """certify_root_record against the given gap polynomial of the record's cell."""
+def _certify_bracket(record: RootRecord, gap, width: Fraction) -> bool:
+    """certify_root_record against the given gap polynomial of the record's cell.
+
+    All on integers: for an end u/q the power sum gap.nums[i] u^i q^(d-i) has
+    the sign of gap(u/q), and the width test is cross-multiplied.
+    """
     lo, hi = record.bracket_lo, record.bracket_hi
-    if not (0 <= lo <= hi and hi - lo <= Fraction(width)):
+    (lo_num, lo_den), (hi_num, hi_den) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    width_num, width_den = width.as_integer_ratio()
+    span = hi_num * lo_den - lo_num * hi_den  # hi - lo = span / (lo_den hi_den)
+    if lo_num < 0 or span < 0 or span * width_den > width_num * lo_den * hi_den:
         return False
     if not round_half_away(lo) == round_half_away(hi) == record.rounded:
         return False
-    if not (lo == 0 or gap(lo) <= 0):
+    if not (lo_num == 0 or _power_sum(gap.nums, lo_num, lo_den) <= 0):
         return False
-    if gap(hi) < 0:
+    if _power_sum(gap.nums, hi_num, hi_den) < 0:
         return False
     return no_roots_above(gap, hi)
 

@@ -33,6 +33,14 @@ def parts(*triples):
     return tuple(Part(*t) for t in triples)
 
 
+def test_one_case_raises_unless_exactly_one_guard_is_truthy():
+    assert bijections._one_case([False, 0, "x", None], "ctx") == 2  # guards count by truthiness
+    with pytest.raises(RuntimeError, match=r"^case dispatch not exclusive/exhaustive for ctx: \[\]$"):
+        bijections._one_case([False, None, 0], "ctx")
+    with pytest.raises(RuntimeError, match=r"^case dispatch not exclusive/exhaustive for ctx: \[1, 3\]$"):
+        bijections._one_case([False, True, 0, 5], "ctx")
+
+
 def test_split_point_examples():
     assert split_point(parts((4, 1, False)), 2) == (1, 2, 2)
     assert split_point(parts((3, 1, False), (1, 1, B)), 2) == (1, 1, 2)

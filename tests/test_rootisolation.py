@@ -1,5 +1,6 @@
 """Descartes-certified isolation of the largest non-negative root."""
 
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,10 @@ def test_taylor_shift():
     assert _integer_shift([-1, 0, 1], F(1, 2)) == [-3, 2, 1]  # 2^2 ((1 + t)/2)^2 - 2^2
     q = [3, -2, 5, 1]
     assert _integer_shift(_integer_shift(q, F(7)), F(-7)) == q
+    assert _integer_shift(q, F(0)) == q  # u = 0: the coefficients scaled by q^i = 1
+    assert _integer_shift([-1, 0, 1], F(-3, 2)) == [5, -6, 1]  # (t - 3)^2 - 2^2
+    assert _integer_shift([0, 2, 0, 1], F(-3, 2)) == [-51, 35, -9, 1]  # (t - 3)^3 + 8 (t - 3)
+    assert _integer_shift([0, 2, 0, 1], F(-5)) == [-135, 77, -15, 1]  # (t - 5)^3 + 2 (t - 5)
 
 
 shift_points = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -46,6 +51,9 @@ integer_lists = st.lists(st.integers(-20, 20), max_size=8)
 
 
 @given(integer_lists, st.integers(1, 30), shift_points)
+@example([3, -2, 5, 1, 0, -7], 1, F(0))
+@example([3, -2, 5, 1, 0, -7], 6, F(-3, 2))  # exact division by the negative powers of u = -3
+@example([3, -2, 5, 1, 0, -7], 1, F(-5))
 def test_shifts_agree_with_the_fraction_oracle(nums, den, c):
     p = Poly(nums, den)
     d, q = p.degree, c.denominator
@@ -59,6 +67,34 @@ def test_variations_in_interval_agrees_with_the_fraction_oracle(nums, lo, width)
     p = Poly(nums)
     expected = fraction_variations_in_interval(p.coeffs, lo, lo + width)
     assert variations_in_interval(p, lo, lo + width) == expected
+
+
+def _decimal_half_up(q: Fraction, places: int) -> Decimal:
+    """q rounded to `places` digits, ties away from zero, by the decimal module.
+
+    At 60 digits n/d is exact when it can be a tie, that is when d divides
+    2 * 10^places; otherwise it lies at least 1/(2 * 10^places * d) from every
+    tie, far more than the quotient's rounding error for the sizes drawn here.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(q.numerator) / Decimal(q.denominator)).quantize(Decimal(10) ** -places, ROUND_HALF_UP)
+
+
+ties = [F(sign * (2 * u + 1), 2 * 10**p) for sign in (1, -1) for u in (0, 1, 7, 42) for p in range(5)]
+
+
+@settings(max_examples=300)
+@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6) | st.sampled_from(ties), st.integers(0, 4))
+@example(F(-1, 300), 2)  # rounds to zero: no sign
+@example(F(-4999, 10**6), 2)
+@example(F(-1, 3), 0)
+@example(F(-5, 1000), 2)  # an exact tie below zero rounds away, to -0.01
+def test_round_half_away_matches_decimal_half_up(q, places):
+    text = round_half_away(q, places)
+    expected = _decimal_half_up(q, places)
+    assert Decimal(text) == expected
+    assert text.startswith("-") == (expected < 0)  # a value that rounds to zero prints unsigned
 
 
 def test_cauchy_bound_exceeds_roots():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import fraction_shift, mpmath_sandwich_terms
 
-from overpoly import rootisolation, verification
+from overpoly import polynomials, rootisolation, verification
 from overpoly.bijections import AuditReport
 from overpoly.divisors import pbar_exact, pbar_prefix
 from overpoly.polynomials import Poly, pbar_poly, product_gap_poly, scaled_values
@@ -611,6 +611,33 @@ def test_recheck_catches_a_negated_search_sign(monkeypatch):
     lo, hi = rootisolation.isolate_max_root(product_gap_poly(3, 6), DEFAULT_WIDTH, places=2)
     assert (lo, hi) == (F(16383, 16384), 1)
     assert not certify_root_record(RootRecord(3, 6, lo, hi, round_half_away(lo)))
+
+
+def test_search_and_recheck_share_no_evaluator(monkeypatch):
+    records = [r for r in roots_table(6, 6) if r.a <= r.b]
+    gaps = {(r.a, r.b): product_gap_poly(r.a, r.b) for r in records}
+
+    def refuse(*args):
+        raise LookupError("an evaluator of the other route was called")
+
+    def refuse_everywhere(m, functions):
+        """Rebind each function to `refuse` under every name the package binds it to."""
+        for module in (polynomials, rootisolation, verification):
+            for name, value in list(vars(module).items()):
+                if any(value is f for f in functions):
+                    m.setattr(module, name, refuse)
+
+    with monkeypatch.context() as m:  # the search's evaluators
+        refuse_everywhere(m, (rootisolation._shift1, rootisolation._horner, rootisolation._scaled_coeffs))
+        with pytest.raises(LookupError):
+            rootisolation.isolate_max_root(gaps[1, 1], DEFAULT_WIDTH, places=2)
+        assert all(verification._certify_bracket(r, gaps[r.a, r.b], DEFAULT_WIDTH) for r in records)
+    with monkeypatch.context() as m:  # the re-check's
+        refuse_everywhere(m, (rootisolation._integer_shift, polynomials._power_sum))
+        with pytest.raises(LookupError):
+            verification._certify_bracket(records[0], gaps[1, 1], DEFAULT_WIDTH)
+        for r in records:
+            assert rootisolation.isolate_max_root(gaps[r.a, r.b], DEFAULT_WIDTH, places=2) == (r.bracket_lo, r.bracket_hi)
 
 
 def test_roots_table_builds_each_gap_polynomial_once(monkeypatch):
