@@ -17,6 +17,7 @@ them.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -46,7 +47,9 @@ from .verification import (
     sandwich_verdict,
 )
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run"]
+
+_COMMANDS = ("poly", "series", "enumerate", "bijection", "verify", "roots", "bounds")
 
 
 def _rational(text: str) -> Fraction:
@@ -86,62 +89,79 @@ _RANGE_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser; for one of _COMMANDS, only that subcommand's parser is built.
+
+    main passes its first argument: a parser built for it prints the same
+    help, usage and errors as the full one on every argv that starts with it.
+    """
+    names = (command,) if command in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="overpoly",
         description="Exact arithmetic and verification for overpartition polynomials.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # A one-subcommand parser still names every subcommand in its usage line.
+    # The metavar would rename the subcommand argument in the full parser's
+    # errors (no subcommand, an unknown one); a one-subcommand parser has none.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("poly", help="overpartition polynomial for one n")
-    p.set_defaults(handler=_cmd_poly)
-    p.add_argument("n", type=_int)
-    p.add_argument("--eval", dest="point", type=_rational, help="evaluate at a rational point")
-    p.add_argument("--derivative", action="store_true", help="use the derivative-identity polynomial")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "poly" in names:
+        p = sub.add_parser("poly", help="overpartition polynomial for one n")
+        p.set_defaults(handler=_cmd_poly)
+        p.add_argument("n", type=_int)
+        p.add_argument("--eval", dest="point", type=_rational, help="evaluate at a rational point")
+        p.add_argument("--derivative", action="store_true", help="use the derivative-identity polynomial")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("series", help="truncated exponential generating series")
-    p.set_defaults(handler=_cmd_series)
-    p.add_argument("order", type=_int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "series" in names:
+        p = sub.add_parser("series", help="truncated exponential generating series")
+        p.set_defaults(handler=_cmd_series)
+        p.add_argument("order", type=_int)
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("enumerate", help="list k-colored overpartitions of n")
-    p.set_defaults(handler=_cmd_enumerate)
-    p.add_argument("n", type=_int)
-    p.add_argument("--colors", type=_int, default=1)
-    p.add_argument("--forbid", default="", help='non-overlined bans, e.g. "1_1,2_1"')
-    p.add_argument("--count", action="store_true", help="print the count only")
-    p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "enumerate" in names:
+        p = sub.add_parser("enumerate", help="list k-colored overpartitions of n")
+        p.set_defaults(handler=_cmd_enumerate)
+        p.add_argument("n", type=_int)
+        p.add_argument("--colors", type=_int, default=1)
+        p.add_argument("--forbid", default="", help='non-overlined bans, e.g. "1_1,2_1"')
+        p.add_argument("--count", action="store_true", help="print the count only")
+        p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("bijection", help="exhaustively audit one of the injections")
-    p.set_defaults(handler=_cmd_bijection)
-    p.add_argument("map", choices=MAP_NAMES)
-    p.add_argument("--a", type=_int, required=True)
-    p.add_argument("--b", type=_int)
-    p.add_argument("--colors", type=_int, default=1)
-    p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "bijection" in names:
+        p = sub.add_parser("bijection", help="exhaustively audit one of the injections")
+        p.set_defaults(handler=_cmd_bijection)
+        p.add_argument("map", choices=MAP_NAMES)
+        p.add_argument("--a", type=_int, required=True)
+        p.add_argument("--b", type=_int)
+        p.add_argument("--colors", type=_int, default=1)
+        p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("verify", help="check one claim over its range")
-    p.set_defaults(handler=_cmd_verify)
-    p.add_argument("claim", choices=tuple(CLAIMS))
-    for flag, (param, kind, text) in _RANGE_FLAGS.items():
-        p.add_argument(flag, dest=param, metavar=flag[2:].upper(), type=kind, help=text)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "verify" in names:
+        p = sub.add_parser("verify", help="check one claim over its range")
+        p.set_defaults(handler=_cmd_verify)
+        p.add_argument("claim", choices=tuple(CLAIMS))
+        for flag, (param, kind, text) in _RANGE_FLAGS.items():
+            p.add_argument(flag, dest=param, metavar=flag[2:].upper(), type=kind, help=text)
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("roots", help="certified max-root table for the gap polynomials")
-    p.set_defaults(handler=_cmd_roots)
-    p.add_argument("--amax", type=_int, default=10)
-    p.add_argument("--bmax", type=_int, default=10)
-    p.add_argument("--width", type=_rational, default=DEFAULT_WIDTH, help=f"bracket width (default {DEFAULT_WIDTH})")
-    p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
+    if "roots" in names:
+        p = sub.add_parser("roots", help="certified max-root table for the gap polynomials")
+        p.set_defaults(handler=_cmd_roots)
+        p.add_argument("--amax", type=_int, default=10)
+        p.add_argument("--bmax", type=_int, default=10)
+        p.add_argument("--width", type=_rational, default=DEFAULT_WIDTH, help=f"bracket width (default {DEFAULT_WIDTH})")
+        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
 
-    p = sub.add_parser("bounds", help="analytic sandwich and truncated-series data")
-    p.set_defaults(handler=_cmd_bounds)
-    p.add_argument("n", type=_int, nargs="?")
-    p.add_argument("--nmax", type=_int, help="scan 1..nmax instead of a single n")
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    if "bounds" in names:
+        p = sub.add_parser("bounds", help="analytic sandwich and truncated-series data")
+        p.set_defaults(handler=_cmd_bounds)
+        p.add_argument("n", type=_int, nargs="?")
+        p.add_argument("--nmax", type=_int, help="scan 1..nmax instead of a single n")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
 
@@ -288,7 +308,9 @@ def _cmd_bounds(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -313,5 +335,18 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point: `python -m overpoly.cli` and the `overpoly` script.
+
+    Moves every object the imports made into the collector's permanent
+    generation, so that the interpreter's shutdown neither traces nor tears
+    down that heap, then exits with main's code.  Atexit handlers, flushes,
+    exit codes and output are unchanged.  main itself freezes nothing,
+    because tests and tracers call it in-process.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

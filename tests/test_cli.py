@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from overpoly.bijections import AuditReport
-from overpoly.cli import main
-from overpoly.enumeration import count_ops
+from overpoly import bijections
+from overpoly.bijections import AuditReport, expected_verdict
+from overpoly.cli import build_parser, main
+from overpoly.enumeration import count_ops, format_parts
 from overpoly.serial import load
 from overpoly.verification import BoundTriple, RootRecord, VerifyReport
 
@@ -115,6 +117,14 @@ def test_negative_cap_is_a_usage_error(capsys, argv):
     assert (code, out, err) == (2, "", "error: need cap >= 0, got -1\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["-1"], "weight must be >= 0, got -1"), (["5", "--colors", "0"], "color count must be >= 1, got 0")],
+)
+def test_enumerate_rejects_a_bad_weight_or_color_count(capsys, argv, message):
+    assert run(capsys, "enumerate", *argv) == (2, "", f"error: {message}\n")
+
+
 def test_enumerate_cap_flag(capsys):
     code, out, _ = run(capsys, "enumerate", "26", "--cap", "26", "--count")
     assert code == 0 and out.startswith("count = ")
@@ -131,6 +141,28 @@ def test_bijection_json_round_trip(capsys):
     assert code == 0
     report = load(AuditReport, json.loads(out))
     assert report.map_name == "g1" and report.injective
+
+
+def test_bijection_reports_a_collision_and_exits_1(capsys, monkeypatch):
+    # Every case-1 input of g1 goes to one image, as in the collapsed-case audit test.
+    original, collapsed_to = bijections.peel_one, []
+
+    def collapsed(lam, a):
+        image = original(lam, a)
+        if bijections.dispatch_case("g1", lam, a) != 1:
+            return image
+        if not collapsed_to:
+            collapsed_to.append(image)
+        return collapsed_to[0]
+
+    monkeypatch.setattr(bijections, "peel_one", collapsed)
+    report = bijections.audit("g1", 5)
+    lam, mu = report.collision_witness
+    assert not expected_verdict(report)
+    code, out, _ = run(capsys, "bijection", "g1", "--a", "5")
+    assert code == 1 and f"collision: {format_parts(lam)} and {format_parts(mu)}" in out.splitlines()
+    code, out, _ = run(capsys, "bijection", "g1", "--a", "5", "--format", "json")
+    assert code == 1 and load(AuditReport, json.loads(out)) == report
 
 
 @pytest.mark.parametrize("argv", [["g1", "--a", "3"], ["g2", "--a", "3"], ["gk", "--a", "3", "--colors", "2"]])
@@ -428,20 +460,22 @@ def test_verify_rejects_repeated_values(capsys, argv):
     assert code == 2 and out == "" and err.startswith("error: ") and "repeated" in err
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this tree's src, run to completion; stdout and stderr as bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
 def _modules_loaded_by_cli_import(*modules, runs=()):
     """Those of modules loaded after importing overpoly.cli and running main on each argv in runs."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys, overpoly.cli\n"
         f"if any(overpoly.cli.main(argv) for argv in {runs!r}): sys.exit(1)\n"
         f"print([m for m in {modules!r} if m in sys.modules])"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    result = _python("-c", code)
     assert result.returncode == 0, result.stderr
-    return result.stdout.splitlines()[-1]
+    return result.stdout.decode().splitlines()[-1]
 
 
 def test_cli_import_leaves_mpmath_unloaded():
@@ -472,6 +506,65 @@ def test_cli_json_matches_golden(capsys, entry):
     code, out, _ = run(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert out == entry["stdout"]
+
+
+def test_cli_process_matches_golden():
+    # The same entries through the process entry point, which freezes the
+    # import-time heap before main runs; two processes at a time.
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda entry: _python("-m", "overpoly.cli", *entry["argv"]), GOLDEN))
+    mismatched = [
+        entry["argv"]
+        for entry, result in zip(GOLDEN, results)
+        if (result.returncode, result.stdout) != (entry["exit"], entry["stdout"].encode())
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("argv, code", [(["poly", "3"], 0), (["enumerate", "-1"], 2)])
+def test_run_keeps_atexit_handlers_and_the_exit_code(argv, code):
+    # os._exit would skip the handler; run exits through sys.exit after gc.freeze.
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('atexit: frozen' if gc.get_freeze_count() else 'atexit: not frozen'))\n"
+        f"sys.argv = ['overpoly', *{argv!r}]\n"
+        "runpy.run_module('overpoly.cli', run_name='__main__')\n"
+    )
+    result = _python("-c", script)
+    expected = b"pbar_poly(3) = 4/3*x^3 + 4*x^2 + 8/3*x\n" if code == 0 else b""
+    assert (result.returncode, result.stdout) == (code, expected + b"atexit: frozen\n")
+
+
+def test_import_and_main_freeze_nothing():
+    # Tests and the benchmark's tracer call main in-process.
+    script = "import gc, overpoly.cli\noverpoly.cli.main(['poly', '3'])\nprint(gc.get_freeze_count())"
+    result = _python("-c", script)
+    assert result.returncode == 0 and result.stdout.splitlines()[-1] == b"0"
+
+
+PARSE_ONLY_ARGVS = [
+    [], ["-h"], ["bogus"], ["verify"], ["roots", "extra"], ["--format", "json", "verify"],
+    ["roots", "--amax", "x"], ["-h", "roots"], ["poly"], ["poly", "3", "--frob"],
+    ["bijection", "zz", "--a", "3"], ["roots", "--am", "2"], ["roots", "-h", "extra"],
+    *([command, "-h"] for command in ("poly", "series", "enumerate", "bijection", "verify", "roots", "bounds")),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ONLY_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+@pytest.mark.parametrize("columns", ["40", "80"])
+def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv, columns):
+    # main builds only the parser of its first argument; help, usage lines
+    # (wrapped to the terminal width) and errors must not show it.
+    monkeypatch.setenv("COLUMNS", columns)
+    outcome = run(capsys, *argv)
+    monkeypatch.setattr("overpoly.cli.build_parser", lambda command=None: build_parser())
+    assert run(capsys, *argv) == outcome
+
+
+def test_a_one_subcommand_parser_holds_only_that_subcommand():
+    assert build_parser("roots").parse_args(["roots", "--amax", "3"]).amax == 3
+    with pytest.raises(SystemExit):
+        build_parser("roots").parse_args(["poly", "3"])
 
 
 def test_verify_text_prints_rationals_as_p_over_q(capsys):

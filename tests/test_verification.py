@@ -581,6 +581,20 @@ def test_integer_recheck_agrees_with_fraction_shift(coeffs, hi):
         assert rootisolation.no_roots_above(poly, hi)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda r: r._replace(bracket_lo=-r.bracket_lo),  # an end below 0
+        lambda r: r._replace(bracket_lo=r.bracket_hi, bracket_hi=r.bracket_lo),  # reversed
+        lambda r: r._replace(bracket_lo=r.bracket_hi - 2 * DEFAULT_WIDTH),  # wider than the width
+    ],
+    ids=["negative-lo", "reversed", "too-wide"],
+)
+def test_recheck_rejects_a_bracket_of_the_wrong_shape(change):
+    record = roots_table(2, 2)[3]
+    assert certify_root_record(record) and not certify_root_record(change(record))
+
+
 def test_recheck_rejects_a_bracket_below_the_largest_root(monkeypatch):
     # (2x - 1)(4x - 3)(5x - 4): a sign change up through 1/2 as through 4/5, so
     # a bracket at 1/2 passes the endpoint signs and only the check above hi
