@@ -37,8 +37,8 @@ never as strings.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import compress, count, islice
-from typing import NamedTuple
 
 from . import serial
 from .enumeration import (
@@ -82,18 +82,20 @@ TWO, TWO_BAR = Part(2, 1, False), Part(2, 1, True)
 ONE_C2 = Part(1, 2, False)
 
 
-class MapEntry(NamedTuple):
-    """One injection: its functions and the cells (a, b, k) it is defined on."""
+class MapEntry(namedtuple("MapEntry", "apply case colored fixed_b least_a least_b domain left right")):
+    """One injection: its functions and the cells (a, b, k) it is defined on.
 
-    apply: str  # the public map in this module
-    case: str  # its case-and-image function, (parts, b) -> (case, left, right)
-    colored: bool  # k >= 2 when colored, else k = 1
-    fixed_b: int | None  # the b a peel shears off; None for a split, which takes b
-    least_a: int
-    least_b: int
-    domain: Constraint  # on weight a + b
-    left: Constraint  # on weight a
-    right: Constraint  # on weight b
+    apply (str): the public map in this module
+    case (str): its case-and-image function, (parts, b) -> (case, left, right)
+    colored (bool): k >= 2 when colored, else k = 1
+    fixed_b (int | None): the b a peel shears off; None for a split, which takes b
+    least_a, least_b (int)
+    domain (Constraint): on weight a + b
+    left (Constraint): on weight a
+    right (Constraint): on weight b
+    """
+
+    __slots__ = ()
 
 
 # Names, not functions, are stored so that a map rebound on the module (by a
@@ -108,23 +110,24 @@ MAPS = {
 MAP_NAMES = tuple(MAPS)
 
 
-class SplitPoint(NamedTuple):
+class SplitPoint(namedtuple("SplitPoint", "index take keep")):
     """Where an overpartition of weight >= b is cut to shear off weight b.
 
-    index is 1-based; the part there contributes `take` to the tail side and
-    keeps `keep`, so take + (sizes after index) = b and 0 < take <= size.
+    index (int) is 1-based; the part there contributes `take` (int) to the
+    tail side and keeps `keep` (int), so take + (sizes after index) = b and
+    0 < take <= size.
     """
 
-    index: int
-    take: int
-    keep: int
+    __slots__ = ()
 
 
-class ImagePair(NamedTuple):
-    """A pair of overpartitions, each canonical, with weights summing to the domain weight."""
+class ImagePair(namedtuple("ImagePair", "left right")):
+    """A pair of overpartitions, each canonical, with weights summing to the domain weight.
 
-    left: tuple[Part, ...]
-    right: tuple[Part, ...]
+    left, right (tuple[Part, ...])
+    """
+
+    __slots__ = ()
 
 
 def split_point(parts, b: int) -> SplitPoint:
@@ -361,21 +364,21 @@ def _require_domain(parts, total: int, k: int, constraint: Constraint, label: st
 
 
 @serial.record
-class AuditReport(NamedTuple):
-    """Outcome of exhaustively testing a map on one parameter cell."""
+class AuditReport(
+    namedtuple(
+        "AuditReport",
+        "map_name a b k domain_size image_size codomain_size"
+        " well_defined injective surjective collision_witness unhit_witness",
+    )
+):
+    """Outcome of exhaustively testing a map on one parameter cell.
 
-    map_name: str
-    a: int
-    b: int | None
-    k: int
-    domain_size: int
-    image_size: int
-    codomain_size: int
-    well_defined: bool
-    injective: bool
-    surjective: bool
-    collision_witness: tuple | None
-    unhit_witness: tuple | None
+    map_name (str), a (int), b (int | None), k (int), domain_size,
+    image_size, codomain_size (int), well_defined, injective, surjective
+    (bool), collision_witness, unhit_witness (tuple | None)
+    """
+
+    __slots__ = ()
 
 
 def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | None = None) -> AuditReport:

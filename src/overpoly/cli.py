@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
-import re
 import sys
 from fractions import Fraction
 from math import factorial
@@ -35,7 +33,7 @@ from .enumeration import (
     format_parts,
 )
 from .polynomials import pbar_derivative, pbar_poly, scaled_values, series_expand
-from .serial import encode
+from .serial import dumps, encode
 from .verification import (
     CLAIMS,
     DEFAULT_WIDTH,
@@ -68,8 +66,10 @@ def _rational_list(text: str) -> tuple[Fraction, ...]:
 
 def _int(text: str) -> int:
     """An optional sign and ASCII digits; int() alone also reads '1_2' and non-ASCII digits."""
-    if not re.fullmatch(r"[+-]?[0-9]+", text.strip()):
-        raise argparse.ArgumentTypeError(f"not an integer: {text.strip()!r}")
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {body!r}")
     return int(text)
 
 
@@ -167,7 +167,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(dumps(obj, sort_keys=True))
 
 
 def _cmd_poly(args) -> int:
@@ -260,13 +260,13 @@ def _cmd_verify(args) -> int:
     else:
         print(f"claim={report.claim} range='{report.range_checked}' holds={report.holds}")
         if report.exceptions:
-            print(f"exceptions={json.dumps(encode(sorted(report.exceptions)))}")
+            print(f"exceptions={dumps(encode(sorted(report.exceptions)))}")
         if report.counterexample is not None:
-            print(f"counterexample={json.dumps(encode(report.counterexample))}")
+            print(f"counterexample={dumps(encode(report.counterexample))}")
         if report.inconclusive:
-            print(f"inconclusive={json.dumps(encode(report.inconclusive))}")
+            print(f"inconclusive={dumps(encode(report.inconclusive))}")
         if report.stats:
-            print(f"stats={json.dumps(encode(report.stats), sort_keys=True)}")
+            print(f"stats={dumps(encode(report.stats), sort_keys=True)}")
     return 0 if report.holds else 1
 
 

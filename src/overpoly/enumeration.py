@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterator, Mapping
 
 __all__ = [
     "Part",
@@ -43,10 +44,10 @@ __all__ = [
 ]
 
 
-class Part(NamedTuple):
-    size: int
-    color: int = 1
-    overlined: bool = False
+class Part(namedtuple("Part", "size color overlined", defaults=(1, False))):
+    """One part: size (int), color (int, default 1), overlined (bool, default False)."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         bar = "~" if self.overlined else ""
@@ -54,13 +55,16 @@ class Part(NamedTuple):
 
 
 _POSITIVE = "0*[1-9][0-9]*"
-_BAN = re.compile(f"({_POSITIVE})(?:_({_POSITIVE}))?")  # s or s_c in decimal digits
+_BAN = f"({_POSITIVE})(?:_({_POSITIVE}))?"  # s or s_c in decimal digits
 
 
-class Constraint(NamedTuple):
-    """Forbidden (size, color) pairs, banned for non-overlined parts only."""
+class Constraint(namedtuple("Constraint", "forbidden", defaults=(frozenset(),))):
+    """Forbidden (size, color) pairs, banned for non-overlined parts only.
 
-    forbidden: frozenset[tuple[int, int]] = frozenset()
+    forbidden (frozenset[tuple[int, int]], default empty): the banned pairs.
+    """
+
+    __slots__ = ()
 
     def allows(self, size: int, color: int, overlined: bool) -> bool:
         return overlined or (size, color) not in self.forbidden
@@ -77,7 +81,7 @@ class Constraint(NamedTuple):
             chunk = chunk.strip()
             if not chunk:
                 continue
-            match = _BAN.fullmatch(chunk)
+            match = re.fullmatch(_BAN, chunk)
             if not match:
                 raise ValueError(f"bad ban {chunk!r}: need s or s_c with integers s, c >= 1")
             pairs.add((int(match[1]), int(match[2] or 1)))

@@ -49,10 +49,10 @@ variations_in_interval is on the search's path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import NamedTuple
 
 from .polynomials import Poly, _horner, _scaled_coeffs
 
@@ -186,12 +186,14 @@ def no_roots_above(p: Poly, c) -> bool:
     return sign_variations(_integer_shift(p.nums, c)) == 0
 
 
-class RootBracket(NamedTuple):
+class RootBracket(namedtuple("RootBracket", "lo hi")):
     """[lo, hi] containing the largest non-negative real root: lo == hi is
-    that root exactly, and otherwise p changes sign in (lo, hi)."""
+    that root exactly, and otherwise p changes sign in (lo, hi).
 
-    lo: Fraction
-    hi: Fraction
+    lo, hi (Fraction)
+    """
+
+    __slots__ = ()
 
 
 def round_half_away(q: Fraction, places: int = 2) -> str:

@@ -1,11 +1,13 @@
-"""JSON-safe encoding for report payloads.
+"""JSON-safe encoding for report payloads, and the JSON text the CLI prints.
 
 Fractions become "p/q" strings (always with the slash), record classes (the
-NamedTuples marked with @record) become {field: value} objects in field
-order, and every other tuple becomes a list; decoding reverses the first and
-last, and load rebuilds a record, so a report round-trips through
-json.dumps/loads into an equal value.  Payload strings that themselves look
-like "p/q" would be mis-decoded; report fields never contain such strings.
+namedtuple classes marked with @record) become {field: value} objects in
+field order, and every other tuple becomes a list; decoding reverses the
+first and last, and load rebuilds a record, so a report written by dumps and
+read back by json.loads and load is an equal value.  dumps writes what
+encode returns, as json.dumps does, without loading the json package.
+Payload strings that themselves look like "p/q" would be mis-decoded; report
+fields never contain such strings.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_FRACTION_RE = re.compile(r"^-?\d+/\d+$")
+_FRACTION = r"^-?\d+/\d+$"
 _RECORDS: set[type] = set()
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+_INFINITY = float("inf")
 
 
 def record(cls):
@@ -36,7 +40,7 @@ def encode(value):
 
 
 def decode(value):
-    if isinstance(value, str) and _FRACTION_RE.match(value):
+    if isinstance(value, str) and re.match(_FRACTION, value):
         return Fraction(value)
     if isinstance(value, list):
         return tuple(decode(v) for v in value)
@@ -48,3 +52,56 @@ def decode(value):
 def load(cls, data: dict):
     """Rebuild a record of class cls from its encode() output."""
     return cls(**decode(data))
+
+
+def dumps(value, sort_keys: bool = False) -> str:
+    """json.dumps(value, sort_keys=sort_keys) for a value made of what encode returns.
+
+    That is dicts with str keys, lists, tuples, str, int, float, bool and
+    None, written with the default separators and ASCII escapes, and floats
+    as repr writes them, with Infinity, -Infinity and NaN.  Any other value
+    raises TypeError.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join([dumps(v, sort_keys) for v in value]) + "]"
+    if isinstance(value, dict):
+        items = sorted(value.items()) if sort_keys else value.items()
+        return "{" + ", ".join([f"{_quote(k)}: {dumps(v, sort_keys)}" for k, v in items]) + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _quote(text: str) -> str:
+    """text as a JSON string literal with ensure_ascii escapes."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    chunks = []
+    for char in text:
+        code = ord(char)
+        if char in _ESCAPES:
+            chunks.append(_ESCAPES[char])
+        elif 0x20 <= code < 0x7F:
+            chunks.append(char)
+        elif code < 0x10000:
+            chunks.append(f"\\u{code:04x}")
+        else:  # a surrogate pair
+            code -= 0x10000
+            chunks.append(f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}")
+    return '"' + "".join(chunks) + '"'

@@ -42,11 +42,10 @@ before any pbar is computed.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import serial
 from .divisors import pbar_exact, pbar_prefix
@@ -111,16 +110,21 @@ PBAR_FLOAT_N_MAX = 52925  # the largest n with float(pbar(n)) finite
 
 
 @serial.record
-class VerifyReport(NamedTuple):
-    """One claim checked over one range."""
+class VerifyReport(
+    namedtuple(
+        "VerifyReport",
+        "claim range_checked holds exceptions counterexample inconclusive stats",
+        defaults=((), None, (), {}),  # the default dict is shared, so no report mutates its stats
+    )
+):
+    """One claim checked over one range.
 
-    claim: str
-    range_checked: str
-    holds: bool
-    exceptions: tuple = ()
-    counterexample: object = None
-    inconclusive: tuple = ()
-    stats: dict = {}  # the default dict is shared, so no report mutates its stats
+    claim (str), range_checked (str), holds (bool), exceptions (tuple,
+    default ()), counterexample (object, default None), inconclusive (tuple,
+    default ()), stats (dict, default {})
+    """
+
+    __slots__ = ()
 
 
 def _rel_slack(lhs: float, rhs: float) -> float:
@@ -340,17 +344,16 @@ def check_descent(ns=DEFAULT_DESCENT_NS) -> VerifyReport:
 
 
 @serial.record
-class BoundTriple(NamedTuple):
-    """Sandwich bounds and truncated-series data for one n."""
+class BoundTriple(
+    namedtuple("BoundTriple", "n lower upper exact mu main_term remainder_bound remainder_ok")
+):
+    """Sandwich bounds and truncated-series data for one n.
 
-    n: int
-    lower: float
-    upper: float
-    exact: int
-    mu: float
-    main_term: float
-    remainder_bound: float
-    remainder_ok: bool
+    n (int), lower, upper (float), exact (int), mu, main_term,
+    remainder_bound (float), remainder_ok (bool)
+    """
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -368,6 +371,14 @@ def _pi(digits: int) -> Decimal:
             s += t
         ctx.prec = digits
         return +s
+
+
+@lru_cache(maxsize=None)
+def _sqrt32(digits: int) -> Decimal:
+    """sqrt(32) = 2^{5/2} to the given number of significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return Decimal(32).sqrt()
 
 
 def sandwich(n: int) -> BoundTriple:
@@ -398,7 +409,7 @@ def sandwich(n: int) -> BoundTriple:
         full = half * half
         cosh_mu, sinh_mu = (full + 1 / full) / 2, (full - 1 / full) / 2
         main = (mu_hp * cosh_mu - sinh_mu) / (4 * pi * n * root)
-        bound = Decimal(32).sqrt() * (half - 1 / half) / 2 / (n * mu_hp)
+        bound = _sqrt32(digits) * (half - 1 / half) / 2 / (n * mu_hp)
         remainder_ok = abs(exact - main) <= bound
     return BoundTriple(
         n=n,
@@ -510,14 +521,13 @@ def check_ie11(a_lo: int, a_hi: int) -> VerifyReport:
 
 
 @serial.record
-class RootRecord(NamedTuple):
-    """Certified bracket for the largest non-negative real root of one gap polynomial."""
+class RootRecord(namedtuple("RootRecord", "a b bracket_lo bracket_hi rounded")):
+    """Certified bracket for the largest non-negative real root of one gap polynomial.
 
-    a: int
-    b: int
-    bracket_lo: Fraction
-    bracket_hi: Fraction
-    rounded: str
+    a, b (int), bracket_lo, bracket_hi (Fraction), rounded (str)
+    """
+
+    __slots__ = ()
 
 
 def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]:

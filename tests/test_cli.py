@@ -493,8 +493,28 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
-    # dataclasses pulls in inspect, ast, dis and tokenize; the report records are NamedTuples.
+    # dataclasses pulls in inspect, ast, dis and tokenize; the report records are namedtuples.
     assert _modules_loaded_by_cli_import("dataclasses", "inspect") == "[]"
+
+
+def test_cli_json_output_leaves_json_unloaded():
+    # serial.dumps writes every payload; json's scanner, decoder and encoder cost each process ~1.7 ms.
+    runs = (
+        *(argv + ["--format", "json"] for argv in (
+            ["poly", "5"], ["poly", "5", "--eval", "1/2"], ["series", "4"], ["enumerate", "4"],
+            ["bijection", "g1", "--a", "6"], ["verify", "th1", "--nmax", "6"], ["roots", "--amax", "2", "--bmax", "2"],
+            ["bounds", "5"],
+        )),
+        ["verify", "th1", "--nmax", "6"],  # the text format prints exceptions and stats as JSON
+    )
+    assert _modules_loaded_by_cli_import("json", "json.decoder", runs=runs) == "[]"
+
+
+def test_cli_import_leaves_typing_unloaded():
+    # -S, because site's .pth files may import typing themselves.  A
+    # typing.NamedTuple record compiles each field's annotation at import.
+    result = _python("-S", "-c", "import sys, overpoly.cli; print('typing' in sys.modules)")
+    assert (result.returncode, result.stdout) == (0, b"False\n"), result.stderr
 
 
 GOLDEN = json.loads((DATA / "cli_golden.json").read_text())
