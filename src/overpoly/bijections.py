@@ -49,7 +49,6 @@ from .enumeration import (
     enumerate_ops,
     forbid,
     iter_ops,
-    weight,
 )
 
 __all__ = [
@@ -136,15 +135,13 @@ def split_point(parts, b: int) -> SplitPoint:
         raise ValueError(f"split weight must be >= 1, got {b}")
     if not parts:
         raise ValueError("cannot split an empty overpartition")
-    if weight(parts) < b:
-        raise ValueError(f"weight {weight(parts)} below split weight {b}")
     tail = 0
     for j in range(len(parts), 0, -1):
         tail += parts[j - 1][0]
         if tail >= b:
             take = b - (tail - parts[j - 1][0])
             return SplitPoint(j, take, parts[j - 1][0] - take)
-    raise AssertionError("unreachable: total weight checked above")
+    raise ValueError(f"weight {tail} below split weight {b}")
 
 
 def _one_case(guards, context) -> int:

@@ -20,10 +20,15 @@ Multiplying the two gives the integer recursion (Corteel & Lovejoy,
 
     pbar(n) = 2 sum_{k>=1, k^2<=n} (-1)^(k+1) pbar(n - k^2),      pbar(0) = 1,
 
-about sqrt(n) additions per entry and no products or divisions.  The
-sigma_bar recursion n pbar(n) = sum_k sigma_bar(k) pbar(n-k) is an independent
-route to the same numbers, which the tests keep as an oracle; the polynomial
-memo in `polynomials` checks every entry against pbar through P_n(1) = pbar(n).
+about sqrt(n) additions per entry and no products or divisions.  The terms
+of one sign are gathered in C: while the memo holds pbar(0..m-1), pbar(m - k^2)
+is memo[-k^2], so for every m with isqrt(m) = r the odd-k and the even-k
+offsets are the same two lists.  They become two itemgetters, plus and minus,
+once per block r^2 <= m < (r+1)^2, and each entry of the block is
+2 * (sum(plus(memo)) - sum(minus(memo))).  The sigma_bar recursion
+n pbar(n) = sum_k sigma_bar(k) pbar(n-k) is an independent route to the same
+numbers, which the tests keep as an oracle; the polynomial memo in
+`polynomials` checks every entry against pbar through P_n(1) = pbar(n).
 The full prefix pbar(0..n) is memoized because every verification pass
 consumes contiguous ranges.
 """
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
+from operator import itemgetter
 
 __all__ = ["divisors", "sigma", "tau_alt", "sigma_bar", "pbar_exact", "pbar_prefix"]
 
@@ -79,12 +85,18 @@ def _grow_pbar_memo(n: int) -> None:
     """Extend _pbar_memo through pbar(n) by Gauss's theta recursion."""
     if n < 0:
         raise ValueError(f"pbar undefined for n={n}; need n >= 0")
-    while len(_pbar_memo) <= n:
-        m = len(_pbar_memo)
-        alternating = 0  # sum_k (-1)^(k+1) pbar(m - k^2), nested from the largest k down
-        for k in range(isqrt(m), 0, -1):
-            alternating = _pbar_memo[m - k * k] - alternating
-        _pbar_memo.append(2 * alternating)
+    memo = _pbar_memo
+    while len(memo) <= n:
+        m = len(memo)
+        r = isqrt(m)
+        odd = [-k * k for k in range(1, r + 1, 2)]
+        even = [-k * k for k in range(2, r + 1, 2)]
+        # An itemgetter of one index returns the item, not a tuple: below m = 16
+        # both gathers also take pbar(m-1), which cancels in the difference.
+        pad = [-1] * max(0, 2 - len(even))
+        plus, minus = itemgetter(*odd, *pad), itemgetter(*even, *pad)
+        for _ in range(m, min(n, r * r + 2 * r) + 1):
+            memo.append(2 * (sum(plus(memo)) - sum(minus(memo))))
 
 
 def pbar_prefix(n: int) -> list[int]:

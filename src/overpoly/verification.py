@@ -46,6 +46,8 @@ from collections import Counter, namedtuple
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
+from operator import le, mul
 
 from . import serial
 from .divisors import pbar_exact, pbar_prefix
@@ -296,17 +298,25 @@ def check_le3(n_max: int) -> VerifyReport:
     return _decide("le3", f"1 <= n <= {n_max}", *_band(slacks), min_rel_slack=min_slack, argmin=argmin)
 
 
+def _logconcave_scan(pb, n_max: int) -> tuple[list[int], list[int]]:
+    """(equalities, failures) of pb[n]^2 >= pb[n-1] pb[n+1] for 2 <= n <= n_max, ascending.
+
+    Exact on integers.  The products and the comparisons pb[n]^2 <= pb[n-1] pb[n+1]
+    run in one pass of C-level maps, so Python sees only the equalities and
+    the failures.
+    """
+    mid = pb[2 : n_max + 1]
+    weak = map(le, map(mul, mid, mid), map(mul, pb[1:n_max], pb[3 : n_max + 2]))
+    equalities, failed = [], []
+    for n in compress(range(2, n_max + 1), weak):
+        (equalities if pb[n] ** 2 == pb[n - 1] * pb[n + 1] else failed).append(n)
+    return equalities, failed
+
+
 def check_logconcave(n_max: int) -> VerifyReport:
     """pbar(n)^2 >= pbar(n-1) pbar(n+1) for 2 <= n <= n_max, exact integers."""
     _need_range("n_max", n_max, 2)
-    pb = pbar_prefix(n_max + 1)
-    equalities, failed = [], []
-    for n in range(2, n_max + 1):
-        lhs, rhs = pb[n] ** 2, pb[n - 1] * pb[n + 1]
-        if lhs == rhs:
-            equalities.append(n)
-        elif lhs < rhs:
-            failed.append(n)
+    equalities, failed = _logconcave_scan(pbar_prefix(n_max + 1), n_max)
     return _decide("logconcave", f"2 <= n <= {n_max}", failed, equalities=tuple(equalities))
 
 
@@ -466,15 +476,30 @@ def check_ie8(a_max: int) -> VerifyReport:
     Exact pbar values, double-precision logarithm, minimum slack reported.
     The machine check runs a_max = IE11_THRESHOLD - 1: ie11 is claimed for
     every a from IE11_THRESHOLD on, so ie8 is checked below it.  The slack of (a, b, k)
-    depends on j = b - k only, so each (a, j) is computed once; (a, j + 1, 1)
+    depends on j = b - k only, so each (a, j) stands for its triples; (a, j + 1, 1)
     is the first triple with that j in the scan order (a, then b, then k).
+
+    The slack grows with pbar(a+j) / pbar(j), a product of the ratios
+    pbar(i+1) / pbar(i) for j <= i < a+j.  When the exact scan finds pbar
+    log-concave on 2..2 a_max - 2 those ratios do not increase, so for each a
+    the slack is smallest at j = a - 1, the triple (a, a, 1), up to rounding
+    far inside the band.  Only that slack is computed, unless it is below
+    twice the band or within the band of the running minimum: then every j
+    of that a is scored, so the pairs inside the band and the first minimum
+    in scan order are those of the full scan.  Without log-concavity every
+    pair is scored, in a_max^2 / 2 steps.
     """
     _need_range("a_max", a_max, 2, (PBAR_FLOAT_N_MAX + 1) // 2)
-    pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
+    exact = pbar_prefix(2 * a_max - 1)
+    every_pair = bool(_logconcave_scan(exact, 2 * a_max - 2)[1])
+    pb = [float(v) for v in exact]
     near = []  # slacks from the band up pass; the rest go to _band, with no call per triple
     min_slack, argmin = math.inf, None
-    for a in range(1, a_max + 1):
+    for a in range(2, a_max + 1):
         factor = 1 + math.log(2 * a)
+        diagonal = _rel_slack(pb[2 * a - 1], factor * pb[a - 1])
+        if not (every_pair or diagonal < 2 * INCONCLUSIVE_BAND or diagonal < min_slack + INCONCLUSIVE_BAND):
+            continue
         close = {}  # j -> slack inside the band or below, j ascending
         for j in range(1, a):
             slack = _rel_slack(pb[a + j], factor * pb[j])

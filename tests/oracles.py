@@ -4,6 +4,7 @@ They work on plain lists of coefficients, ascending by degree, Fraction or
 int, or on plain numbers, and share no code with overpoly.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -63,3 +64,27 @@ def mpmath_sandwich_terms(n, exact, dps=50) -> tuple[float, float, bool]:
         main = (mu * cosh_mu - sinh_mu) / (4 * mp.pi * mp.power(n, mp.mpf(3) / 2))
         bound = mp.power(2, mp.mpf(5) / 2) * (half - 1 / half) / 2 / (n * mu)
         return float(main), float(bound), abs(exact - main) <= bound
+
+
+def ie8_pair_scan(pb, a_max, band) -> tuple[list, float, tuple]:
+    """Every pair (a, j) of the ie8 machine check, 1 <= j < a <= a_max, scored
+    over the doubles pb = [pbar(0), ...]: pbar(a+j) > (1 + ln 2a) pbar(j).
+
+    The triples (a, b, k) with b - k = j share the pair's relative slack
+    (lhs - rhs) / max(|lhs|, |rhs|, 1).  Returns the ((a, b, k), slack)
+    entries with slack below band, in scan order (a, then b, then k), the
+    minimum slack and its first triple in that order, (a, j + 1, 1).
+    """
+    near, min_slack, argmin = [], math.inf, None
+    for a in range(2, a_max + 1):
+        factor = 1 + math.log(2 * a)
+        close = {}  # j -> slack below band, j ascending
+        for j in range(1, a):
+            lhs, rhs = pb[a + j], factor * pb[j]
+            slack = (lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+            if slack < band:
+                close[j] = slack
+            if slack < min_slack:
+                min_slack, argmin = slack, (a, j + 1, 1)
+        near += [((a, b, b - j), close[j]) for b in range(2, a + 1) for j in reversed(close) if j < b]
+    return near, min_slack, argmin

@@ -48,10 +48,12 @@ def test_split_point_examples():
 
 
 def test_split_point_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot split an empty overpartition$"):
         split_point((), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weight 2 below split weight 3$"):
         split_point(parts((2, 1, False)), 3)
+    with pytest.raises(ValueError, match="^weight 3 below split weight 5$"):
+        split_point(parts((2, 1, B), (1, 1, False)), 5)
 
 
 def test_split_pair_examples():

@@ -192,6 +192,15 @@ def test_verify_json_round_trip(capsys):
     assert report.holds and report.claim == "logconcave"
 
 
+def test_verify_ie8_at_its_cap(capsys):
+    # Log-concavity of pbar leaves one pair per a to score, so the cap runs in about a second.
+    code, out, _ = run(capsys, "verify", "ie8", "--amax", "26463", "--format", "json")
+    assert code == 0
+    report = load(VerifyReport, json.loads(out))
+    assert report.holds and report.range_checked == "1 <= k < b <= a <= 26463"
+    assert report.stats["argmin"] == (2, 2, 1)
+
+
 def test_verify_with_grid_flag(capsys):
     code, out, _ = run(capsys, "verify", "th4", "--amax", "10", "--xs", "1,3/2,2")
     assert code == 0 and "holds=True" in out

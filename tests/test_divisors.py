@@ -1,11 +1,14 @@
 """Divisor sums and the exact overpartition-count recursion."""
 
+import importlib
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from overpoly.divisors import divisors, pbar_exact, pbar_prefix, sigma, sigma_bar, tau_alt
+
+divisors_module = importlib.import_module("overpoly.divisors")  # the package's `divisors` is the function
 
 
 def _divisors_oracle(n):
@@ -126,6 +129,22 @@ def sigma_bar_oracle_600():
 @given(st.integers(min_value=0, max_value=600))
 def test_theta_recursion_matches_sigma_bar_recursion(sigma_bar_oracle_600, n):
     assert pbar_prefix(n) == list(sigma_bar_oracle_600[: n + 1])
+
+
+def test_gathered_recursion_grows_across_square_blocks(monkeypatch, sigma_bar_oracle_600):
+    # The offsets -k^2 are built once per isqrt block; each step below stops on
+    # a square or one short of it, so growth restarts at a block's first entry,
+    # its second, or its last.
+    monkeypatch.setattr(divisors_module, "_pbar_memo", [1])
+    cold = pbar_prefix(3000)
+    monkeypatch.setattr(divisors_module, "_pbar_memo", [1])
+    stops = sorted({s for r in range(2, 25) for s in (r * r - 1, r * r)} | {600, 3000})
+    for n in stops:
+        grown = pbar_prefix(n)
+        assert len(divisors_module._pbar_memo) == n + 1
+        assert grown == cold[: n + 1]
+        if n <= 600:
+            assert grown == list(sigma_bar_oracle_600[: n + 1])
 
 
 def test_pbar_strictly_increasing():

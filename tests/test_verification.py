@@ -9,7 +9,7 @@ from unittest.mock import patch
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import fraction_shift, mpmath_sandwich_terms
+from oracles import fraction_shift, ie8_pair_scan, mpmath_sandwich_terms
 
 from overpoly import polynomials, rootisolation, verification
 from overpoly.bijections import AuditReport
@@ -256,7 +256,7 @@ def test_ie8_examples_and_small_range():
 
 def _ie8_by_triples(a_max):
     """check_ie8's report from one slack per triple (a, b, k), in scan order."""
-    pb = [float(v) for v in pbar_prefix(2 * a_max - 1)]
+    pb = [float(v) for v in verification.pbar_prefix(2 * a_max - 1)]
     near, min_slack, argmin, triples = [], math.inf, None, 0
     for a in range(1, a_max + 1):
         factor = 1 + math.log(2 * a)
@@ -287,6 +287,66 @@ def test_ie8_near_pairs_expand_to_the_triples_in_scan_order(monkeypatch, band, a
     report = check_ie8(a_max)
     assert report.inconclusive
     assert report == _ie8_by_triples(a_max)
+
+
+def _ie8_by_pairs(a_max):
+    """check_ie8's report from the slack of every pair (a, j = b - k)."""
+    pb = [float(v) for v in verification.pbar_prefix(2 * a_max - 1)]
+    near, min_slack, argmin = ie8_pair_scan(pb, a_max, verification.INCONCLUSIVE_BAND)
+    return verification._decide(
+        "ie8",
+        f"1 <= k < b <= a <= {a_max}",
+        *verification._band(near),
+        triples=math.comb(a_max + 1, 3),
+        min_rel_slack=min_slack,
+        argmin=argmin,
+    )
+
+
+def test_ie8_diagonal_scan_matches_every_pair():
+    for a_max in [*range(2, 201), 500, 2000]:
+        assert check_ie8(a_max) == _ie8_by_pairs(a_max), a_max
+
+
+_SLOW_START = [round(10**6 * math.exp(math.sqrt(n))) for n in range(60)]  # log-concave, ie8 fails for small a
+
+
+@pytest.mark.parametrize("band", [0.01, 0.1])
+def test_ie8_diagonal_scan_scores_every_pair_near_the_band(monkeypatch, band):
+    # A diagonal inside twice the band, above the running minimum, still sends
+    # its a to the scan of every j, which finds the pairs inside the band.
+    monkeypatch.setattr(verification, "pbar_prefix", lambda n: _SLOW_START[: n + 1])
+    monkeypatch.setattr(verification, "INCONCLUSIVE_BAND", band)
+    assert verification._logconcave_scan(_SLOW_START, 58)[1] == []
+    report = check_ie8(30)
+    assert report.inconclusive and report.stats["argmin"] == (4, 4, 1)
+    assert report == _ie8_by_pairs(30)
+
+
+def _logconcavity_patch(n):
+    """pbar(0..n) times pbar(6) = 40, with entry 8 raised to pbar(7)^2, so that
+    n = 7 joins n = 2 as an equality, and entry 10 cut to 20 * 40, which
+    breaks log-concavity at n = 10 alone."""
+    patched = [v * 40 for v in pbar_prefix(n)]
+    patched[8], patched[10] = 64**2, 20 * 40
+    return patched
+
+
+def test_logconcavity_scan_on_a_patched_prefix(monkeypatch):
+    monkeypatch.setattr(verification, "pbar_prefix", _logconcavity_patch)
+    pb = _logconcavity_patch(29)
+    equalities = [n for n in range(2, 29) if pb[n] ** 2 == pb[n - 1] * pb[n + 1]]
+    failed = [n for n in range(2, 29) if pb[n] ** 2 < pb[n - 1] * pb[n + 1]]
+    assert (equalities, failed) == ([2, 7], [10])
+    report = check_logconcave(28)
+    assert not report.holds
+    assert report.counterexample == failed[0]
+    assert report.stats["equalities"] == tuple(equalities)
+    # The cut entry 10 fails the pairs (6, 4) and (7, 3), off the diagonal j = a - 1,
+    # so only the scan of every pair finds them.
+    report = check_ie8(15)
+    assert report == _ie8_by_triples(15)
+    assert not report.holds and report.counterexample == (6, 5, 1)
 
 
 def test_ie11():
