@@ -52,11 +52,13 @@ The module also provides:
     and division by 1-q^m per part size and color, a counting route
     independent of the recursion.
 
-A Poly is its integer numerators over one positive denominator, normalized
-by construction; polynomial equality is structural and Poly values are
-immutable.  Poly evaluates by an integer power sum, _power_sum, which the
-root table's re-check also reads for its endpoint signs.  The root search
-takes its signs from the one integer Horner loop here, _horner on
+A Poly, Poly(nums, den=1), is its integer numerators over one positive
+denominator, normalized by construction; polynomial equality is structural
+and Poly values are immutable.  Poly has no ring arithmetic: the library
+only compares, prints and evaluates the polynomials that it builds from
+integer vectors.  Poly evaluates by an integer power sum, _power_sum, which
+the root table's re-check also reads for its endpoint signs.  The root
+search takes its signs from the one integer Horner loop here, _horner on
 _scaled_coeffs.  A value at a point thus has three routes that share no
 evaluation code: scaled_values, and Horner or Poly's power sum on the memo's
 coefficients.  The tests compare all three, and the descent points that
@@ -66,8 +68,8 @@ verification finds through scaled_values are re-checked by Poly.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat, zip_longest
-from math import comb, factorial, gcd, isqrt, lcm, prod
+from itertools import accumulate, repeat
+from math import comb, factorial, gcd, isqrt, prod
 from operator import mul
 
 from .divisors import pbar_prefix, sigma_bar
@@ -86,25 +88,19 @@ __all__ = [
 class Poly:
     """Immutable dense univariate polynomial with rational coefficients.
 
-    nums holds integer numerators ascending by degree with no trailing zeros,
-    over one denominator den > 0 with gcd(den, *nums) = 1, so equal
-    polynomials have equal fields.  Poly(rationals) takes the coefficients
-    themselves; Poly(integers, den) takes numerators over den >= 1.  The zero
-    polynomial has nums == (), den == 1 and degree -1.  The ring operators
-    serve the tests' Fraction reference; no library route uses them.
+    Poly(nums, den=1) is the integers nums, ascending by degree, over the
+    denominator den >= 1; a non-integer entry raises TypeError.  The fields
+    are canonical: nums has no trailing zeros and gcd(den, *nums) = 1, so
+    equal polynomials have equal fields.  The zero polynomial has
+    nums == (), den == 1 and degree -1.  There is no ring arithmetic.
     """
 
     __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=(), den: int | None = None):
-        if den is None:
-            rationals = [Fraction(c) for c in coeffs]
-            den = lcm(*(f.denominator for f in rationals))
-            nums = [f.numerator * (den // f.denominator) for f in rationals]
-        elif den < 1:
+    def __init__(self, nums=(), den: int = 1):
+        if den < 1:
             raise ValueError(f"Poly denominator must be >= 1, got {den}")
-        else:
-            nums = list(coeffs)
+        nums = list(nums)
         while nums and nums[-1] == 0:
             nums.pop()
         g = gcd(den, *nums)
@@ -117,9 +113,6 @@ class Poly:
     def __delattr__(self, name):
         raise AttributeError(f"Poly is immutable; cannot delete {name}")
 
-    def __reduce__(self):
-        return Poly, (self.nums, self.den)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, ascending by degree."""
@@ -129,12 +122,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.nums) - 1
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self.nums[-1], self.den)
-
     def __bool__(self) -> bool:
         return bool(self.nums)
 
@@ -143,34 +130,6 @@ class Poly:
             return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        den = lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [c * (den // other.den) for c in other.nums]
-        return Poly([x + y for x, y in zip_longest(a, b, fillvalue=0)], den)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.nums], self.den)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            out = [0] * (len(self.nums) + len(other.nums) - 1)
-            for i, a in enumerate(self.nums):
-                if a:
-                    for j, b in enumerate(other.nums):
-                        out[i + j] += a * b
-            return Poly(out, self.den * other.den)
-        c = Fraction(other)
-        return Poly([a * c.numerator for a in self.nums], self.den * c.denominator)
-
-    __rmul__ = __mul__
-
     def __call__(self, x) -> Fraction:
         """Exact value at a rational point x = p/q: the integer power sum
         _power_sum(nums, p, q) over den * q^d, for the degree d."""
@@ -178,11 +137,8 @@ class Poly:
         q = x.denominator
         return Fraction(_power_sum(self.nums, x.numerator, q), self.den * q ** max(self.degree, 0))
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.nums)][1:], self.den)
-
     def __repr__(self) -> str:
-        return f"Poly({list(self.coeffs)!r})"
+        return f"Poly({list(self.nums)!r}, {self.den})"
 
     def __str__(self) -> str:
         """Highest degree first, as in "1/3*x^2 - x + 2"; the zero polynomial is "0"."""

@@ -91,8 +91,10 @@ def _integer_shift(nums, x: Fraction) -> list[int]:
     q^i u^(d-i), the shift by 1 is d running sums from the top coefficient
     down, one plain accumulate each, and ascending coefficient i of the result
     is divided exactly by u^i.  At u = 0 the coefficients scaled by q^i are
-    the answer.
+    the answer.  The zero polynomial, which no shift certifies, raises ValueError.
     """
+    if not nums:
+        raise ValueError("the zero polynomial vanishes everywhere: no certificate")
     u, q = x.as_integer_ratio()
     d = len(nums) - 1
     q_pows = accumulate(repeat(q, d), mul, initial=1)
@@ -162,7 +164,7 @@ def variations_in_interval(p: Poly, lo, hi) -> int:
     """Descartes bound on the number of roots of p in the open interval (lo, hi).
 
     Zero certifies no roots; one certifies exactly one (the bound has the same
-    parity as the root count).
+    parity as the root count).  The zero polynomial raises ValueError.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if hi <= lo:
@@ -179,7 +181,8 @@ def no_roots_above(p: Poly, c) -> bool:
     """Certify that p has no real roots in (c, oo): p(c + t) has no sign variations.
 
     True is a certificate.  False means only "not certified": complex roots
-    can leave sign variations where no real root lies above c.
+    can leave sign variations where no real root lies above c.  The zero
+    polynomial raises ValueError.
     """
     if not isinstance(c, Fraction):
         c = Fraction(c)
@@ -197,16 +200,21 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
 
 
 def round_half_away(q: Fraction, places: int = 2) -> str:
-    """Decimal string with `places` digits, ties away from zero.
+    """Decimal string with `places` >= 0 digits after the point, ties away
+    from zero; at places = 0 it has no point.
 
     For q = n/d, |q| rounds to floor(|q| 10^places + 1/2) units of
     10^-places, which is (2|n| 10^places + d) // (2d).  A value that rounds
     to zero prints without a sign.
     """
+    if places < 0:
+        raise ValueError(f"round_half_away needs places >= 0; got {places}")
     n, d = q.as_integer_ratio()
     units = (2 * abs(n) * 10**places + d) // (2 * d)
-    head, tail = divmod(units, 10**places)
     prefix = "-" if n < 0 and units else ""
+    if not places:
+        return f"{prefix}{units}"
+    head, tail = divmod(units, 10**places)
     return f"{prefix}{head}.{tail:0{places}d}"
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "check_ie7",
     "check_ie8",
     "check_ie11",
-    "isolate_max_root",
     "roots_table",
     "roots_csv",
     "certify_root_record",

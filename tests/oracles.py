@@ -1,13 +1,29 @@
 """Reference routines that the tests compare the package against.
 
 They work on plain lists of coefficients, ascending by degree, Fraction or
-int, or on plain numbers, and share no code with overpoly.
+int, or on plain numbers, and share no code with overpoly.  The package's
+Poly has no ring arithmetic, so poly_mul and formal_derivative are the
+tests' product and derivative of coefficient lists.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath as mp
+
+
+def poly_mul(a, b) -> list:
+    """Coefficients of the product of the polynomials a and b, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def formal_derivative(cs) -> list:
+    """Coefficients of the derivative: i * cs[i] moved down to degree i - 1."""
+    return [i * c for i, c in enumerate(cs)][1:]
 
 
 def fraction_shift(coeffs, c) -> list[Fraction]:

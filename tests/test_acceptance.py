@@ -8,6 +8,8 @@ import math
 import time
 from fractions import Fraction
 
+from oracles import formal_derivative
+
 from overpoly.bijections import audit
 from overpoly.cli import main
 from overpoly.divisors import pbar_exact, pbar_prefix, sigma, sigma_bar, tau_alt
@@ -104,7 +106,7 @@ def test_criterion_03_product_inequality_exact():
 
 def test_criterion_04_derivative_identity():
     ok = all(
-        pbar_derivative(n) == pbar_poly(n).derivative() for n in range(1, 51)
+        pbar_derivative(n).coeffs == tuple(formal_derivative(pbar_poly(n).coeffs)) for n in range(1, 51)
     )
     _report(4, "derivative identity to 50, exact", ok)
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import fraction_shift, fraction_variations_in_interval
+from oracles import fraction_shift, fraction_variations_in_interval, poly_mul
 
 import overpoly.rootisolation as rootisolation
 from overpoly.polynomials import Poly, _horner, _scaled_coeffs, product_gap_poly
@@ -25,6 +25,19 @@ from overpoly.rootisolation import (
 
 F = Fraction
 WIDTH = F(1, 10**4)
+
+
+def _product(factors) -> Poly:
+    """The product of integer coefficient lists, through the list oracle."""
+    nums = [1]
+    for factor in factors:
+        nums = poly_mul(nums, factor)
+    return Poly(nums)
+
+
+def _linear(r):
+    """x - r for a Fraction r, scaled to the integers (-numerator, denominator)."""
+    return (-r.numerator, r.denominator)
 
 
 def test_sign_variations():
@@ -56,6 +69,10 @@ integer_lists = st.lists(st.integers(-20, 20), max_size=8)
 @example([3, -2, 5, 1, 0, -7], 1, F(-5))
 def test_shifts_agree_with_the_fraction_oracle(nums, den, c):
     p = Poly(nums, den)
+    if not p:
+        with pytest.raises(ValueError, match="zero polynomial"):
+            _integer_shift(p.nums, c)
+        return
     d, q = p.degree, c.denominator
     # q^d * p((u + t)/q) is q^d * p(c + t/q): coefficient i is q^(d-i) times the one of p(c + t).
     expected = [q ** (d - i) * s for i, s in enumerate(fraction_shift(p.nums, c))]
@@ -65,6 +82,10 @@ def test_shifts_agree_with_the_fraction_oracle(nums, den, c):
 @given(integer_lists, shift_points, st.fractions(min_value=F(1, 12), max_value=4, max_denominator=12))
 def test_variations_in_interval_agrees_with_the_fraction_oracle(nums, lo, width):
     p = Poly(nums)
+    if not p:
+        with pytest.raises(ValueError, match="zero polynomial"):
+            variations_in_interval(p, lo, lo + width)
+        return
     expected = fraction_variations_in_interval(p.coeffs, lo, lo + width)
     assert variations_in_interval(p, lo, lo + width) == expected
 
@@ -90,28 +111,43 @@ ties = [F(sign * (2 * u + 1), 2 * 10**p) for sign in (1, -1) for u in (0, 1, 7, 
 @example(F(-4999, 10**6), 2)
 @example(F(-1, 3), 0)
 @example(F(-5, 1000), 2)  # an exact tie below zero rounds away, to -0.01
+@example(F(5, 2), 0)  # a tie at places = 0: "3", with no point
 def test_round_half_away_matches_decimal_half_up(q, places):
     text = round_half_away(q, places)
     expected = _decimal_half_up(q, places)
     assert Decimal(text) == expected
     assert text.startswith("-") == (expected < 0)  # a value that rounds to zero prints unsigned
+    head, point, tail = text.partition(".")
+    assert (len(tail), point) == (places, "." if places else "") and head.lstrip("-").isdigit()
+
+
+def test_round_half_away_rejects_negative_places():
+    with pytest.raises(ValueError, match="places >= 0"):
+        round_half_away(F(5, 2), -1)
+
+
+def test_zero_polynomial_has_no_certificate():
+    # It vanishes everywhere, so "no roots" from zero sign variations would be false.
+    with pytest.raises(ValueError, match="zero polynomial"):
+        no_roots_above(Poly(), 0)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        variations_in_interval(Poly([0, 0]), 0, 1)
 
 
 def test_cauchy_bound_exceeds_roots():
-    # (x-2)(x+3)(x-1/2) has roots 2, -3, 1/2
-    p = Poly([3, F(5, 2), -F(1, 2), 1]) * 2
+    p = _product([(-2, 1), (3, 1), (-1, 2)])  # (x - 2)(x + 3)(2x - 1): roots 2, -3, 1/2
     bound = cauchy_root_bound(p)
     assert bound > 3
     assert sign_variations(_integer_shift(p.nums, bound)) == 0
 
 
 def test_squarefree_part_collapses_multiplicity():
-    p = Poly([-1, 1])  # x - 1
-    q = Poly([2, 1])  # x + 2
-    assert squarefree_part(p * p * q) == p * q
+    p = [-1, 1]  # x - 1
+    q = [2, 1]  # x + 2
+    assert squarefree_part(_product([p, p, q])) == _product([p, q])
     # (2x - 1)^2 (x + 2) over x - 1/2, the monic gcd: the primitive gcd 2x - 1 has lead 2.
-    assert squarefree_part(Poly([1, -4, 4]) * q) == Poly([-4, 6, 4])
-    collapsed = squarefree_part(p * p * q * q * q)
+    assert squarefree_part(_product([[1, -4, 4], q])) == Poly([-4, 6, 4])
+    collapsed = squarefree_part(_product([p, p, q, q, q]))
     assert collapsed.degree == 2
     assert collapsed(1) == 0 and collapsed(-2) == 0
 
@@ -134,7 +170,7 @@ def test_no_roots_above():
 def test_exact_rational_roots():
     bracket = isolate_max_root(Poly([0, -2, 2]), WIDTH)  # 2x(x-1)
     assert bracket.lo == bracket.hi == 1
-    bracket = isolate_max_root(Poly([0, F(-8, 3), 0, F(8, 3)]), WIDTH)  # (8/3)x(x^2-1)
+    bracket = isolate_max_root(Poly([0, -8, 0, 8], 3), WIDTH)  # (8/3)x(x^2-1)
     assert bracket.lo == bracket.hi == 1
 
 
@@ -209,9 +245,7 @@ def test_bracket_contains_known_max_root(roots, extra):
     # An odd count of positive roots makes the deflated constant term negative, as the search needs.
     if sum(r > 0 for r in roots) % 2 == 0:
         roots = [*roots, extra]
-    poly = Poly([1])
-    for r in roots:
-        poly = poly * Poly([-r, 1])
+    poly = _product(map(_linear, roots))
     bracket = _bracket_or_raise(poly)
     if bracket is None:
         return
@@ -256,7 +290,7 @@ def test_integer_sign_agrees_with_poly_and_the_fraction_oracle(nums, point):
 
 
 def test_bisection_bracket_kept_without_the_descartes_search():
-    lo, hi = isolate_max_root(_linear(F(86, 100)) * Poly([1, 1]), WIDTH)  # p(0) < 0
+    lo, hi = isolate_max_root(_product([_linear(F(86, 100)), (1, 1)]), WIDTH)  # p(0) < 0
     assert lo < F(86, 100) < hi and hi - lo <= WIDTH
 
 
@@ -264,14 +298,14 @@ def test_bisection_bracket_kept_without_the_descartes_search():
 # where the bisection bracket failed its certificate; now the search raises.
 def test_search_falls_back_past_a_smaller_sign_change():
     # p(0) < 0 < p(1/2): bisection pins 3/10, whose bracket fails the test above hi.
-    p = _linear(F(3, 10)) * _linear(F(84, 100)) * _linear(F(86, 100))
+    p = _product(map(_linear, [F(3, 10), F(84, 100), F(86, 100)]))
     with pytest.raises(ArithmeticError, match="fails its certificate"):
         isolate_max_root(p, WIDTH)
 
 
 def test_search_falls_back_past_a_double_root():
     # The double root 3/4 has no sign change; bisection finds only 3/10.
-    p = _linear(F(3, 4)) * _linear(F(3, 4)) * _linear(F(3, 10))
+    p = _product(map(_linear, [F(3, 4), F(3, 4), F(3, 10)]))
     for places in (None, 2):
         with pytest.raises(ArithmeticError, match="fails its certificate"):
             isolate_max_root(p, WIDTH, places)
@@ -321,27 +355,23 @@ def test_rounding_raises_without_a_sign_change():
         rootisolation._refine([-1, 1], F(0), F(101, 200), F(1), 2)
 
 
-@pytest.mark.parametrize("factor", [Poly([1]), Poly([1, 0, 1]), Poly([3, -2, 0, 0, 5])])
+@pytest.mark.parametrize("factor", [[1], [1, 0, 1], [3, -2, 0, 0, 5]])
 @pytest.mark.parametrize("n", [1, 10**6, 10**30])
 def test_rounding_reaches_a_root_just_below_a_boundary(n, factor):
     # n (200x - 101) + 1 has its root 1/(200 n) below the boundary 0.505, and the
     # factor is positive there; the midpoint cuts toward 0.505 stay inside their bound.
-    p = Poly([1 - 101 * n, 200 * n]) * factor
+    p = _product([[1 - 101 * n, 200 * n], factor])
     lo, hi = rootisolation._refine(list(p.nums), F(0), F(101, 200), F(1), 2)
     assert lo <= F(101, 200) - F(1, 200 * n) <= hi
     assert round_half_away(lo) == round_half_away(hi) == "0.50"
 
 
-def _linear(r):
-    return Poly([-r, 1])
-
-
 factors = st.one_of(
     st.fractions(max_denominator=4, min_value=F(-3), max_value=F(3)).map(_linear),
     # x^2 - m: irrational real roots when m is not a square
-    st.sampled_from([2, 3, 5, 7]).map(lambda m: Poly([-m, 0, 1])),
+    st.sampled_from([2, 3, 5, 7]).map(lambda m: (-m, 0, 1)),
     # x^2 + b x + c with b^2 < 4c: no real roots
-    st.tuples(st.integers(-3, 3), st.integers(3, 6)).map(lambda bc: Poly([bc[1], bc[0], 1])),
+    st.tuples(st.integers(-3, 3), st.integers(3, 6)).map(lambda bc: (bc[1], bc[0], 1)),
 )
 
 
@@ -350,14 +380,10 @@ factors = st.one_of(
 def test_bracket_certified_with_repeated_factors(factored, extra):
     # A factor f has one positive root when f(0) < 0 and none otherwise: the
     # extra root makes their count odd, so the deflated constant term is negative.
-    if sum(multiplicity for factor, multiplicity in factored if factor(0) < 0) % 2 == 0:
+    if sum(multiplicity for factor, multiplicity in factored if factor[0] < 0) % 2 == 0:
         factored = [*factored, (_linear(extra), 1)]
-    poly, distinct = Poly([1]), Poly([1])
-    for factor, multiplicity in factored:
-        for _ in range(multiplicity):
-            poly = poly * factor
-    for factor in {f for f, _ in factored}:
-        distinct = distinct * factor
+    poly = _product(factor for factor, multiplicity in factored for _ in range(multiplicity))
+    distinct = _product({factor for factor, _ in factored})
     bracket = _bracket_or_raise(poly, places=2)
     if bracket is None:
         return
@@ -374,22 +400,17 @@ def test_bracket_certified_with_repeated_factors(factored, extra):
 @settings(deadline=None, max_examples=60)
 @given(st.lists(st.tuples(factors, st.integers(1, 3)), min_size=1, max_size=4))
 def test_squarefree_part_is_the_product_of_the_distinct_factors(factored):
-    poly, distinct = Poly([1]), Poly([1])
-    for factor, multiplicity in factored:
-        for _ in range(multiplicity):
-            poly = poly * factor
-    for factor in {f for f, _ in factored}:
-        distinct = distinct * factor
+    poly = _product(factor for factor, multiplicity in factored for _ in range(multiplicity))
+    distinct = _product({factor for factor, _ in factored})
     # p / monic(gcd(p, p')) keeps the leading coefficient of p.
-    assert squarefree_part(poly) == distinct * (poly.leading / distinct.leading)
+    scale = poly.coeffs[-1] / distinct.coeffs[-1]
+    assert squarefree_part(poly).coeffs == tuple(c * scale for c in distinct.coeffs)
 
 
 @settings(deadline=None, max_examples=80)
 @given(st.lists(factors, min_size=1, max_size=4))
 def test_power_of_two_bound_is_the_smallest_certified(factor_list):
-    poly = Poly([1])
-    for factor in factor_list:
-        poly = poly * factor
+    poly = _product(factor_list)
     e = _bound_exponent(poly.nums, cauchy_root_bound(poly))
     bound = F(2**e)
     assert bound <= 2 * cauchy_root_bound(poly)

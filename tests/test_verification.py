@@ -9,7 +9,7 @@ from unittest.mock import patch
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import fraction_shift, ie8_pair_scan, mpmath_sandwich_terms
+from oracles import formal_derivative, fraction_shift, ie8_pair_scan, mpmath_sandwich_terms
 
 from overpoly import polynomials, rootisolation, verification
 from overpoly.bijections import AuditReport
@@ -600,7 +600,7 @@ def test_roots_table_isolates_each_symmetric_pair_once(monkeypatch):
     monkeypatch.setattr(verification, "isolate_max_root", counting)
     records = roots_table(3, 5)
     assert [(r.a, r.b) for r in records] == [(a, b) for a in range(1, 4) for b in range(1, 6)]
-    assert len(seen) == len(set(seen)) == 12  # pairs a <= b with a <= 3, b <= 5
+    assert len(seen) == len({(p.nums, p.den) for p in seen}) == 12  # pairs a <= b with a <= 3, b <= 5
     for record in records:
         assert certify_root_record(record)
 
@@ -794,12 +794,14 @@ def test_logconcave_reports_the_first_counterexample(monkeypatch):
 
 
 def _fraction_polys(n_max, at, factor):
-    return [pbar_poly(n) * factor if n in at else pbar_poly(n) for n in range(n_max + 1)]
+    """P_n for n <= n_max, multiplied by factor for every n in `at`."""
+    polys = [pbar_poly(n) for n in range(n_max + 1)]
+    return [Poly([c * factor for c in p.nums], p.den) if n in at else p for n, p in enumerate(polys)]
 
 
 def _fraction_th3(n_max, xs, at, factor, derivative_only):
     polys = _fraction_polys(n_max, () if derivative_only else at, factor)
-    derivs = [p.derivative() for p in _fraction_polys(n_max, at, factor)]
+    derivs = [Poly(formal_derivative(p.nums), p.den) for p in _fraction_polys(n_max, at, factor)]
     for n in range(1, n_max):
         for x in xs:
             if not polys[n](x) < polys[n + 1](x):
