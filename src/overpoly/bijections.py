@@ -27,18 +27,21 @@ reads the same entry.
 audit() streams the exact domain from iter_ops, applies the public map once
 per element, and reports well-definedness (every image lands in the
 enumerated codomain), injectivity (pairwise distinct images), surjectivity
-(image covers the codomain), and witnesses.  It keeps one dict from each
-image to the position of its first preimage, not the domain: the collision
-witness, the first repeated image in domain order with its first preimage,
-is fetched by enumerating again.  Images are compared as canonical values,
-never as strings.
+(image covers the codomain), and witnesses.  It numbers the codomain pair
+(left_cod[i], right_cod[j]) as i * len(right_cod) + j and keeps one byte per
+pair for "hit", plus a set of the images outside the codomain; it keeps
+neither the domain nor an image per domain element.  The unhit witness is
+the first pair whose byte is 0.  The collision witness is the first repeated
+image in domain order with its first preimage, which a second pass over the
+domain finds by applying the map again; only a map that is not injective
+pays for it.  Images are compared as canonical values, never as strings.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count, islice
+from itertools import compress, count
 
 from . import serial
 from .enumeration import (
@@ -145,9 +148,13 @@ def split_point(parts, b: int) -> SplitPoint:
 
 
 def _one_case(guards, context) -> int:
-    """Index of the one truthy guard.  compress stops at a second truthy
-    guard, so the list of hits is built only for the RuntimeError that names
-    them when there are none or several."""
+    """Index of the one truthy guard.  The usual input, one True among
+    Falses, is answered by three C-level scans; any other is scanned by
+    truthiness, where compress stops at a second truthy guard, so the list of
+    hits is built only for the RuntimeError that names them when there are
+    none or several."""
+    if guards.count(False) == len(guards) - 1 and guards.count(True) == 1:
+        return guards.index(True)
     hits = compress(count(), guards)
     case = next(hits, None)
     if case is None or next(hits, None) is not None:
@@ -388,32 +395,44 @@ def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | No
     domain = iter_ops(a + b_weight, k, entry.domain, cap=cap)
     left_cod = enumerate_ops(a, k, entry.left, cap=cap)
     right_cod = enumerate_ops(b_weight, k, entry.right, cap=cap)
-    codomain_size = len(left_cod) * len(right_cod)
+    width = len(right_cod)
+    codomain_size = len(left_cod) * width
 
-    # Each image maps to the 1-based position of its first preimage in domain
-    # order; repeat holds the positions of the first repeated image, if any.
-    first_preimage: dict[ImagePair, int] = {}
+    # Codomain pair (left_cod[i], right_cod[j]) is number i * width + j, and
+    # hit holds one byte per number; images outside the codomain go to missed.
+    # repeat is the first repeated image with its second preimage, if any.
+    left_at = {left: i * width for i, left in enumerate(left_cod)}
+    right_at = {right: j for j, right in enumerate(right_cod)}
+    hit = bytearray(codomain_size)
+    missed = set()
     repeat = None
     domain_size = 0
     for domain_size, lam in enumerate(domain, 1):
-        first = first_preimage.setdefault(apply_map(lam, *map_args), domain_size)
-        if first != domain_size and repeat is None:
-            repeat = (first, domain_size)
+        image = apply_map(lam, *map_args)
+        try:
+            at = left_at[image[0]] + right_at[image[1]]
+        except KeyError:
+            if image in missed and repeat is None:
+                repeat = (image, lam)
+            missed.add(image)
+            continue
+        if hit[at] and repeat is None:
+            repeat = (image, lam)
+        hit[at] = 1
 
-    left_set, right_set = set(left_cod), set(right_cod)
-    well_defined = all(l in left_set and r in right_set for (l, r) in first_preimage)
-
+    well_defined = not missed
     injective = repeat is None
     collision = None
     if not injective:
-        # The stream has moved past both preimages; fetch them from a fresh one.
-        again = enumerate(islice(iter_ops(a + b_weight, k, entry.domain, cap=cap), repeat[1]), 1)
-        collision = tuple(lam for position, lam in again if position in repeat)
+        # The stream has moved past the first preimage; find it in a fresh one.
+        image, second = repeat
+        domain = iter_ops(a + b_weight, k, entry.domain, cap=cap)
+        collision = (next(lam for lam in domain if apply_map(lam, *map_args) == image), second)
 
-    surjective = len(first_preimage) == codomain_size and well_defined
-    unhit = None if surjective else next(
-        ((l, r) for l in left_cod for r in right_cod if (l, r) not in first_preimage), None
-    )
+    image_size = hit.count(1) + len(missed)
+    unhit_at = hit.find(0)
+    surjective = unhit_at < 0 and well_defined
+    unhit = None if unhit_at < 0 else (left_cod[unhit_at // width], right_cod[unhit_at % width])
 
     return AuditReport(
         map_name=map_name,
@@ -421,7 +440,7 @@ def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | No
         b=b,
         k=k,
         domain_size=domain_size,
-        image_size=len(first_preimage),
+        image_size=image_size,
         codomain_size=codomain_size,
         well_defined=well_defined,
         injective=injective,

@@ -129,7 +129,8 @@ def canonicalize(parts, k: int | None = None) -> tuple[Part, ...]:
         if size < 1:
             raise ValueError(f"part size must be >= 1, got {size}")
         if color < 1 or (k is not None and color > k):
-            raise ValueError(f"part color {color} outside 1..{k}")
+            bounds = "below 1" if k is None else f"outside 1..{k}"
+            raise ValueError(f"part color {color} {bounds}")
         # In canonical order a (size, color) pair follows only larger pairs or
         # its own non-overlined copies, so a repeated overline meets its twin.
         if size > last_size or size == last_size and (color > last_color or color == last_color and last_over):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -39,6 +40,11 @@ def test_one_case_raises_unless_exactly_one_guard_is_truthy():
         bijections._one_case([False, None, 0], "ctx")
     with pytest.raises(RuntimeError, match=r"^case dispatch not exclusive/exhaustive for ctx: \[1, 3\]$"):
         bijections._one_case([False, True, 0, 5], "ctx")
+    # One True among Falses takes a fast path; equal-to-True and truthy must still agree.
+    with pytest.raises(RuntimeError, match=r"^case dispatch not exclusive/exhaustive for ctx: \[0, 1\]$"):
+        bijections._one_case([True, 2], "ctx")
+    assert bijections._one_case([0, 1], "ctx") == 1
+    assert bijections._one_case([None, True], "ctx") == 1
 
 
 def test_split_point_examples():
@@ -401,6 +407,40 @@ def test_audit_witnesses_of_a_collapsed_case_match_a_brute_force_pass(monkeypatc
     assert report.collision_witness == collision
     assert report.unhit_witness == unhit
     assert report.image_size == image_size < report.domain_size
+
+
+@pytest.mark.parametrize("map_name, a, b, k", CELLS)
+def test_audit_witnesses_of_images_outside_the_codomain_match_a_brute_force_pass(monkeypatch, map_name, a, b, k):
+    original = getattr(bijections, MAPS[map_name].apply)
+    outside = (parts((1, 1, False)), ())  # every map's left side bans a plain 1
+
+    def leaking(lam, *args):
+        # Every input of case 1 goes to one pair outside the codomain.
+        return outside if dispatch_case(map_name, lam, a, b, k) == 1 else original(lam, *args)
+
+    monkeypatch.setattr(bijections, MAPS[map_name].apply, leaking)
+    report = audit(map_name, a, b, k)
+    collision, unhit, image_size = _brute_force_witnesses(leaking, map_name, a, b, k)
+    assert not report.well_defined and not report.injective and not report.surjective
+    assert report.collision_witness == collision is not None
+    assert report.unhit_witness == unhit
+    assert report.image_size == image_size
+
+
+@pytest.mark.parametrize(
+    "cell, cap, mib", [(("g1", 24), None, 2), (("f", 12, 12), 24, 0.25)], ids=["g1 24", "f 12 12 cap 24"]
+)
+def test_audit_memory_peak_stays_below_a_byte_per_codomain_pair(cell, cap, mib):
+    # One byte per codomain pair, not one image per domain element: a dict of
+    # images peaked at 3.4 and 0.57 MiB here.  The f cell has 43,520 codomain
+    # pairs for 2,416 inputs, so a word per pair would not fit either.
+    tracemalloc.start()
+    try:
+        audit(*cell, cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < mib * 2**20
 
 
 @pytest.mark.parametrize("map_name, k", [("g1", 1), ("g2", 1), ("gk", 2)])

@@ -144,8 +144,10 @@ def test_canonicalize_rejects_duplicate_overline():
 def test_canonicalize_rejects_bad_parts():
     with pytest.raises(ValueError):
         canonicalize([Part(0, 1, False)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^part color 3 outside 1\.\.2$"):
         canonicalize([Part(2, 3, False)], k=2)
+    with pytest.raises(ValueError, match="^part color 0 below 1$"):  # used to say "outside 1..None"
+        canonicalize((Part(1, 0),))
 
 
 raw_parts = st.lists(
