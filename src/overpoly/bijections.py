@@ -40,7 +40,6 @@ pays for it.  Images are compared as canonical values, never as strings.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from itertools import compress, count
 
 from . import serial
@@ -84,7 +83,7 @@ TWO, TWO_BAR = Part(2, 1, False), Part(2, 1, True)
 ONE_C2 = Part(1, 2, False)
 
 
-class MapEntry(namedtuple("MapEntry", "apply case colored fixed_b least_a least_b domain left right")):
+class MapEntry(serial.Record):
     """One injection: its functions and the cells (a, b, k) it is defined on.
 
     apply (str): the public map in this module
@@ -99,6 +98,9 @@ class MapEntry(namedtuple("MapEntry", "apply case colored fixed_b least_a least_
 
     __slots__ = ()
 
+    def __new__(cls, apply, case, colored, fixed_b, least_a, least_b, domain, left, right):
+        return tuple.__new__(cls, (apply, case, colored, fixed_b, least_a, least_b, domain, left, right))
+
 
 # Names, not functions, are stored so that a map rebound on the module (by a
 # test or a tracer) is the one that audit applies.
@@ -112,7 +114,7 @@ MAPS = {
 MAP_NAMES = tuple(MAPS)
 
 
-class SplitPoint(namedtuple("SplitPoint", "index take keep")):
+class SplitPoint(serial.Record):
     """Where an overpartition of weight >= b is cut to shear off weight b.
 
     index (int) is 1-based; the part there contributes `take` (int) to the
@@ -122,14 +124,20 @@ class SplitPoint(namedtuple("SplitPoint", "index take keep")):
 
     __slots__ = ()
 
+    def __new__(cls, index, take, keep):
+        return tuple.__new__(cls, (index, take, keep))
 
-class ImagePair(namedtuple("ImagePair", "left right")):
+
+class ImagePair(serial.Record):
     """A pair of overpartitions, each canonical, with weights summing to the domain weight.
 
     left, right (tuple[Part, ...])
     """
 
     __slots__ = ()
+
+    def __new__(cls, left, right):
+        return tuple.__new__(cls, (left, right))
 
 
 def split_point(parts, b: int) -> SplitPoint:
@@ -173,12 +181,14 @@ def _require_cell(map_name: str, a: int, b: int | None, k: int) -> tuple[MapEntr
     if map_name not in MAPS:
         raise ValueError(f"unknown map {map_name!r}")
     entry = MAPS[map_name]
-    if (b is None) == (entry.fixed_b is None):
-        takes = "needs b" if b is None else f"peels b = {entry.fixed_b} and takes no b"
+    # One unpacking, not five field reads: every map application runs this.
+    _, _, colored, fixed_b, least_a, least_b, _, _, _ = entry
+    if (b is None) == (fixed_b is None):
+        takes = "needs b" if b is None else f"peels b = {fixed_b} and takes no b"
         raise ValueError(f"map {map_name} {takes}; got b={b}")
-    b = entry.fixed_b if b is None else b
-    if (k < 2 if entry.colored else k != 1) or a < entry.least_a or b < entry.least_b:
-        rule = f"{'k >= 2' if entry.colored else 'k = 1'}, a >= {entry.least_a}, b >= {entry.least_b}"
+    b = fixed_b if b is None else b
+    if (k < 2 if colored else k != 1) or a < least_a or b < least_b:
+        rule = f"{'k >= 2' if colored else 'k = 1'}, a >= {least_a}, b >= {least_b}"
         raise ValueError(f"map {map_name} needs {rule}; got a={a}, b={b}, k={k}")
     return entry, b
 
@@ -186,8 +196,9 @@ def _require_cell(map_name: str, a: int, b: int | None, k: int) -> tuple[MapEntr
 def _run(map_name: str, parts, a: int, b: int | None, k: int) -> tuple[int, tuple, tuple]:
     """One application of a map: the cell, then the domain, then (case, left, right), sides not yet canonical."""
     entry, b = _require_cell(map_name, a, b, k)
-    _require_domain(parts, a + b, k, entry.domain, f"map {map_name}")
-    return globals()[entry.case](parts, b)
+    _, case, _, _, _, _, domain, _, _ = entry
+    _require_domain(parts, a + b, k, domain, map_name)
+    return globals()[case](parts, b)
 
 
 def _split(parts, b: int):
@@ -339,11 +350,11 @@ def peel_one_colored(parts, a: int, k: int) -> ImagePair:
     return ImagePair(canonicalize(left, k), canonicalize(right, k))
 
 
-def _require_domain(parts, total: int, k: int, constraint: Constraint, label: str):
+def _require_domain(parts, total: int, k: int, constraint: Constraint, map_name: str):
     """One pass over parts: sizes >= 1, colors in 1..k, the bans, canonical
     order and at most one overline per (size, color), then the weight.  Each
     part is compared with the previous part's size, color and overline.  The
-    ValueError names the first bad part."""
+    ValueError names the map and the first bad part."""
     forbidden = constraint.forbidden
     seen, last_size, last_color, last_over = 0, math.inf, 0, False
     for part in parts:
@@ -351,7 +362,7 @@ def _require_domain(parts, total: int, k: int, constraint: Constraint, label: st
         if size < 1:
             fault = "has size below 1"
         elif not 1 <= color <= k:
-            raise ValueError(f"{label}: color {color} outside 1..{k}")
+            raise ValueError(f"map {map_name}: color {color} outside 1..{k}")
         elif not overlined and (size, color) in forbidden:
             fault = "violates the domain constraint"
         elif size < last_size or size == last_size and (color < last_color or color == last_color and not last_over):
@@ -362,19 +373,13 @@ def _require_domain(parts, total: int, k: int, constraint: Constraint, label: st
             fault = "repeats an overlined (size, color)"
         else:
             fault = "is out of canonical order"
-        raise ValueError(f"{label}: part {Part(*part)} {fault}")
+        raise ValueError(f"map {map_name}: part {Part(*part)} {fault}")
     if seen != total:
-        raise ValueError(f"{label}: input weight {seen} != {total}")
+        raise ValueError(f"map {map_name}: input weight {seen} != {total}")
 
 
 @serial.record
-class AuditReport(
-    namedtuple(
-        "AuditReport",
-        "map_name a b k domain_size image_size codomain_size"
-        " well_defined injective surjective collision_witness unhit_witness",
-    )
-):
+class AuditReport(serial.Record):
     """Outcome of exhaustively testing a map on one parameter cell.
 
     map_name (str), a (int), b (int | None), k (int), domain_size,
@@ -383,6 +388,15 @@ class AuditReport(
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls, map_name, a, b, k, domain_size, image_size, codomain_size,
+        well_defined, injective, surjective, collision_witness, unhit_witness,
+    ):
+        return tuple.__new__(cls, (
+            map_name, a, b, k, domain_size, image_size, codomain_size,
+            well_defined, injective, surjective, collision_witness, unhit_witness,
+        ))
 
 
 def audit(map_name: str, a: int, b: int | None = None, k: int = 1, cap: int | None = None) -> AuditReport:

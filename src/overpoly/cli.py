@@ -12,6 +12,10 @@ decimals also parse); output is deterministic for fixed arguments.  The
 enumeration cap, the root-bracket width and the evaluation grid have
 defaults; --cap, --width and --xs override them on the command that reads
 them.
+
+run() is the process entry point.  It prints argparse's messages
+untranslated, whatever the locale, and freezes the import-time heap before
+it calls main(); main() does neither, so it can be called in-process.
 """
 
 from __future__ import annotations
@@ -335,15 +339,25 @@ def main(argv=None) -> int:
         return 1
 
 
+def _untranslated_plural(singular: str, plural: str, n: int) -> str:
+    return singular if n == 1 else plural
+
+
 def run() -> None:
     """Process entry point: `python -m overpoly.cli` and the `overpoly` script.
 
-    Moves every object the imports made into the collector's permanent
-    generation, so that the interpreter's shutdown neither traces nor tears
-    down that heap, then exits with main's code.  Atexit handlers, flushes,
-    exit codes and output are unchanged.  main itself freezes nothing,
-    because tests and tracers call it in-process.
+    Gives argparse its messages untranslated, moves every object the imports
+    made into the collector's permanent generation, so that the interpreter's
+    shutdown neither traces nor tears down that heap, then exits with main's
+    code.  Atexit handlers, flushes, exit codes and output are unchanged.
+    main itself does neither, because tests and tracers call it in-process.
     """
+    # argparse passes each message through gettext, whose first call imports
+    # locale (about 0.9 ms) only to find no argparse catalog; the CLI's output
+    # depends on its arguments alone, so the process takes the messages as
+    # written, which is what gettext returns without a catalog.
+    argparse._ = str
+    argparse.ngettext = _untranslated_plural
     gc.freeze()
     sys.exit(main())
 

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from collections.abc import Iterator, Mapping
+
+from .serial import Record
 
 __all__ = [
     "Part",
@@ -44,10 +45,13 @@ __all__ = [
 ]
 
 
-class Part(namedtuple("Part", "size color overlined", defaults=(1, False))):
+class Part(Record):
     """One part: size (int), color (int, default 1), overlined (bool, default False)."""
 
     __slots__ = ()
+
+    def __new__(cls, size, color=1, overlined=False):
+        return tuple.__new__(cls, (size, color, overlined))
 
     def __str__(self) -> str:
         bar = "~" if self.overlined else ""
@@ -58,13 +62,16 @@ _POSITIVE = "0*[1-9][0-9]*"
 _BAN = f"({_POSITIVE})(?:_({_POSITIVE}))?"  # s or s_c in decimal digits
 
 
-class Constraint(namedtuple("Constraint", "forbidden", defaults=(frozenset(),))):
+class Constraint(Record):
     """Forbidden (size, color) pairs, banned for non-overlined parts only.
 
     forbidden (frozenset[tuple[int, int]], default empty): the banned pairs.
     """
 
     __slots__ = ()
+
+    def __new__(cls, forbidden=frozenset()):
+        return tuple.__new__(cls, (forbidden,))
 
     def allows(self, size: int, color: int, overlined: bool) -> bool:
         return overlined or (size, color) not in self.forbidden

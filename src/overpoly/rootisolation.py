@@ -49,12 +49,12 @@ variations_in_interval is on the search's path.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
 from .polynomials import Poly, _horner, _scaled_coeffs
+from .serial import Record
 
 __all__ = [
     "sign_variations",
@@ -189,7 +189,7 @@ def no_roots_above(p: Poly, c) -> bool:
     return sign_variations(_integer_shift(p.nums, c)) == 0
 
 
-class RootBracket(namedtuple("RootBracket", "lo hi")):
+class RootBracket(Record):
     """[lo, hi] containing the largest non-negative real root: lo == hi is
     that root exactly, and otherwise p changes sign in (lo, hi).
 
@@ -197,6 +197,9 @@ class RootBracket(namedtuple("RootBracket", "lo hi")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, lo, hi):
+        return tuple.__new__(cls, (lo, hi))
 
 
 def round_half_away(q: Fraction, places: int = 2) -> str:

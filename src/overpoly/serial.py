@@ -1,24 +1,67 @@
-"""JSON-safe encoding for report payloads, and the JSON text the CLI prints.
+"""The record base, JSON-safe encoding for report payloads, and the JSON text the CLI prints.
 
-Fractions become "p/q" strings (always with the slash), record classes (the
-namedtuple classes marked with @record) become {field: value} objects in
-field order, and every other tuple becomes a list; decoding reverses the
-first and last, and load rebuilds a record, so a report written by dumps and
-read back by json.loads and load is an equal value.  dumps writes what
-encode returns, as json.dumps does, without loading the json package.
-Payload strings that themselves look like "p/q" would be mis-decoded; report
-fields never contain such strings.
+Record is the tuple base of the package's record classes.  Fractions become
+"p/q" strings (always with the slash), record classes marked with @record
+become {field: value} objects in field order, and every other tuple becomes
+a list; decoding reverses the first and last, and load rebuilds a record, so
+a report written by dumps and read back by json.loads and load is an equal
+value.  dumps writes what encode returns, as json.dumps does, without
+loading the json package.  Payload strings that themselves look like "p/q"
+would be mis-decoded; report fields never contain such strings.
 """
 
 from __future__ import annotations
 
 import re
+from collections import _tuplegetter  # namedtuple's field descriptor, with its own fallback
 from fractions import Fraction
 
 _FRACTION = r"^-?\d+/\d+$"
 _RECORDS: set[type] = set()
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 _INFINITY = float("inf")
+
+
+class Record(tuple):
+    """A tuple whose fields are the parameters of its class's own __new__.
+
+    A subclass sets __slots__ = () and writes __new__(cls, field, ...,
+    field=default) returning tuple.__new__(cls, (field, ...)).  From that
+    signature the class gets _fields, _field_defaults and a read-only
+    attribute per field; the base gives namedtuple's _make, _replace (with
+    its errors), repr and pickling, without compiling code from a string.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        new = cls.__new__
+        fields = new.__code__.co_varnames[1 : new.__code__.co_argcount]
+        defaults = new.__defaults__ or ()
+        cls._fields = fields
+        cls._field_defaults = dict(zip(fields[len(fields) - len(defaults) :], defaults))
+        for index, name in enumerate(fields):
+            setattr(cls, name, _tuplegetter(index, f"Alias for field number {index}"))
+
+    @classmethod
+    def _make(cls, iterable):
+        result = tuple.__new__(cls, iterable)
+        if len(result) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(result)}")
+        return result
+
+    def _replace(self, /, **changes):
+        result = self._make(map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self):
+        return tuple(self)
 
 
 def record(cls):

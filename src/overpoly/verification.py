@@ -42,7 +42,7 @@ before any pbar is computed.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -111,13 +111,7 @@ PBAR_FLOAT_N_MAX = 52925  # the largest n with float(pbar(n)) finite
 
 
 @serial.record
-class VerifyReport(
-    namedtuple(
-        "VerifyReport",
-        "claim range_checked holds exceptions counterexample inconclusive stats",
-        defaults=((), None, (), {}),  # the default dict is shared, so no report mutates its stats
-    )
-):
+class VerifyReport(serial.Record):
     """One claim checked over one range.
 
     claim (str), range_checked (str), holds (bool), exceptions (tuple,
@@ -126,6 +120,10 @@ class VerifyReport(
     """
 
     __slots__ = ()
+
+    # The default dict is shared, so no report mutates its stats.
+    def __new__(cls, claim, range_checked, holds, exceptions=(), counterexample=None, inconclusive=(), stats={}):
+        return tuple.__new__(cls, (claim, range_checked, holds, exceptions, counterexample, inconclusive, stats))
 
 
 def _rel_slack(lhs: float, rhs: float) -> float:
@@ -353,9 +351,7 @@ def check_descent(ns=DEFAULT_DESCENT_NS) -> VerifyReport:
 
 
 @serial.record
-class BoundTriple(
-    namedtuple("BoundTriple", "n lower upper exact mu main_term remainder_bound remainder_ok")
-):
+class BoundTriple(serial.Record):
     """Sandwich bounds and truncated-series data for one n.
 
     n (int), lower, upper (float), exact (int), mu, main_term,
@@ -363,6 +359,9 @@ class BoundTriple(
     """
 
     __slots__ = ()
+
+    def __new__(cls, n, lower, upper, exact, mu, main_term, remainder_bound, remainder_ok):
+        return tuple.__new__(cls, (n, lower, upper, exact, mu, main_term, remainder_bound, remainder_ok))
 
 
 @lru_cache(maxsize=None)
@@ -545,13 +544,16 @@ def check_ie11(a_lo: int, a_hi: int) -> VerifyReport:
 
 
 @serial.record
-class RootRecord(namedtuple("RootRecord", "a b bracket_lo bracket_hi rounded")):
+class RootRecord(serial.Record):
     """Certified bracket for the largest non-negative real root of one gap polynomial.
 
     a, b (int), bracket_lo, bracket_hi (Fraction), rounded (str)
     """
 
     __slots__ = ()
+
+    def __new__(cls, a, b, bracket_lo, bracket_hi, rounded):
+        return tuple.__new__(cls, (a, b, bracket_lo, bracket_hi, rounded))
 
 
 def roots_table(a_max: int, b_max: int, width=DEFAULT_WIDTH) -> list[RootRecord]:

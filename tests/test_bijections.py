@@ -192,7 +192,7 @@ def test_domain_check_agrees_with_the_key_order():
         for given in product(pool, repeat=length):
             for total in (weight(given), weight(given) + 1):
                 try:
-                    bijections._require_domain(given, total, 2, ban, "map x")
+                    bijections._require_domain(given, total, 2, ban, "x")
                     got = None
                 except ValueError as exc:
                     got = str(exc)
@@ -425,6 +425,21 @@ def test_audit_witnesses_of_images_outside_the_codomain_match_a_brute_force_pass
     assert report.collision_witness == collision is not None
     assert report.unhit_witness == unhit
     assert report.image_size == image_size
+
+
+def test_audit_is_not_surjective_when_every_pair_is_hit_but_an_image_misses(monkeypatch):
+    # g1 at a = 2 maps 4 onto 4.  With one element gone from the left codomain,
+    # both remaining pairs are hit and the two images on that element miss.
+    full = bijections.enumerate_ops
+
+    def short_left(n, *args, **kwargs):
+        found = full(n, *args, **kwargs)
+        return found[:-1] if n == 2 else found
+
+    monkeypatch.setattr(bijections, "enumerate_ops", short_left)
+    report = audit("g1", 2)
+    assert (report.domain_size, report.codomain_size, report.image_size, report.unhit_witness) == (4, 2, 4, None)
+    assert not report.well_defined and report.injective and not report.surjective
 
 
 @pytest.mark.parametrize(

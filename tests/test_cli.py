@@ -487,6 +487,29 @@ def _modules_loaded_by_cli_import(*modules, runs=()):
     return result.stdout.decode().splitlines()[-1]
 
 
+def _modules_imported_by_entry_point(*argv) -> list[str]:
+    """The modules a `python -X importtime -m overpoly.cli ARGV` process imported after site, in import order."""
+    result = _python("-X", "importtime", "-m", "overpoly.cli", *argv)
+    names = [
+        line.rpartition("|")[2].strip()
+        for line in result.stderr.decode().splitlines()
+        if line.startswith("import time:") and not line.endswith("imported package")
+    ]
+    return names[names.index("site") + 1 :] if "site" in names else names
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "ie8"], ["bijection", "g1", "--a", "3"], ["roots", "--amax", "2", "--bmax", "2"],
+     ["roots", "--amax", "x"], ["-h"]],
+    ids=" ".join,
+)
+def test_entry_point_leaves_locale_unloaded(argv):
+    # run() gives argparse its messages untranslated: gettext's first lookup imports locale.
+    imported = _modules_imported_by_entry_point(*argv)
+    assert "argparse" in imported and "locale" not in imported
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     assert _modules_loaded_by_cli_import("mpmath") == "[]"
 
@@ -502,7 +525,7 @@ def test_cli_import_leaves_process_pool_unloaded():
 
 
 def test_cli_import_leaves_dataclasses_unloaded():
-    # dataclasses pulls in inspect, ast, dis and tokenize; the report records are namedtuples.
+    # dataclasses pulls in inspect, ast, dis and tokenize; the report records are serial.Record tuples.
     assert _modules_loaded_by_cli_import("dataclasses", "inspect") == "[]"
 
 
@@ -588,6 +611,17 @@ def test_one_subcommand_parser_prints_what_the_full_parser_prints(capsys, monkey
     outcome = run(capsys, *argv)
     monkeypatch.setattr("overpoly.cli.build_parser", lambda command=None: build_parser())
     assert run(capsys, *argv) == outcome
+
+
+@pytest.mark.parametrize("columns", ["40", "80"])
+def test_entry_point_prints_what_main_prints(capsys, monkeypatch, columns):
+    # run() takes argparse's messages untranslated, main the stock ones; two processes at a time.
+    monkeypatch.setenv("COLUMNS", columns)
+    argvs = [*PARSE_ONLY_ARGVS, ["poly", "3", "--eval", "1/0"], ["verify", "th4", "--xs", "1,x"]]
+    expected = [run(capsys, *argv) for argv in argvs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(lambda argv: _python("-m", "overpoly.cli", *argv), argvs))
+    assert [(r.returncode, r.stdout.decode(), r.stderr.decode()) for r in results] == expected
 
 
 def test_a_one_subcommand_parser_holds_only_that_subcommand():

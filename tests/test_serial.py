@@ -2,6 +2,8 @@
 
 import json
 import pickle
+import sys
+from copy import copy as shallow_copy
 from fractions import Fraction
 from pathlib import Path
 
@@ -130,4 +132,22 @@ def test_record_contract(cls, fields, defaults, sample, text):
     assert type(changed) is cls and changed == (*sample[:-1], None)
     assert not hasattr(sample, "__dict__")
     assert cls.__doc__ and cls.__name__ == cls.__qualname__
+    # _make, _replace, keyword construction, defaults and copy as namedtuple has them, messages included
+    assert cls._make(iter(sample)) == sample and type(cls._make(sample)) is cls
+    with pytest.raises(TypeError, match=rf"^Expected {len(fields)} arguments, got {len(fields) + 1}$"):
+        cls._make((*sample, None))
+    with pytest.raises(ValueError, match=r"^Got unexpected field names: \['bogus'\]$"):
+        sample._replace(bogus=1)
+    assert cls(**dict(zip(fields, sample))) == sample
+    required = {name: value for name, value in zip(fields, sample) if name not in defaults}
+    built = cls(**required)
+    assert built == (*required.values(), *defaults.values())
+    assert all(getattr(built, name) is value for name, value in cls._field_defaults.items())  # shared
+    assert type(shallow_copy(sample)) is cls and shallow_copy(sample) == sample
+
+
+@pytest.mark.parametrize("cls", [r[0] for r in RECORDS], ids=[r[0].__name__ for r in RECORDS])
+def test_record_constructor_is_compiled_from_its_module(cls):
+    # namedtuple compiles each __new__ from a string, which costs every process ~0.1 ms a class.
+    assert cls.__new__.__code__.co_filename == sys.modules[cls.__module__].__file__
 
