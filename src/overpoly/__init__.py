@@ -7,7 +7,7 @@ case-defined injections behind the product inequalities, and verifies the
 analytic bounds and the certified table of largest gap-polynomial roots.
 """
 
-from .divisors import divisors, pbar_exact, pbar_prefix, sigma, sigma_bar, tau_alt
+from .divisors import divisors, pbar_exact, pbar_prefix, sigma, sigma_bar
 from .enumeration import (
     CapExceededError,
     Constraint,

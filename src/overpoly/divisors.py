@@ -1,14 +1,14 @@
 """Divisor sums and the exact integer recursion for the overpartition counting function.
 
-Three arithmetic functions drive everything downstream:
+Two arithmetic functions drive everything downstream:
 
     sigma(n)      sum of the positive divisors of n
-    tau_alt(n)    alternating divisor sum  sum_{d | n} (-1)^(n/d) * d
     sigma_bar(n)  2^(m+1) * sigma(l)  where n = 2^m * l with l odd
 
-They are linked by the identity sigma - tau_alt = sigma_bar.  sigma_bar is
-computed from the 2-adic valuation directly and the difference sigma - tau_alt
-only serves as a cross-check, so a bug in one path cannot mask the other.
+sigma_bar is computed from the 2-adic valuation directly.  It equals sigma
+minus the alternating divisor sum sum_{d | n} (-1)^(n/d) * d, which the
+tests compute on their own (tau_alt in tests/oracles.py) as a cross-check,
+so a bug in one path cannot mask the other.
 
 pbar(n), the number of overpartitions of n, has the generating function
 prod_{m>=1} (1+q^m)/(1-q^m), the reciprocal of Gauss's theta product
@@ -39,7 +39,7 @@ from functools import lru_cache
 from math import isqrt
 from operator import itemgetter
 
-__all__ = ["divisors", "sigma", "tau_alt", "sigma_bar", "pbar_exact", "pbar_prefix"]
+__all__ = ["divisors", "sigma", "sigma_bar", "pbar_exact", "pbar_prefix"]
 
 
 def divisors(n: int) -> list[int]:
@@ -61,13 +61,8 @@ def sigma(n: int) -> int:
     return sum(divisors(n))
 
 
-def tau_alt(n: int) -> int:
-    """Alternating divisor sum  sum_{d | n} (-1)^(n/d) * d.  May be negative."""
-    return sum(d if (n // d) % 2 == 0 else -d for d in divisors(n))
-
-
 def sigma_bar(n: int) -> int:
-    """2^(m+1) * sigma(l) for n = 2^m * l with l odd.  Equals sigma(n) - tau_alt(n)."""
+    """2^(m+1) * sigma(l) for n = 2^m * l with l odd: sigma(n) minus the alternating divisor sum."""
     if n < 1:
         raise ValueError(f"sigma_bar undefined for n={n}; need n >= 1")
     m = 0

@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_CAPS",
     "weight",
     "canonicalize",
-    "is_canonical",
     "iter_ops",
     "enumerate_ops",
     "count_ops",
@@ -149,10 +148,6 @@ def canonicalize(parts, k: int | None = None) -> tuple[Part, ...]:
     if not in_order:
         return canonicalize(sorted(parts, key=_canonical_key), k)
     return tuple(parts) if all_parts else tuple(p if type(p) is Part else Part(*p) for p in parts)
-
-
-def is_canonical(parts) -> bool:
-    return list(parts) == sorted(parts, key=_canonical_key)
 
 
 def iter_ops(

@@ -3,20 +3,16 @@
 Record is the tuple base of the package's record classes.  Fractions become
 "p/q" strings (always with the slash), record classes marked with @record
 become {field: value} objects in field order, and every other tuple becomes
-a list; decoding reverses the first and last, and load rebuilds a record, so
-a report written by dumps and read back by json.loads and load is an equal
-value.  dumps writes what encode returns, as json.dumps does, without
-loading the json package.  Payload strings that themselves look like "p/q"
-would be mis-decoded; report fields never contain such strings.
+a list.  dumps writes what encode returns, as json.dumps does, without
+loading the json package.  Nothing in the package reads a payload back; the
+tests' decode and load (tests/oracles.py) reverse the encoding.
 """
 
 from __future__ import annotations
 
-import re
 from collections import _tuplegetter  # namedtuple's field descriptor, with its own fallback
 from fractions import Fraction
 
-_FRACTION = r"^-?\d+/\d+$"
 _RECORDS: set[type] = set()
 _ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 _INFINITY = float("inf")
@@ -80,21 +76,6 @@ def encode(value):
     if isinstance(value, dict):
         return {str(k): encode(v) for k, v in value.items()}
     return value
-
-
-def decode(value):
-    if isinstance(value, str) and re.match(_FRACTION, value):
-        return Fraction(value)
-    if isinstance(value, list):
-        return tuple(decode(v) for v in value)
-    if isinstance(value, dict):
-        return {k: decode(v) for k, v in value.items()}
-    return value
-
-
-def load(cls, data: dict):
-    """Rebuild a record of class cls from its encode() output."""
-    return cls(**decode(data))
 
 
 def dumps(value, sort_keys: bool = False) -> str:

@@ -1,15 +1,26 @@
 """Reference routines that the tests compare the package against.
 
-They work on plain lists of coefficients, ascending by degree, Fraction or
+Most work on plain lists of coefficients, ascending by degree, Fraction or
 int, or on plain numbers, and share no code with overpoly.  The package's
 Poly has no ring arithmetic, so poly_mul and formal_derivative are the
-tests' product and derivative of coefficient lists.
+tests' product and derivative of coefficient lists.  Routes only the tests
+read live here too: tau_alt for the sigma_bar identity, is_canonical for
+enumeration order, and decode and load, which read back what serial.encode
+writes.  canonical_image is the one that calls the package: it sends both
+raw sides of a map's case function, slice and built parts together, through
+canonicalize, where the maps check only the parts a case built.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
+
+from overpoly.bijections import ImagePair
+from overpoly.enumeration import canonicalize
+
+_FRACTION = r"^-?\d+/\d+$"
 
 
 def poly_mul(a, b) -> list:
@@ -104,3 +115,44 @@ def ie8_pair_scan(pb, a_max, band) -> tuple[list, float, tuple]:
                 min_slack, argmin = slack, (a, j + 1, 1)
         near += [((a, b, b - j), close[j]) for b in range(2, a + 1) for j in reversed(close) if j < b]
     return near, min_slack, argmin
+
+
+def tau_alt(n: int) -> int:
+    """Alternating divisor sum sum_{d | n} (-1)^(n/d) * d, by trial division to sqrt(n).  May be negative."""
+    if n < 1:
+        raise ValueError(f"tau_alt undefined for n={n}; need n >= 1")
+    total = 0
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            for e in {d, n // d}:
+                total += e if (n // e) % 2 == 0 else -e
+    return total
+
+
+def is_canonical(parts) -> bool:
+    """Are the parts in canonical order: size, then color, descending, plain copies before the overlined one?"""
+    return list(parts) == sorted(parts, key=lambda p: (-p[0], -p[1], p[2]))
+
+
+def decode(value):
+    """The reverse of serial.encode: "p/q" strings to Fractions, lists to tuples, dicts value by value."""
+    if isinstance(value, str) and re.match(_FRACTION, value):
+        return Fraction(value)
+    if isinstance(value, list):
+        return tuple(decode(v) for v in value)
+    if isinstance(value, dict):
+        return {k: decode(v) for k, v in value.items()}
+    return value
+
+
+def load(cls, data: dict):
+    """Rebuild a record of class cls from its encode() output."""
+    return cls(**decode(data))
+
+
+def canonical_image(case_function, parts, b: int, k: int | None) -> ImagePair:
+    """The image of parts under a map's case function, each raw side (slice
+    and built parts together) through canonicalize with color bound k, None
+    for the uncolored maps."""
+    _, left, left_built, right, right_built = case_function(parts, b)
+    return ImagePair(canonicalize(left + left_built, k), canonicalize(right + right_built, k))

@@ -8,11 +8,11 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import formal_derivative
+from oracles import formal_derivative, tau_alt
 
 from overpoly.bijections import audit
 from overpoly.cli import main
-from overpoly.divisors import pbar_exact, pbar_prefix, sigma, sigma_bar, tau_alt
+from overpoly.divisors import pbar_exact, pbar_prefix, sigma, sigma_bar
 from overpoly.enumeration import count_ops, forbid
 from overpoly.polynomials import (
     colored_count_via_product,

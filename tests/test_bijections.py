@@ -8,6 +8,8 @@ from itertools import product
 
 import pytest
 
+from oracles import canonical_image, load
+
 from overpoly import bijections
 from overpoly.bijections import (
     MAP_NAMES,
@@ -25,7 +27,7 @@ from overpoly.bijections import (
     split_point,
 )
 from overpoly.enumeration import Part, count_ops, enumerate_ops, forbid, weight
-from overpoly.serial import encode, load
+from overpoly.serial import encode
 
 B = True  # overlined
 
@@ -251,13 +253,96 @@ def test_case_and_image_of_every_domain_element_are_pinned(cell):
     assert hashlib.sha256(repr(pairs).encode()).hexdigest() == IMAGE_HASHES[cell]
 
 
+@pytest.mark.parametrize("map_name, a, b, k", [*CELLS, *IMAGE_HASHES])
+def test_every_image_is_its_case_sides_canonicalized(map_name, a, b, k):
+    # The maps check only the parts a case built; the oracle sends both whole sides through canonicalize.
+    entry = MAPS[map_name]
+    apply_map, case_function = getattr(bijections, entry.apply), getattr(bijections, entry.case)
+    map_args = (a, *(() if b is None else (b,)), *((k,) if entry.colored else ()))
+    weight_b, side_k = entry.fixed_b or b, k if entry.colored else None
+    for lam in _domain(map_name, a, b, k):
+        expected = canonical_image(case_function, lam, weight_b, side_k)
+        assert repr(apply_map(lam, *map_args)) == repr(expected), lam
+
+
+# sha256 of repr(audit(*cell)), recorded when the maps sent both sides of every image through canonicalize.
+FAST_PATH_REPORTS = {
+    ("g1", 12, None, 1): "bcf031a4550e29e499aa7e328202f9dc9c553449231034cb1b60b10d28b3e453",
+    ("g2", 14, None, 1): "c724061083555640b4eefd345a79f455d238ea2a3f7af9ab2d3d9ddb1a16420a",
+    ("fk", 6, 4, 2): "e2aa4ebdf552948f6d6dc523d6c7b274b1c8101bde84dbc9603606814d349a1c",
+    ("gk", 6, None, 3): "d4dae7bf7eadd1e01cf7e86e3e2f84bc2154ce0ead46589ca2cdae1569d0919b",
+    ("f", 8, 5, 1): "bcb9aecdc2e105084ff0395729d290a1419ad03e4706364d5ecddad87c80b6fe",  # 6 inputs halve an odd size into two equal parts
+}
+
+
+@pytest.mark.parametrize("cell", FAST_PATH_REPORTS, ids=lambda cell: " ".join(map(str, cell)))
+def test_audit_builds_every_image_without_canonicalize(monkeypatch, cell):
+    # Every case emits its built parts in canonical order, so no side of a valid input is sorted or re-checked.
+    original, calls = bijections.canonicalize, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bijections, "canonicalize", counted)
+    report = audit(*cell)
+    assert calls == []
+    assert hashlib.sha256(repr(report).encode()).hexdigest() == FAST_PATH_REPORTS[cell]
+
+
+# Each rebuilds the left side's built parts from (slice, built).
+BAD_BUILDS = {
+    "size 0": lambda kept, built: built + (Part(0),),
+    "color above k": lambda kept, built: (Part(1, 3),),  # in order after every slice here
+    "overline repeated at the seam": lambda kept, built: (kept[-1],) + built,
+    "out of order": lambda kept, built: built + (Part(kept[0][0] + 1),),
+    "not a Part": lambda kept, built: built + ((1, 1, True),),
+}
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("bad", BAD_BUILDS)
+@pytest.mark.parametrize(
+    "case_name, apply_map, given, map_args, b, k",
+    [
+        ("_peel_one", peel_one, parts((5, 1, B), (3, 1, False)), (7,), 1, None),
+        ("_split_colored", split_pair_colored, parts((6, 1, B), (5, 2, B), (3, 1, False)), (12, 2, 2), 2, 2),
+    ],
+    ids=["g1", "fk"],
+)
+def test_a_bad_built_part_is_left_to_canonicalize(monkeypatch, case_name, apply_map, given, map_args, b, k, bad):
+    original = getattr(bijections, case_name)
+
+    def built_badly(lam, b):
+        case, left, left_built, right, right_built = original(lam, b)
+        return case, left, BAD_BUILDS[bad](left, left_built), right, right_built
+
+    monkeypatch.setattr(bijections, case_name, built_badly)
+    expected = _outcome(lambda: canonical_image(built_badly, given, b, k))
+    assert repr(_outcome(lambda: apply_map(given, *map_args))) == repr(expected)  # a plain tuple would show
+    if bad in ("size 0", "overline repeated at the seam") or bad == "color above k" and k is not None:
+        assert expected.startswith("ValueError: part ") or expected.startswith("ValueError: duplicate overline")
+    else:  # sorted or converted to Part; the uncolored maps bound no color
+        _, left, left_built, _, _ = built_badly(given, b)
+        assert expected.left == tuple(sorted(left + left_built, key=lambda p: (-p[0], -p[1], p[2])))
+
+
 @pytest.mark.parametrize("map_name, a, b, k", CELLS)
 def test_maps_take_parts_as_plain_tuples(map_name, a, b, k):
     # The domain check reads plain (size, color, overlined) tuples; the maps used to read .size and .color.
+    # Such inputs, or a list of Parts, take canonicalize's route and still give an image of Parts.
     apply_map = getattr(bijections, MAPS[map_name].apply)
     map_args = (a, *(() if b is None else (b,)), *((k,) if MAPS[map_name].colored else ()))
     for lam in _domain(map_name, a, b, k):
-        assert apply_map(tuple(map(tuple, lam)), *map_args) == apply_map(lam, *map_args)
+        expected = repr(apply_map(lam, *map_args))
+        assert repr(apply_map(tuple(map(tuple, lam)), *map_args)) == expected
+        assert repr(apply_map(list(lam), *map_args)) == expected
 
 
 def test_weight_conservation():

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import pytest
 
+from oracles import load
+
 from overpoly import bijections
 from overpoly.bijections import AuditReport, expected_verdict
 from overpoly.cli import build_parser, main
 from overpoly.enumeration import count_ops, format_parts
-from overpoly.serial import load
 from overpoly.verification import BoundTriple, RootRecord, VerifyReport
 
 

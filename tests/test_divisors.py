@@ -6,7 +6,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from overpoly.divisors import divisors, pbar_exact, pbar_prefix, sigma, sigma_bar, tau_alt
+from oracles import tau_alt
+
+from overpoly.divisors import divisors, pbar_exact, pbar_prefix, sigma, sigma_bar
 
 divisors_module = importlib.import_module("overpoly.divisors")  # the package's `divisors` is the function
 

@@ -8,6 +8,8 @@ from itertools import chain, product, zip_longest
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import is_canonical
+
 from overpoly import bijections
 from overpoly.divisors import pbar_exact
 from overpoly.enumeration import (
@@ -20,7 +22,6 @@ from overpoly.enumeration import (
     count_ops,
     enumerate_ops,
     forbid,
-    is_canonical,
     iter_ops,
     weight,
 )

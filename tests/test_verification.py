@@ -9,13 +9,13 @@ from unittest.mock import patch
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import formal_derivative, fraction_shift, ie8_pair_scan, mpmath_sandwich_terms
+from oracles import formal_derivative, fraction_shift, ie8_pair_scan, load, mpmath_sandwich_terms
 
 from overpoly import polynomials, rootisolation, verification
 from overpoly.bijections import AuditReport
 from overpoly.divisors import pbar_exact, pbar_prefix
 from overpoly.polynomials import Poly, pbar_poly, product_gap_poly, scaled_values
-from overpoly.serial import encode, load
+from overpoly.serial import encode
 from overpoly.verification import (
     BoundTriple,
     CLAIMS,
