@@ -23,10 +23,11 @@ the plain 1's a split adds go before a closing 1~_1, a lowered 1~_2 after
 the two plain 1_2's that come with it, and of two equal halves the plain
 one first.
 
-MAPS is the one registry of the five maps.  The public maps and
-dispatch_case go through one runner that checks the cell (once per cell,
-cached) and then the domain against the map's entry before it calls the
-entry's function; audit reads the same entry.  The domain check has already
+MAPS is the one registry of the five maps.  The public maps go through one
+runner that checks the cell (once per cell, cached) and then the domain
+against the map's entry before it calls the entry's function;
+dispatch_case makes the same two checks and returns the case number
+without building the image; audit reads the same entry.  The domain check has already
 validated the input, so a slice of it is canonical as it stands; _side
 checks only the built parts and the seam where they meet the slice, as
 canonicalize would, and returns slice + built.  canonicalize still runs on
@@ -194,8 +195,11 @@ def _one_case(guards, context) -> int:
 
 
 def dispatch_case(map_name: str, parts, a: int, b: int | None = None, k: int = 1) -> int:
-    """0-based index of the unique case a map applies to the given input."""
-    return _run(map_name, parts, a, b, k)[0]
+    """0-based index of the unique case a map applies to the given input; no image is checked."""
+    case_function, fixed_b, domain, _ = _require_cell(map_name, a, b, k)
+    b = fixed_b if b is None else b
+    _require_domain(parts, a + b, k, domain, map_name)
+    return _NAMESPACE[case_function](parts, b)[0]
 
 
 # Every application of an audit checks the same cell.  A cell that raises is

@@ -13,19 +13,25 @@ enumeration cap, the root-bracket width and the evaluation grid have
 defaults; --cap, --width and --xs override them on the command that reads
 them.
 
-run() is the process entry point.  It prints argparse's messages
-untranslated, whatever the locale, and freezes the import-time heap before
-it calls main(); main() does neither, so it can be called in-process.
+Each subcommand's arguments are declared once, in _COMMANDS.  build_parser
+gives them to argparse, and _parse_exact reads them to parse a well-formed
+argv (full flag names, each at most once, valid values) without importing
+argparse, which loads gettext; argparse parses every other argv and remains
+the only source of help, usage and error messages.
+
+run() is the process entry point.  It freezes the import-time heap and has
+argparse, when it runs, print its messages untranslated, whatever the
+locale; main() does neither, so it can be called in-process.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 from .bijections import MAP_NAMES, audit, expected_verdict
 from .enumeration import (
@@ -51,8 +57,6 @@ from .verification import (
 
 __all__ = ["main", "build_parser", "run"]
 
-_COMMANDS = ("poly", "series", "enumerate", "bijection", "verify", "roots", "bounds")
-
 
 def _rational(text: str) -> Fraction:
     """What Fraction() reads, in ASCII and without '_'; Fraction() alone also reads '1_0' and non-ASCII digits."""
@@ -61,6 +65,8 @@ def _rational(text: str) -> Fraction:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
         pass
+    import argparse
+
     raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
@@ -73,6 +79,8 @@ def _int(text: str) -> int:
     body = text.strip()
     digits = body[1:] if body.startswith(("+", "-")) else body
     if not (digits.isascii() and digits.isdigit()):
+        import argparse
+
         raise argparse.ArgumentTypeError(f"not an integer: {body!r}")
     return int(text)
 
@@ -99,6 +107,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     main passes its first argument: a parser built for it prints the same
     help, usage and errors as the full one on every argv that starts with it.
     """
+    import argparse
+
     names = (command,) if command in _COMMANDS else _COMMANDS
     parser = argparse.ArgumentParser(
         prog="overpoly",
@@ -109,64 +119,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     # errors (no subcommand, an unknown one); a one-subcommand parser has none.
     metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-
-    if "poly" in names:
-        p = sub.add_parser("poly", help="overpartition polynomial for one n")
-        p.set_defaults(handler=_cmd_poly)
-        p.add_argument("n", type=_int)
-        p.add_argument("--eval", dest="point", type=_rational, help="evaluate at a rational point")
-        p.add_argument("--derivative", action="store_true", help="use the derivative-identity polynomial")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    if "series" in names:
-        p = sub.add_parser("series", help="truncated exponential generating series")
-        p.set_defaults(handler=_cmd_series)
-        p.add_argument("order", type=_int)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    if "enumerate" in names:
-        p = sub.add_parser("enumerate", help="list k-colored overpartitions of n")
-        p.set_defaults(handler=_cmd_enumerate)
-        p.add_argument("n", type=_int)
-        p.add_argument("--colors", type=_int, default=1)
-        p.add_argument("--forbid", default="", help='non-overlined bans, e.g. "1_1,2_1"')
-        p.add_argument("--count", action="store_true", help="print the count only")
-        p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    if "bijection" in names:
-        p = sub.add_parser("bijection", help="exhaustively audit one of the injections")
-        p.set_defaults(handler=_cmd_bijection)
-        p.add_argument("map", choices=MAP_NAMES)
-        p.add_argument("--a", type=_int, required=True)
-        p.add_argument("--b", type=_int)
-        p.add_argument("--colors", type=_int, default=1)
-        p.add_argument("--cap", type=_int, help="enumeration cap for this color count")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    if "verify" in names:
-        p = sub.add_parser("verify", help="check one claim over its range")
-        p.set_defaults(handler=_cmd_verify)
-        p.add_argument("claim", choices=tuple(CLAIMS))
-        for flag, (param, kind, text) in _RANGE_FLAGS.items():
-            p.add_argument(flag, dest=param, metavar=flag[2:].upper(), type=kind, help=text)
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    if "roots" in names:
-        p = sub.add_parser("roots", help="certified max-root table for the gap polynomials")
-        p.set_defaults(handler=_cmd_roots)
-        p.add_argument("--amax", type=_int, default=10)
-        p.add_argument("--bmax", type=_int, default=10)
-        p.add_argument("--width", type=_rational, default=DEFAULT_WIDTH, help=f"bracket width (default {DEFAULT_WIDTH})")
-        p.add_argument("--format", choices=("csv", "json", "text"), default="csv")
-
-    if "bounds" in names:
-        p = sub.add_parser("bounds", help="analytic sandwich and truncated-series data")
-        p.set_defaults(handler=_cmd_bounds)
-        p.add_argument("n", type=_int, nargs="?")
-        p.add_argument("--nmax", type=_int, help="scan 1..nmax instead of a single n")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
+    for name in names:
+        text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
     return parser
 
 
@@ -311,14 +269,134 @@ def _cmd_bounds(args) -> int:
     return 0 if all_ok else 1
 
 
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_CAP = ("--cap", {"type": _int, "help": "enumeration cap for this color count"})
+
+# subcommand -> (help, handler, arguments), each argument add_argument's
+# (name, keywords).  build_parser declares them to argparse and _parse_exact
+# reads the same entries; each subcommand has at most one positional.
+_COMMANDS = {
+    "poly": ("overpartition polynomial for one n", _cmd_poly, (
+        ("n", {"type": _int}),
+        ("--eval", {"dest": "point", "type": _rational, "help": "evaluate at a rational point"}),
+        ("--derivative", {"action": "store_true", "help": "use the derivative-identity polynomial"}),
+        _FORMAT,
+    )),
+    "series": ("truncated exponential generating series", _cmd_series, (("order", {"type": _int}), _FORMAT)),
+    "enumerate": ("list k-colored overpartitions of n", _cmd_enumerate, (
+        ("n", {"type": _int}),
+        ("--colors", {"type": _int, "default": 1}),
+        ("--forbid", {"default": "", "help": 'non-overlined bans, e.g. "1_1,2_1"'}),
+        ("--count", {"action": "store_true", "help": "print the count only"}),
+        _CAP,
+        _FORMAT,
+    )),
+    "bijection": ("exhaustively audit one of the injections", _cmd_bijection, (
+        ("map", {"choices": MAP_NAMES}),
+        ("--a", {"type": _int, "required": True}),
+        ("--b", {"type": _int}),
+        ("--colors", {"type": _int, "default": 1}),
+        _CAP,
+        _FORMAT,
+    )),
+    "verify": ("check one claim over its range", _cmd_verify, (
+        ("claim", {"choices": tuple(CLAIMS)}),
+        *((flag, {"dest": param, "metavar": flag[2:].upper(), "type": kind, "help": text})
+          for flag, (param, kind, text) in _RANGE_FLAGS.items()),
+        _FORMAT,
+    )),
+    "roots": ("certified max-root table for the gap polynomials", _cmd_roots, (
+        ("--amax", {"type": _int, "default": 10}),
+        ("--bmax", {"type": _int, "default": 10}),
+        ("--width", {"type": _rational, "default": DEFAULT_WIDTH, "help": f"bracket width (default {DEFAULT_WIDTH})"}),
+        ("--format", {"choices": ("csv", "json", "text"), "default": "csv"}),
+    )),
+    "bounds": ("analytic sandwich and truncated-series data", _cmd_bounds, (
+        ("n", {"type": _int, "nargs": "?"}),
+        ("--nmax", {"type": _int, "help": "scan 1..nmax instead of a single n"}),
+        _FORMAT,
+    )),
+}
+
+
+def _parse_exact(argv) -> SimpleNamespace | None:
+    """The attributes build_parser().parse_args(argv) would set, when that is certain; else None.
+
+    Certain means: argv starts with a subcommand; every other word is a
+    positional or one of that subcommand's flags spelled in full and given
+    at most once; a flag that takes a value is followed by one that does not
+    start with '-'; there are no more positionals than the subcommand takes;
+    every required argument is present; and each value passes its type and
+    choices.  Everything else (-h, --flag=value, abbreviations, repeats,
+    '--', negative numbers, every error) is left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    flags = {name: spec for name, spec in arguments if name[0] == "-"}
+    given, positionals = {}, []
+    words = iter(argv[1:])
+    for word in words:
+        if word[:1] != "-":
+            positionals.append(word)
+            continue
+        if word not in flags or word in given:
+            return None
+        if flags[word].get("action") == "store_true":
+            given[word] = True
+            continue
+        given[word] = next(words, "-")
+        if given[word][:1] == "-":
+            return None
+    namespace = {"command": argv[0], "handler": handler}
+    for name, spec in arguments:
+        if name[0] == "-":
+            dest, text = spec.get("dest", name[2:]), given.get(name)
+        else:
+            dest, text = name, positionals.pop() if positionals else None
+        if text is None:
+            if spec.get("required", name[0] != "-" and spec.get("nargs") != "?"):
+                return None
+            namespace[dest] = spec.get("default", False if spec.get("action") == "store_true" else None)
+        elif text is True:
+            namespace[dest] = True
+        else:
+            try:
+                value = spec["type"](text) if "type" in spec else text
+            except Exception:  # argparse reports it, or raises it again
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            namespace[dest] = value
+    return None if positionals else SimpleNamespace(**namespace)
+
+
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    """Run one command in-process and return its exit code.
+
+    A well-formed argv is parsed by _parse_exact, any other by argparse, with
+    its stock messages; the handler gets the same attributes either way.
+    """
+    return _main(sys.argv[1:] if argv is None else argv, untranslated=False)
+
+
+def _main(argv, untranslated: bool) -> int:
+    args = _parse_exact(argv)
+    if args is None:
+        # argparse is imported only here, for help, usage, errors and every
+        # argv _parse_exact leaves to it.  It passes each message through
+        # gettext, whose first call imports locale (about 0.9 ms) only to find
+        # no argparse catalog; untranslated takes the messages as written,
+        # which is what gettext returns without a catalog.
+        import argparse
+
+        if untranslated:
+            argparse._ = str
+            argparse.ngettext = _untranslated_plural
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a reader gone before the last buffered write shows here, not at exit
@@ -346,20 +424,15 @@ def _untranslated_plural(singular: str, plural: str, n: int) -> str:
 def run() -> None:
     """Process entry point: `python -m overpoly.cli` and the `overpoly` script.
 
-    Gives argparse its messages untranslated, moves every object the imports
-    made into the collector's permanent generation, so that the interpreter's
-    shutdown neither traces nor tears down that heap, then exits with main's
-    code.  Atexit handlers, flushes, exit codes and output are unchanged.
-    main itself does neither, because tests and tracers call it in-process.
+    Moves every object the imports made into the collector's permanent
+    generation, so that the interpreter's shutdown neither traces nor tears
+    down that heap, then exits with the code main would return; when the
+    argv needs argparse, its messages are untranslated.  Atexit handlers,
+    flushes, exit codes and output are unchanged.  main itself does neither,
+    because tests and tracers call it in-process.
     """
-    # argparse passes each message through gettext, whose first call imports
-    # locale (about 0.9 ms) only to find no argparse catalog; the CLI's output
-    # depends on its arguments alone, so the process takes the messages as
-    # written, which is what gettext returns without a catalog.
-    argparse._ = str
-    argparse.ngettext = _untranslated_plural
     gc.freeze()
-    sys.exit(main())
+    sys.exit(_main(sys.argv[1:], untranslated=True))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """Command-line interface: output formats, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,10 +12,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import load
 
-from overpoly import bijections
+from overpoly import bijections, cli
 from overpoly.bijections import AuditReport, expected_verdict
 from overpoly.cli import build_parser, main
 from overpoly.enumeration import count_ops, format_parts
@@ -499,16 +502,28 @@ def _modules_imported_by_entry_point(*argv) -> list[str]:
     return names[names.index("site") + 1 :] if "site" in names else names
 
 
+@pytest.mark.parametrize("argv", [["roots", "--amax", "x"], ["-h"]], ids=" ".join)
+def test_entry_point_leaves_locale_unloaded(argv):
+    # Help and errors go through argparse, which run() gives its messages
+    # untranslated: gettext's first lookup imports locale.
+    imported = _modules_imported_by_entry_point(*argv)
+    assert "argparse" in imported and "locale" not in imported
+
+
 @pytest.mark.parametrize(
     "argv",
     [["verify", "ie8"], ["bijection", "g1", "--a", "3"], ["roots", "--amax", "2", "--bmax", "2"],
-     ["roots", "--amax", "x"], ["-h"]],
+     ["roots", "--amax", "2", "--bmax", "2", "--format", "json"],
+     ["verify", "logconcave", "--nmax", "30", "--format", "json"],
+     ["verify", "th4", "--amax", "6", "--xs", "1,5/4,7/3", "--format", "json"],
+     ["bijection", "fk", "--a", "4", "--b", "3", "--colors", "2", "--format", "json"],
+     ["poly", "30", "--eval", "2", "--format", "json"]],
     ids=" ".join,
 )
-def test_entry_point_leaves_locale_unloaded(argv):
-    # run() gives argparse its messages untranslated: gettext's first lookup imports locale.
+def test_entry_point_leaves_argparse_unloaded(argv):
+    # A well-formed command is parsed from the subcommand table; argparse imports gettext.
     imported = _modules_imported_by_entry_point(*argv)
-    assert "argparse" in imported and "locale" not in imported
+    assert "overpoly" in imported and not {"argparse", "gettext", "locale"} & set(imported)
 
 
 def test_cli_import_leaves_mpmath_unloaded():
@@ -623,6 +638,95 @@ def test_entry_point_prints_what_main_prints(capsys, monkeypatch, columns):
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda argv: _python("-m", "overpoly.cli", *argv), argvs))
     assert [(r.returncode, r.stdout.decode(), r.stderr.decode()) for r in results] == expected
+
+
+def _argparse_attributes(argv):
+    """vars() of argparse's namespace for argv, or None where it prints help or an error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0] if argv else None).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_exact_parser_reads_the_golden_argvs_as_argparse_does():
+    declined = []
+    for entry in GOLDEN:
+        exact = cli._parse_exact(entry["argv"])
+        if exact is None:
+            declined.append(entry["argv"])
+        else:
+            assert vars(exact) == _argparse_attributes(entry["argv"]), entry["argv"]
+    # An '=' form and a negative number are left to argparse.
+    assert declined == [
+        ["poly", "30", "--eval=-2/3", "--format", "json"],
+        ["poly", "30", "--eval=-2/3"],
+        ["poly", "-1", "--eval", "1", "--format", "json"],
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*PARSE_ONLY_ARGVS, ["enumerate", "3", "--forbid"], ["roots", "--amax"], ["enumerate", "3", "--count", "--count"],
+     ["roots", "--amax=3"], ["bounds", "--", "3"], ["poly", "3", "--eval", "-1"], ["verify", "th1", "--nm", "3"]],
+    ids=lambda argv: " ".join(argv) or "no-args",
+)
+def test_exact_parser_leaves_help_and_errors_to_argparse(argv):
+    assert cli._parse_exact(argv) is None
+
+
+# Per type: values it takes, and values the exact parser must leave to argparse.
+_SAMPLE_VALUES = {
+    cli._int: (["0", "3", "12", "+4", " 7 "], ["-2", "1_0", "x", "\u0663", ""]),
+    cli._rational: (["1", "3/2", "0.25", "5/4"], ["-1/2", "1/0", "x/y", "1_0/3", ""]),
+    cli._int_list: (["2,3", "3,7,15", "3, 7", ""], ["2,x", "-1,2"]),
+    cli._rational_list: (["1,3/2,2", "2, 5/2", ""], ["1,x", "-1"]),
+    None: (["1_1", "1_1,2_1", ""], ["-1_1"]),
+}
+
+
+def _argvs(command):
+    """argvs for command: each argument present or not, in a random order, with a
+    valid or an invalid value, plus at most one group argparse must take itself:
+    a flag without its value or with one it does not take, a repeated flag, an
+    '=' form, an abbreviation, -h, '--', '-' or an unknown flag."""
+    well_formed, odd = [], [st.sampled_from([["-h"], ["--help"], ["--"], ["-"], ["--frob"]])]
+    for name, spec in cli._COMMANDS[command][2]:
+        valid, invalid = _SAMPLE_VALUES[spec.get("type")]
+        if "choices" in spec:
+            valid, invalid = spec["choices"], ["zz", ""]
+        invalid = st.one_of(st.sampled_from(invalid), st.text(alphabet="0123456789-+/,_x =", max_size=4))
+        # Four valid values in five.
+        value = st.integers(0, 4).flatmap(lambda r, ok=st.sampled_from(valid), bad=invalid: ok if r else bad)
+        if name[0] != "-":
+            group = value.map(lambda v: [v])
+        elif spec.get("action") == "store_true":
+            group = st.just([name])
+            odd.append(value.map(lambda v, name=name: [name, v]))
+        else:
+            group = value.map(lambda v, name=name: [name, v])
+            odd.append(st.just([name]))
+        well_formed.append(st.integers(0, 3).flatmap(lambda r, g=group: g if r else st.none()))  # three in four
+        odd += [group, value.map(lambda v, name=name: [f"{name}={v}"])]
+        if len(name) > 3:
+            odd.append(st.tuples(st.integers(3, len(name) - 1), value).map(lambda t, name=name: [name[: t[0]], t[1]]))
+    groups = st.tuples(st.tuples(*well_formed), st.lists(st.one_of(odd), max_size=1)).map(
+        lambda drawn: [g for g in drawn[0] if g is not None] + drawn[1]
+    )
+    return groups.flatmap(st.permutations).map(lambda chosen: [command, *(w for g in chosen for w in g)])
+
+
+_ARGVS = {command: _argvs(command) for command in cli._COMMANDS}
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_exact_parser_agrees_with_argparse_or_declines(command, data):
+    # Random flag subsets and orders, bad values, repeats, '=' forms, abbreviations and values starting with '-'.
+    argv = data.draw(_ARGVS[command])
+    exact = cli._parse_exact(argv)
+    assert exact is None or vars(exact) == _argparse_attributes(argv)
 
 
 def test_a_one_subcommand_parser_holds_only_that_subcommand():
